@@ -83,7 +83,6 @@ class IncrementTape:
     """Pre-drawn driving increments for a block of paths on one time grid."""
 
     fine_dt: float
-    path_offset: int
     brownian: np.ndarray | None  # (n_paths, n_steps) Brownian increments, or None
     levy: np.ndarray | None  # (n_paths, n_steps) jump increments, or None
 
@@ -120,7 +119,6 @@ class IncrementTape:
 
         return IncrementTape(
             fine_dt=self.fine_dt * ratio,
-            path_offset=self.path_offset,
             brownian=block_sum(self.brownian),
             levy=block_sum(self.levy),
         )
@@ -148,12 +146,7 @@ def make_tape(
             levy[row] = sample_levy_increments(
                 spec, fine_dt, n_steps, SeedPolicy(master_seed, int(path), "levy")
             )
-    return IncrementTape(
-        fine_dt=fine_dt,
-        path_offset=int(path_indices[0]) if n_paths else 0,
-        brownian=brownian,
-        levy=levy,
-    )
+    return IncrementTape(fine_dt=fine_dt, brownian=brownian, levy=levy)
 
 
 # ---------------------------------------------------------------------------
@@ -307,14 +300,6 @@ def _chunk_worker(payload: dict, problem: SdeProblem | None = None):
     raise ConfigurationError(f"unknown chunk kind {kind!r}")
 
 
-def _map_chunks(payloads, workers: int):
-    if workers <= 1 or len(payloads) <= 1:
-        return [_chunk_worker(p) for p in payloads]
-    ctx = multiprocessing.get_context("spawn")
-    with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
-        return list(pool.map(_chunk_worker, payloads))
-
-
 def _require_source(problem: SdeProblem, workers: int) -> None:
     if workers > 1 and problem.source is None:
         raise ConfigurationError(
@@ -334,6 +319,18 @@ def _base_payload(problem, kind, dt, n_steps, seed, rng_range, extra):
     }
     payload.update(extra)
     return payload
+
+
+def _run_payloads(problem: SdeProblem, payloads, workers: int):
+    """Run chunks inline (reusing the caller's problem object) or on a spawn pool.
+
+    Pool workers rebuild the problem from ``payload["config"]``.
+    """
+    if workers <= 1 or len(payloads) <= 1:
+        return [_chunk_worker(p, problem) for p in payloads]
+    ctx = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
+        return list(pool.map(_chunk_worker, payloads))
 
 
 # ---------------------------------------------------------------------------
@@ -411,8 +408,6 @@ def simulate_ensemble(
     chunk_budget_bytes: int = _DEFAULT_CHUNK_BUDGET,
 ) -> EnsembleResult:
     """Evolve an ensemble at one step size; record terminals and checkpoints."""
-    if problem.dim != 1:
-        raise ConfigurationError("the ensemble engine covers scalar problems")
     n_steps = steps_for_horizon(problem.horizon, dt)
     record_steps = sorted({checkpoint_step(t, dt, n_steps) for t in checkpoints})
     _require_source(problem, workers)
@@ -443,13 +438,6 @@ def simulate_ensemble(
         step = checkpoint_step(t, dt, n_steps)
         out.checkpoints[float(t)] = np.concatenate([r["record"][step] for r in results])
     return out
-
-
-def _run_payloads(problem: SdeProblem, payloads, workers: int):
-    """Run chunks inline (reusing the caller's problem object) or on a pool."""
-    if workers <= 1 or len(payloads) <= 1:
-        return [_chunk_worker(p, problem) for p in payloads]
-    return _map_chunks(payloads, workers)
 
 
 def second_moment_curve(

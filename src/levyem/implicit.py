@@ -15,9 +15,10 @@ The solver runs damped Newton from ``Y = c`` (halving the step while the
 residual fails to decrease) and, for the rare scalar elements where Newton
 stalls, falls back to a bracketed root solve on the guaranteed enclosing
 interval (Brent's method, followed by a Newton polish so residuals reach
-solver tolerance rather than just interval tolerance).  The batch entry
-point vectorises Newton across paths and only drops to per-element
-bracketing for stragglers.
+solver tolerance rather than just interval tolerance).  The state is
+scalar: the batch entry point vectorises Newton across paths and only drops
+to per-element bracketing for stragglers, and ``solve_implicit_step`` is its
+one-state wrapper.
 """
 
 from __future__ import annotations
@@ -95,15 +96,7 @@ class StepDiagnostics:
 
 
 def _drift_at(problem: SdeProblem, t: float, y: np.ndarray) -> np.ndarray:
-    if problem.vectorized:
-        return np.asarray(problem.drift(t, y), dtype=float)
-    return np.array([float(problem.drift(t, float(v))) for v in y])
-
-
-def _drift_jacobian_at(problem: SdeProblem, t: float, y: np.ndarray) -> np.ndarray:
-    if problem.vectorized:
-        return np.asarray(problem.drift_jacobian(t, y), dtype=float)
-    return np.array([float(problem.drift_jacobian(t, float(v))) for v in y])
+    return np.asarray(problem.drift(t, y), dtype=float)
 
 
 def implicit_residual(problem: SdeProblem, t: float, y, c, dt: float):
@@ -111,7 +104,7 @@ def implicit_residual(problem: SdeProblem, t: float, y, c, dt: float):
     y = np.asarray(y, dtype=float)
     r = y - c - dt * _drift_at(problem, t, y)
     if problem.drift_jacobian is not None:
-        jac = 1.0 - dt * _drift_jacobian_at(problem, t, y)
+        jac = 1.0 - dt * np.asarray(problem.drift_jacobian(t, y), dtype=float)
     else:
         h = _FD_STEP * np.maximum(1.0, np.abs(y))
         df = (_drift_at(problem, t, y + h) - _drift_at(problem, t, y - h)) / (2.0 * h)
@@ -170,7 +163,8 @@ def _bracketed_solve(problem, t, c, dt, config, diag):
         shrink += 1
         if shrink > config.max_bisection_iters:
             raise StepFailureError(
-                "implicit step residual not finite anywhere on the bracket",
+                "implicit step residual still not finite at the bracket ends after "
+                f"{config.max_bisection_iters} halvings",
                 diagnostics={"t": t, "c": c, "dt": dt, "lo": lo, "hi": hi},
             )
         mid = 0.5 * (lo + hi)
@@ -179,14 +173,20 @@ def _bracketed_solve(problem, t, c, dt, config, diag):
             lo, r_lo = mid, r_mid
         else:
             hi, r_hi = mid, r_mid
-    y = brentq(
-        scalar_residual,
-        lo,
-        hi,
-        xtol=1e-14,
-        rtol=4.0 * np.finfo(float).eps,
-        maxiter=config.max_bisection_iters,
-    )
+    try:
+        y = brentq(
+            scalar_residual,
+            lo,
+            hi,
+            xtol=1e-14,
+            rtol=4.0 * np.finfo(float).eps,
+            maxiter=config.max_bisection_iters,
+        )
+    except RuntimeError as exc:  # brentq's iteration budget ran out
+        raise StepFailureError(
+            f"bracketed implicit step solve failed: {exc}",
+            diagnostics={"t": t, "c": c, "dt": dt, "lo": lo, "hi": hi},
+        ) from exc
     jac_val = 1.0
     for _ in range(5):
         r, jac = implicit_residual(problem, t, np.array([y]), c, dt)
@@ -199,7 +199,7 @@ def _bracketed_solve(problem, t, c, dt, config, diag):
     r = scalar_residual(y)
     diag.bracketed_elements += 1
     accept = max(config.abs_tol, float(_residual_floor(y, c, jac_val)))
-    if abs(r) > accept:
+    if not abs(r) <= accept < np.inf:
         raise StepFailureError(
             f"implicit step residual {r:.3e} above tolerance {accept:.3e}",
             diagnostics={"t": t, "c": c, "dt": dt, "y": y},
@@ -218,15 +218,22 @@ def solve_implicit_steps(
     """Solve Y = c + dt*f(t, Y) for a batch of scalar explicit parts ``c``.
 
     ``c`` is a 1-d array with one entry per path; the solve is vectorised
-    across the batch.  Returns the array of roots.
+    across the batch.  Returns the array of roots.  Raises StepFailureError
+    for a non-finite ``c`` and for any element whose residual cannot be
+    brought within tolerance; a NaN residual or an overflowed floor never
+    counts as converged.
     """
-    if problem.dim != 1:
-        raise ConfigurationError("batch solve covers scalar problems only; use solve_implicit_step")
     config = config or ImplicitStepConfig()
     _check_dt(problem, dt)
     c = np.asarray(c, dtype=float)
     if c.ndim != 1:
         raise ConfigurationError(f"batch explicit part must be 1-d, got shape {c.shape}")
+    if not np.isfinite(c).all():
+        bad = int(np.flatnonzero(~np.isfinite(c))[0])
+        raise StepFailureError(
+            f"non-finite explicit part c[{bad}] = {c[bad]} at t={t}",
+            diagnostics={"t": t, "index": bad, "c": float(c[bad]), "dt": dt},
+        )
     diag = StepDiagnostics(solves=c.size)
     y = c.copy()
     if dt == 0.0 or c.size == 0:
@@ -236,8 +243,10 @@ def solve_implicit_steps(
     r, jac = implicit_residual(problem, t, y, c, dt)
 
     def unconverged(idx):
+        # written so that a NaN residual or an overflowed (inf) floor never
+        # counts as converged
         tol = np.maximum(config.abs_tol, _residual_floor(y[idx], c[idx], jac[idx]))
-        return idx[np.abs(r[idx]) > tol]
+        return idx[~((np.abs(r[idx]) <= tol) & (tol < np.inf))]
 
     active = unconverged(np.arange(c.size))
     stuck: list[int] = []
@@ -288,82 +297,11 @@ def solve_implicit_steps(
 def solve_implicit_step(
     problem: SdeProblem,
     t: float,
-    c,
+    c: float,
     dt: float,
     config: ImplicitStepConfig | None = None,
     diagnostics: StepDiagnostics | None = None,
-):
-    """Solve Y = c + dt*f(t, Y) for one state (scalar or d-dimensional)."""
-    config = config or ImplicitStepConfig()
-    if problem.dim == 1:
-        c_scalar = float(np.asarray(c).reshape(()))
-        out = solve_implicit_steps(
-            problem, t, np.array([c_scalar]), dt, config=config, diagnostics=diagnostics
-        )
-        return float(out[0])
-    _check_dt(problem, dt)
-    c = np.asarray(c, dtype=float).reshape(problem.dim)
-    y = c.copy()
-    diag = StepDiagnostics(solves=1)
-    if dt == 0.0:
-        if diagnostics is not None:
-            diagnostics.merge(diag)
-        return y
-    r, jac = _residual_nd(problem, t, y, c, dt)
-
-    def accept_tol():
-        floor = _residual_floor(
-            np.linalg.norm(y, np.inf), np.linalg.norm(c, np.inf), np.linalg.norm(jac, np.inf)
-        )
-        return max(config.abs_tol, float(floor))
-
-    for _ in range(config.max_newton_iters):
-        norm = float(np.linalg.norm(r, ord=np.inf))
-        if norm <= accept_tol():
-            break
-        diag.newton_iterations += 1
-        try:
-            step = np.linalg.solve(jac, -r)
-        except np.linalg.LinAlgError:
-            step = -r
-        lam = 1.0
-        for _ in range(config.max_dampings + 1):
-            cand = y + lam * step
-            rc, jc = _residual_nd(problem, t, cand, c, dt)
-            if np.all(np.isfinite(rc)) and np.linalg.norm(rc, ord=np.inf) < norm:
-                y, r, jac = cand, rc, jc
-                break
-            diag.damping_halvings += 1
-            lam *= 0.5
-        else:
-            break
-    residual = float(np.linalg.norm(r, ord=np.inf))
-    diag.worst_residual = residual
-    if diagnostics is not None:
-        diagnostics.merge(diag)
-    if residual > accept_tol():
-        raise StepFailureError(
-            f"implicit step residual {residual:.3e} above tolerance {config.abs_tol:.3e} "
-            "(no bracketed fallback in dimension > 1)",
-            diagnostics={"t": t, "dt": dt, "c": c.tolist(), "y": y.tolist()},
-        )
-    return y
-
-
-def _residual_nd(problem: SdeProblem, t: float, y, c, dt: float):
-    f = np.asarray(problem.drift(t, y), dtype=float).reshape(problem.dim)
-    r = y - c - dt * f
-    if problem.drift_jacobian is not None:
-        jac = np.eye(problem.dim) - dt * np.asarray(problem.drift_jacobian(t, y), dtype=float)
-    else:
-        jac = np.eye(problem.dim)
-        for k in range(problem.dim):
-            h = _FD_STEP * max(1.0, abs(float(y[k])))
-            yp, ym = y.copy(), y.copy()
-            yp[k] += h
-            ym[k] -= h
-            df = (np.asarray(problem.drift(t, yp), dtype=float) - np.asarray(problem.drift(t, ym), dtype=float)) / (
-                2.0 * h
-            )
-            jac[:, k] = (k == np.arange(problem.dim)) - dt * df.reshape(problem.dim)
-    return r, jac
+) -> float:
+    """Solve Y = c + dt*f(t, Y) for one scalar explicit part ``c``."""
+    c = np.asarray(c, dtype=float).reshape(1)
+    return float(solve_implicit_steps(problem, t, c, dt, config, diagnostics)[0])

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from typing import Callable
 
 import numpy as np
@@ -106,31 +106,29 @@ class AssumptionConstants:
 
 @dataclass
 class SdeProblem:
-    """One SDE together with its noise description and declared constants.
+    """One scalar SDE together with its noise description and declared constants.
 
-    ``drift`` and ``diffusion`` take ``(t, x)``; for ``dim == 1`` and
-    ``vectorized=True`` they must broadcast over arrays of states (and times),
-    which is what enables whole-ensemble implicit stepping.  ``diffusion`` is
-    None when there is no Brownian term.
+    The state is scalar and ``x0`` is a plain float.  ``drift``, ``diffusion``
+    and ``drift_jacobian`` take ``(t, x)`` and must broadcast over 1-d arrays
+    of states and of times, which is what enables whole-ensemble implicit
+    stepping.  ``diffusion`` is None when there is no Brownian term;
+    ``drift_jacobian`` (the derivative of the drift in x) is optional, and a
+    central difference stands in for it when it is None.
     """
 
     name: str
     drift: Callable
-    x0: float | np.ndarray
+    x0: float
     horizon: float
     noise: NoiseSpec
     constants: AssumptionConstants
     monotone_bound: float
     diffusion: Callable | None = None
     drift_jacobian: Callable | None = None
-    dim: int = 1
-    vectorized: bool = True
     declared_probes: tuple = PROBE_NAMES
     source: dict | None = None  # config the problem was built from, if any
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ConfigurationError("dim must be >= 1")
         if self.horizon <= 0:
             raise ConfigurationError("horizon must be > 0")
         if not math.isfinite(self.monotone_bound):
@@ -146,10 +144,6 @@ class SdeProblem:
     @property
     def has_diffusion(self) -> bool:
         return self.diffusion is not None
-
-    def initial_state(self) -> np.ndarray:
-        x0 = self.x0() if callable(self.x0) else self.x0
-        return np.atleast_1d(np.asarray(x0, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -177,22 +171,19 @@ class ProbeReport:
 def _probe_draws(problem: SdeProblem, n_pairs: int, radius: float, seed: int):
     rng = make_rng(SeedPolicy(seed, 0, AUX_STREAM))
     t = rng.uniform(0.0, problem.horizon, n_pairs)
-    x = rng.uniform(-radius, radius, (n_pairs, problem.dim))
-    y = rng.uniform(-radius, radius, (n_pairs, problem.dim))
+    x = rng.uniform(-radius, radius, n_pairs)
+    y = rng.uniform(-radius, radius, n_pairs)
     # Keep the pair separation away from 0 so difference quotients are stable.
-    bad = np.linalg.norm(x - y, axis=1) < 1e-8
+    bad = np.abs(x - y) < 1e-8
     while bad.any():
-        y[bad] = rng.uniform(-radius, radius, (int(bad.sum()), problem.dim))
-        bad = np.linalg.norm(x - y, axis=1) < 1e-8
+        y[bad] = rng.uniform(-radius, radius, int(bad.sum()))
+        bad = np.abs(x - y) < 1e-8
     return rng, t, x, y
 
 
-def _eval_pairs(problem: SdeProblem, func: Callable, t: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Evaluate func(t_i, x_i) for every pair; vectorised in the 1-d case."""
-    if problem.dim == 1 and problem.vectorized:
-        out = np.asarray(func(t, x[:, 0]), dtype=float)
-        return out.reshape(-1, 1)
-    return np.stack([np.atleast_1d(np.asarray(func(ti, xi), dtype=float)) for ti, xi in zip(t, x)])
+def _eval_pairs(func: Callable, t: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """func(t_i, x_i) for every pair, as a float array."""
+    return np.asarray(func(t, x), dtype=float)
 
 
 def probe_one_sided_lipschitz(
@@ -201,9 +192,9 @@ def probe_one_sided_lipschitz(
     """Worst ratio <x-y, f(t,x)-f(t,y)> / |x-y|^2 against K3 (or the monotone bound)."""
     claim = problem.constants.K3 if problem.constants.K3 is not None else problem.monotone_bound
     _, t, x, y = _probe_draws(problem, n_pairs, radius, seed)
-    df = _eval_pairs(problem, problem.drift, t, x) - _eval_pairs(problem, problem.drift, t, y)
+    df = _eval_pairs(problem.drift, t, x) - _eval_pairs(problem.drift, t, y)
     diff = x - y
-    ratio = np.einsum("ij,ij->i", diff, df) / np.einsum("ij,ij->i", diff, diff)
+    ratio = diff * df / (diff * diff)
     return ProbeReport(
         probe="one_sided",
         problem=problem.name,
@@ -221,11 +212,9 @@ def probe_polynomial_lipschitz(
     """Worst ratio |df|^2 / ((1+|x|^sigma+|y|^sigma) |x-y|^2) against H."""
     c = problem.constants
     _, t, x, y = _probe_draws(problem, n_pairs, radius, seed)
-    df = _eval_pairs(problem, problem.drift, t, x) - _eval_pairs(problem, problem.drift, t, y)
-    num = np.einsum("ij,ij->i", df, df)
-    xn = np.linalg.norm(x, axis=1)
-    yn = np.linalg.norm(y, axis=1)
-    den = (1.0 + xn**c.sigma + yn**c.sigma) * np.einsum("ij,ij->i", x - y, x - y)
+    df = _eval_pairs(problem.drift, t, x) - _eval_pairs(problem.drift, t, y)
+    num = df * df
+    den = (1.0 + np.abs(x) ** c.sigma + np.abs(y) ** c.sigma) * ((x - y) * (x - y))
     ratio = num / den
     return ProbeReport(
         probe="polynomial",
@@ -255,8 +244,8 @@ def probe_diffusion_lipschitz(
             violations=0,
         )
     _, t, x, y = _probe_draws(problem, n_pairs, radius, seed)
-    dg = _eval_pairs(problem, problem.diffusion, t, x) - _eval_pairs(problem, problem.diffusion, t, y)
-    ratio = np.einsum("ij,ij->i", dg, dg) / np.einsum("ij,ij->i", x - y, x - y)
+    dg = _eval_pairs(problem.diffusion, t, x) - _eval_pairs(problem.diffusion, t, y)
+    ratio = dg * dg / ((x - y) * (x - y))
     return ProbeReport(
         probe="diffusion",
         problem=problem.name,
@@ -279,15 +268,14 @@ def probe_time_holder(
     while near.any():
         s[near] = rng.uniform(0.0, problem.horizon, int(near.sum()))
         near = np.abs(t - s) < 1e-12
-    xn = np.linalg.norm(x, axis=1)
-    weight = 1.0 + xn ** (c.sigma + 1.0)
-    df = _eval_pairs(problem, problem.drift, t, x) - _eval_pairs(problem, problem.drift, s, x)
-    ratio_f = np.linalg.norm(df, axis=1) / (weight * np.abs(t - s) ** c.gamma1)
+    weight = 1.0 + np.abs(x) ** (c.sigma + 1.0)
+    df = _eval_pairs(problem.drift, t, x) - _eval_pairs(problem.drift, s, x)
+    ratio_f = np.abs(df) / (weight * np.abs(t - s) ** c.gamma1)
     max_ratio = float(ratio_f.max())
     violations = int((ratio_f > c.K1 + 1e-9).sum())
     if problem.diffusion is not None:
-        dg = _eval_pairs(problem, problem.diffusion, t, x) - _eval_pairs(problem, problem.diffusion, s, x)
-        ratio_g = np.linalg.norm(dg, axis=1) / (weight * np.abs(t - s) ** c.gamma2)
+        dg = _eval_pairs(problem.diffusion, t, x) - _eval_pairs(problem.diffusion, s, x)
+        ratio_g = np.abs(dg) / (weight * np.abs(t - s) ** c.gamma2)
         max_ratio = max(max_ratio, float(ratio_g.max()))
         violations += int((ratio_g > c.K2 + 1e-9).sum())
     return ProbeReport(
@@ -322,21 +310,12 @@ def run_declared_probes(
 def zero_state_bounds(problem: SdeProblem, n_grid: int = 1000) -> tuple[float, float]:
     """(m1, m2) = (sup_t 0.5*|f(t,0)|^2, sup_t |g(t,0)|^2) over a uniform t-grid."""
     ts = np.linspace(0.0, problem.horizon, n_grid)
-    zero = np.zeros(problem.dim)
-    if problem.dim == 1 and problem.vectorized:
-        f0 = np.asarray(problem.drift(ts, np.zeros_like(ts)), dtype=float)
-        f_sq = np.broadcast_to(f0, ts.shape) ** 2
-        if problem.diffusion is not None:
-            g0 = np.asarray(problem.diffusion(ts, np.zeros_like(ts)), dtype=float)
-            g_sq = np.broadcast_to(g0, ts.shape) ** 2
-        else:
-            g_sq = np.zeros_like(ts)
+    zero = np.zeros_like(ts)
+    f_sq = np.broadcast_to(_eval_pairs(problem.drift, ts, zero), ts.shape) ** 2
+    if problem.diffusion is not None:
+        g_sq = np.broadcast_to(_eval_pairs(problem.diffusion, ts, zero), ts.shape) ** 2
     else:
-        f_sq = np.array([np.sum(np.asarray(problem.drift(t, zero)) ** 2) for t in ts])
-        if problem.diffusion is not None:
-            g_sq = np.array([np.sum(np.asarray(problem.diffusion(t, zero)) ** 2) for t in ts])
-        else:
-            g_sq = np.zeros_like(ts)
+        g_sq = np.zeros_like(ts)
     return 0.5 * float(f_sq.max()), float(g_sq.max())
 
 

@@ -146,7 +146,7 @@ class NoiseSpec:
     scale: float = 1.0
     rate: float | None = None
     jump_law: JumpLaw | None = None
-    brownian_dim: int = 1
+    brownian_dim: int = 1  # 0 (no Brownian term) or 1 (one scalar Brownian driver)
     gamma0: float = 1.5
     gamma_inf: float = 4.0
 
@@ -157,8 +157,10 @@ class NoiseSpec:
             raise ConfigurationError(f"gamma0 must lie in [1, 2], got {self.gamma0}")
         if not self.gamma_inf > 1.0:
             raise ConfigurationError(f"gamma_inf must be > 1, got {self.gamma_inf}")
-        if self.brownian_dim < 0:
-            raise ConfigurationError("brownian_dim must be >= 0")
+        if self.brownian_dim not in (0, 1):
+            raise ConfigurationError(
+                f"brownian_dim must be 0 or 1 (the state is scalar), got {self.brownian_dim!r}"
+            )
         if self.scale <= 0:
             raise ConfigurationError("scale must be > 0")
         if self.kind == "alpha_stable":

@@ -29,7 +29,7 @@ paper-5.4      cubic dissipative drift, affine Brownian noise, additive
 
 from __future__ import annotations
 
-import math
+import numbers
 
 import numpy as np
 
@@ -52,15 +52,32 @@ def signed_power(u, p: float):
     return np.sign(u) * np.abs(u) ** p
 
 
-def _parse_time_factor(spec) -> tuple[float, float, float] | None:
-    if spec is None:
-        return None
-    try:
-        a, b, p = float(spec["a"]), float(spec["b"]), float(spec["power"])
-    except (KeyError, TypeError) as exc:
-        raise ConfigurationError(f"time_factor needs keys a, b, power: {spec!r}") from exc
+_TERM_KEYS = {"coeff", "x_power", "time_factor"}
+_TIME_FACTOR_KEYS = {"a", "b", "power"}
+
+
+def _check_keys(spec, allowed: set, required: set, path: str) -> None:
+    if not isinstance(spec, dict):
+        raise ConfigurationError(f"{path} must be a mapping, got {spec!r}")
+    unknown = sorted(set(spec) - allowed)
+    if unknown:
+        raise ConfigurationError(f"{path}: unknown keys {unknown}; allowed: {sorted(allowed)}")
+    missing = sorted(required - set(spec))
+    if missing:
+        raise ConfigurationError(f"{path}: missing keys {missing}")
+
+
+def _real(value, path: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigurationError(f"{path} must be a number, got {value!r}")
+    return float(value)
+
+
+def _parse_time_factor(spec, path: str) -> tuple[float, float, float]:
+    _check_keys(spec, _TIME_FACTOR_KEYS, _TIME_FACTOR_KEYS, path)
+    a, b, p = (_real(spec[key], f"{path}.{key}") for key in ("a", "b", "power"))
     if not 0.0 < p <= 1.0:
-        raise ConfigurationError(f"time_factor power must lie in (0, 1], got {p}")
+        raise ConfigurationError(f"{path}.power must lie in (0, 1], got {p}")
     return a, b, p
 
 
@@ -68,15 +85,17 @@ def _parse_terms(terms, label: str) -> list[tuple[float, int, tuple | None]]:
     if not isinstance(terms, (list, tuple)):
         raise ConfigurationError(f"{label} must be a list of terms, got {type(terms).__name__}")
     parsed = []
-    for term in terms:
-        try:
-            coeff = float(term["coeff"])
-            x_power = int(term.get("x_power", 0))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigurationError(f"bad {label} term {term!r}") from exc
-        if x_power < 0:
-            raise ConfigurationError(f"{label} x_power must be >= 0, got {x_power}")
-        parsed.append((coeff, x_power, _parse_time_factor(term.get("time_factor"))))
+    for k, term in enumerate(terms):
+        path = f"{label}[{k}]"
+        _check_keys(term, _TERM_KEYS, {"coeff"}, path)
+        coeff = _real(term["coeff"], f"{path}.coeff")
+        x_power = _real(term.get("x_power", 0), f"{path}.x_power")
+        if not (x_power.is_integer() and x_power >= 0):
+            raise ConfigurationError(f"{path}.x_power must be a non-negative integer, got {x_power:g}")
+        tf = term.get("time_factor")
+        if tf is not None:
+            tf = _parse_time_factor(tf, f"{path}.time_factor")
+        parsed.append((coeff, int(x_power), tf))
     return parsed
 
 
@@ -140,9 +159,8 @@ def problem_from_config(config: dict) -> SdeProblem:
     missing = {"drift", "x0", "horizon", "noise", "constants", "monotone_bound"} - set(config)
     if missing:
         raise ConfigurationError(f"problem config missing keys: {sorted(missing)}")
-    dim = int(config.get("dim", 1))
-    if dim != 1:
-        raise ConfigurationError("the coefficient grammar only covers dim == 1")
+    if config.get("dim", 1) != 1:
+        raise ConfigurationError(f"dim: the grammar covers scalar problems only (dim 1), got {config['dim']!r}")
     drift, drift_jac = compile_terms(config["drift"], "drift")
     diffusion_terms = config.get("diffusion") or []
     diffusion = compile_terms(diffusion_terms, "diffusion")[0] if diffusion_terms else None
@@ -157,8 +175,6 @@ def problem_from_config(config: dict) -> SdeProblem:
         noise=noise,
         constants=_parse_constants(config["constants"]),
         monotone_bound=float(config["monotone_bound"]),
-        dim=1,
-        vectorized=True,
         declared_probes=tuple(config.get("declared_probes", PROBE_NAMES)),
         source=config,
     )

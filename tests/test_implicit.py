@@ -128,27 +128,26 @@ def test_bracket_contains_root():
         assert func(c - half) < 0 < func(c + half)
 
 
-def test_multidimensional_linear_solve():
-    A = np.array([[-3.0, 1.0], [0.5, -2.0]])
-    constants = AssumptionConstants(
-        H=10.0, sigma=1.0, q=4.0, M=10.0, K1=4.0, K2=4.0, gamma1=0.5, gamma2=0.5
-    )
-    problem = SdeProblem(
-        name="linear-2d",
-        drift=lambda t, x: A @ x,
-        x0=np.array([1.0, -1.0]),
-        horizon=1.0,
-        noise=NoiseSpec(kind="none", brownian_dim=0),
-        constants=constants,
-        monotone_bound=-1.0,
-        dim=2,
-        vectorized=False,
-    )
-    c = np.array([2.0, 3.0])
-    dt = 0.05
-    y = solve_implicit_step(problem, 0.0, c, dt)
-    expect = np.linalg.solve(np.eye(2) - dt * A, c)
-    np.testing.assert_allclose(y, expect, atol=1e-10)
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_non_finite_explicit_part_raises(bad):
+    # |nan| > tol is false, so a tolerance test alone would pass a NaN as a root
+    problem = builtin_problem("paper-5.4")
+    c = np.array([1.0, 2.0, bad, bad])
+    with pytest.raises(StepFailureError, match=r"c\[2\]") as info:
+        solve_implicit_steps(problem, 0.25, c, 0.01)
+    assert info.value.diagnostics["t"] == 0.25
+    assert info.value.diagnostics["index"] == 2
+
+
+def test_overflowing_explicit_part_is_not_accepted():
+    # At c = 1e200 the drift and its Jacobian overflow at the starting point,
+    # which makes the residual floor inf, and |r| <= inf must not accept y = c.
+    # The true root, about 2.15e67, sits some 130 orders of magnitude inside
+    # the a-priori bracket, past the bisection budget, so the step fails loudly.
+    problem = builtin_problem("paper-5.4")
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(StepFailureError, match="not finite"):
+            solve_implicit_steps(problem, 0.5, np.array([1.0, 1e200]), 0.01)
 
 
 def test_config_validation():

@@ -153,9 +153,3 @@ class TestProblemShape:
                 constants=constants,
                 monotone_bound=-1.0,
             )
-
-    def test_initial_state_shape(self):
-        problem = builtin_problem("paper-5.3")
-        x0 = problem.initial_state()
-        assert x0.shape == (1,)
-        assert x0[0] == 10.0

@@ -238,6 +238,13 @@ def test_spec_validation_errors():
         NoiseSpec(kind="compound_poisson", rate=-1.0, jump_law=JumpLaw(kind="point"))
 
 
+@pytest.mark.parametrize("dim", [-1, 2, 3])
+def test_brownian_dim_is_zero_or_one(dim):
+    # make_tape draws a single Brownian column, so brownian_dim=3 would run as 1
+    with pytest.raises(ConfigurationError, match="brownian_dim"):
+        NoiseSpec(kind="none", brownian_dim=dim)
+
+
 def test_moment_conditions_tempered_pass_pass():
     spec = NoiseSpec(kind="tempered_stable", alpha=1.3, tempering=1.0, gamma0=1.5, gamma_inf=4.0)
     report = validate_moment_conditions(spec)

@@ -102,6 +102,38 @@ def test_rejects_malformed_configs():
         problem_from_config(bad_terms)
 
 
+def _with_drift(drift):
+    cfg = dict(builtin_problem("paper-5.3").source)
+    cfg["drift"] = drift
+    return cfg
+
+
+def test_fractional_x_power_rejected():
+    # int() would truncate 3.7 to 3
+    with pytest.raises(ConfigurationError, match=r"drift\[0\]\.x_power"):
+        problem_from_config(_with_drift([{"coeff": -1.0, "x_power": 3.7}]))
+    # an integral float is an integer power
+    problem = problem_from_config(_with_drift([{"coeff": -1.0, "x_power": 3.0}]))
+    assert problem.drift(0.0, np.array([2.0]))[0] == -8.0
+
+
+def test_misspelled_term_key_rejected():
+    # an ignored "xpower" would turn -x**3 into the constant -1
+    drift = [{"coeff": -2.0, "x_power": 1}, {"coeff": -1.0, "xpower": 3}]
+    with pytest.raises(ConfigurationError, match=r"drift\[1\].*xpower"):
+        problem_from_config(_with_drift(drift))
+
+
+def test_misspelled_time_factor_key_rejected():
+    # a dropped "time_factr" would leave the term without its window
+    drift = [{"coeff": -2.0, "x_power": 1, "time_factr": {"a": 1.0, "b": 2.0, "power": 0.5}}]
+    with pytest.raises(ConfigurationError, match=r"drift\[0\].*time_factr"):
+        problem_from_config(_with_drift(drift))
+    window = {"a": 1.0, "b": 2.0, "pwr": 0.5}
+    with pytest.raises(ConfigurationError, match=r"drift\[0\]\.time_factor.*pwr"):
+        problem_from_config(_with_drift([{"coeff": -2.0, "x_power": 1, "time_factor": window}]))
+
+
 def test_tempering_lambda_alias():
     cfg = dict(builtin_problem("paper-5.4").source)
     noise = dict(cfg["noise"])
