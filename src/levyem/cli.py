@@ -123,6 +123,10 @@ def _cmd_run(args) -> int:
         return 3
     except StepFailureError as exc:
         print(f"error: simulation failed: {exc}", file=sys.stderr)
+        where = exc.diagnostics or {}
+        context = [f"{key}={where[key]}" for key in ("path", "start", "step", "t") if key in where]
+        if context:
+            print(f"  at {' '.join(context)}", file=sys.stderr)
         return 4
 
     out_dir = _resolve_out_dir(args.out, cfg, config_path)

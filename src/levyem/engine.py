@@ -7,15 +7,17 @@ The update over one step of size dt is
 i.e. implicit in the drift only; diffusion and jump increments enter
 explicitly.  A horizon T is covered by N = floor(T / dt) steps.
 
-Two driving modes are supported:
+Every run draws its increments per path on a tape (:class:`IncrementTape`)
+at its finest step and derives coarser resolutions by exact block sums, so
+runs at different step sizes share one realisation of the driving noise,
+which makes pathwise error against a fine-grid reference meaningful.
 
-* direct mode draws the Brownian and jump increments per step at the run's
-  own dt (used by the long-time distribution experiments), and
-* tape mode pre-draws increments on a fine grid once per path and derives
-  every coarser resolution by exact block summation (:class:`IncrementTape`),
-  so that runs at different step sizes share one realisation of the driving
-  noise.  That coupling is what makes pathwise error measurement against a
-  fine-grid reference meaningful.
+One runner, ``_run_chunks``, runs each chunk of paths through a kernel,
+inline or on a spawn process pool, and merges the solver diagnostics:
+``_ensemble_kernel`` records checkpoints and terminal values,
+``_moment_kernel`` sums q and q^2 per step (q = Y^2, or q = (Y - Y')^2 for
+two starts run as one batch on the same tape rows), and ``_strong_kernel``
+runs the fine-grid reference, then each coarsened level.
 
 Every path owns an independent counter-based RNG stream keyed by
 (master_seed, path_index, stream), so results do not depend on how paths are
@@ -27,16 +29,18 @@ byte-stable for any worker count.
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError
-from .implicit import ImplicitStepConfig, StepDiagnostics, solve_implicit_steps
+from .errors import ConfigurationError, StepFailureError
+from .implicit import StepDiagnostics, solve_implicit_steps
 from .model import SdeProblem
 from .noise import SeedPolicy, make_rng, sample_levy_increments
+from .problems import problem_from_config
 
 __all__ = [
     "IncrementTape",
@@ -74,6 +78,17 @@ def checkpoint_step(t: float, dt: float, n_steps: int) -> int:
     return step
 
 
+def _grid_ratio(dt: float, base_dt: float, n_base: int) -> int:
+    """dt / base_dt, required to be an integer that divides n_base."""
+    ratio_f = dt / base_dt
+    ratio = int(round(ratio_f))
+    if ratio < 1 or abs(ratio_f - ratio) > _GRID_RTOL * ratio:
+        raise ConfigurationError(f"dt={dt} is not an integer multiple of the grid step {base_dt}")
+    if n_base % ratio:
+        raise ConfigurationError(f"cannot aggregate {n_base} steps into blocks of {ratio}")
+    return ratio
+
+
 # ---------------------------------------------------------------------------
 # increment tapes
 
@@ -86,31 +101,12 @@ class IncrementTape:
     brownian: np.ndarray | None  # (n_paths, n_steps) Brownian increments, or None
     levy: np.ndarray | None  # (n_paths, n_steps) jump increments, or None
 
-    @property
-    def n_paths(self) -> int:
-        ref = self.brownian if self.brownian is not None else self.levy
-        return 0 if ref is None else ref.shape[0]
-
-    @property
-    def n_steps(self) -> int:
-        ref = self.brownian if self.brownian is not None else self.levy
-        return 0 if ref is None else ref.shape[1]
-
     def coarsen(self, dt: float) -> "IncrementTape":
         """Aggregate to step size dt (an integer multiple of fine_dt) by block sums."""
-        ratio_f = dt / self.fine_dt
-        ratio = int(round(ratio_f))
-        if ratio < 1 or abs(ratio_f - ratio) > _GRID_RTOL * ratio:
-            raise ConfigurationError(
-                f"coarse dt={dt} is not an integer multiple of the tape step {self.fine_dt}"
-            )
+        n_fine = (self.brownian if self.brownian is not None else self.levy).shape[1]
+        ratio = _grid_ratio(dt, self.fine_dt, n_fine)
         if ratio == 1:
             return self
-        n_fine = (self.brownian if self.brownian is not None else self.levy).shape[1]
-        if n_fine % ratio != 0:
-            raise ConfigurationError(
-                f"cannot aggregate {n_fine} fine steps into blocks of {ratio}"
-            )
 
         def block_sum(arr):
             if arr is None:
@@ -153,18 +149,13 @@ def make_tape(
 # core evolution
 
 
-def _evolve(
-    problem: SdeProblem,
-    dt: float,
-    n_steps: int,
-    y0: np.ndarray,
-    brownian: np.ndarray | None,
-    levy: np.ndarray | None,
-    config: ImplicitStepConfig,
-    diag: StepDiagnostics,
-    on_step=None,
-) -> np.ndarray:
-    """March a batch of scalar paths forward, calling on_step(i, y) at each node."""
+def _evolve(problem: SdeProblem, dt: float, n_steps: int, y0, brownian, levy, diag, on_step=None):
+    """March a batch of scalar paths forward, calling on_step(i, y) at each node.
+
+    ``y0`` is (rows,), or (starts, rows) for starts driven by the same tape
+    rows; one implicit solve covers the batch.  A StepFailureError gains the
+    step number, and for starts also the start, in its diagnostics.
+    """
     y = np.array(y0, dtype=float, copy=True)
     if on_step is not None:
         on_step(0, y)
@@ -174,7 +165,14 @@ def _evolve(
             c = c + problem.diffusion(i * dt, y) * brownian[:, i]
         if levy is not None:
             c = c + levy[:, i]
-        y = solve_implicit_steps(problem, (i + 1) * dt, c, dt, config=config, diagnostics=diag)
+        try:
+            y = solve_implicit_steps(problem, (i + 1) * dt, c.ravel(), dt, diagnostics=diag)
+        except StepFailureError as exc:
+            exc.diagnostics["step"] = i + 1
+            if c.ndim == 2:
+                exc.diagnostics["start"] = exc.diagnostics["index"] // c.shape[1]
+            raise
+        y = y.reshape(c.shape)
         if on_step is not None:
             on_step(i + 1, y)
     return y
@@ -187,150 +185,111 @@ def _chunk_ranges(n_paths: int, n_steps: int, streams: int, budget_bytes: int):
     return [(lo, min(lo + chunk, n_paths)) for lo in range(0, n_paths, chunk)]
 
 
-def _noise_stream_count(problem: SdeProblem) -> int:
-    return int(problem.noise.brownian_dim > 0) + int(problem.noise.has_jumps)
+# ---------------------------------------------------------------------------
+# kernels: one chunk's tape each (top level, so a spawn pool can import them)
+
+
+def _ensemble_kernel(problem, tape, n_paths, n_steps, diag, x0, record_steps):
+    """Terminal values, and the states at ``record_steps`` keyed by step."""
+    record = {}
+
+    def on_step(i, y):
+        if i in record_steps:
+            record[i] = y.copy()
+
+    y0 = np.full(n_paths, x0)
+    terminal = _evolve(problem, tape.fine_dt, n_steps, y0, tape.brownian, tape.levy, diag, on_step)
+    return terminal, record
+
+
+def _moment_kernel(problem, tape, n_paths, n_steps, diag, starts):
+    """Per-step sums of q and q^2: q = Y^2 for one start, (Y - Y')^2 for a pair."""
+    sums = np.zeros((2, n_steps + 1))
+
+    def on_step(i, y):
+        q = y if y.ndim == 1 else y[0] - y[1]
+        q = q * q
+        sums[0, i] = q.sum()
+        sums[1, i] = (q * q).sum()
+
+    y0 = np.multiply.outer(starts, np.ones(n_paths))  # (n,), or (2, n) for a pair
+    _evolve(problem, tape.fine_dt, n_steps, y0, tape.brownian, tape.levy, diag, on_step)
+    return sums
+
+
+def _strong_kernel(problem, tape, n_paths, n_fine, diag, dts, ratios, error_mode):
+    """Per-path error of each coarse level dts[j] = ratios[j] * tape.fine_dt."""
+    # reference nodes the levels read: each multiple of the gcd of their ratios, or the end
+    every = math.gcd(*ratios) if error_mode == "max_on_grid" else n_fine
+    ref_nodes = {}
+
+    def on_ref(i, y):
+        if i % every == 0:
+            ref_nodes[i] = y.copy()
+
+    y0 = np.full(n_paths, problem.x0)
+    _evolve(problem, tape.fine_dt, n_fine, y0, tape.brownian, tape.levy, diag, on_ref)
+    errors = []
+    for d, ratio in zip(dts, ratios):
+        coarse = tape.coarsen(d)
+        if error_mode == "max_on_grid":
+            worst = np.zeros(n_paths)
+
+            def on_coarse(i, y, ratio=ratio, worst=worst):
+                np.maximum(worst, np.abs(y - ref_nodes[i * ratio]), out=worst)
+
+            _evolve(problem, d, n_fine // ratio, y0, coarse.brownian, coarse.levy, diag, on_coarse)
+        else:
+            terminal = _evolve(problem, d, n_fine // ratio, y0, coarse.brownian, coarse.levy, diag)
+            worst = np.abs(terminal - ref_nodes[n_fine])
+        errors.append(worst)
+    return errors
 
 
 # ---------------------------------------------------------------------------
-# chunk worker (top level so a spawn-context process pool can import it)
+# the runner
 
 
-def _rebuild_problem(payload: dict) -> SdeProblem:
-    from .problems import problem_from_config
-
-    return problem_from_config(payload["config"])
-
-
-def _chunk_worker(payload: dict, problem: SdeProblem | None = None):
-    if problem is None:
-        problem = _rebuild_problem(payload)
-    kind = payload["kind"]
-    config = ImplicitStepConfig(**payload.get("step_config", {}))
+def _run_chunk(problem, kernel, args, dt, n_steps, lo, hi, seed):
+    """Draw the tape of paths lo..hi-1 and run ``kernel``; failures gain the path."""
     diag = StepDiagnostics()
-    dt = payload["dt"]
-    n_steps = payload["n_steps"]
-    lo, hi = payload["path_range"]
-    paths = np.arange(lo, hi)
-    seed = payload["seed"]
-
-    if kind in ("ensemble", "curve", "coupling"):
-        tape = make_tape(problem, dt, n_steps, paths, seed)
-        x0 = payload.get("x0", problem.x0)
-        if kind == "ensemble":
-            record = {}
-            record_steps = set(payload["record_steps"])
-
-            def on_step(i, y):
-                if i in record_steps:
-                    record[i] = y.copy()
-
-            y0 = np.full(paths.size, float(x0))
-            terminal = _evolve(
-                problem, dt, n_steps, y0, tape.brownian, tape.levy, config, diag, on_step
-            )
-            return {"terminal": terminal, "record": record, "diag": diag}
-        if kind == "curve":
-            sum_sq = np.zeros(n_steps + 1)
-            sum_quad = np.zeros(n_steps + 1)
-
-            def on_step(i, y):
-                sq = y * y
-                sum_sq[i] = sq.sum()
-                sum_quad[i] = (sq * sq).sum()
-
-            y0 = np.full(paths.size, float(x0))
-            _evolve(problem, dt, n_steps, y0, tape.brownian, tape.levy, config, diag, on_step)
-            return {"sum_sq": sum_sq, "sum_quad": sum_quad, "count": paths.size, "diag": diag}
-        # coupling: two states driven by the identical increments
-        xa, xb = payload["x0_pair"]
-        sum_sq = np.zeros(n_steps + 1)
-        sum_quad = np.zeros(n_steps + 1)
-        first_sweep = np.zeros((paths.size, n_steps + 1))
-
-        def record_a(i, y):
-            first_sweep[:, i] = y
-
-        _evolve(problem, dt, n_steps, np.full(paths.size, float(xa)), tape.brownian, tape.levy, config, diag, record_a)
-
-        def record_b(i, y):
-            sq = (first_sweep[:, i] - y) ** 2
-            sum_sq[i] = sq.sum()
-            sum_quad[i] = (sq * sq).sum()
-
-        _evolve(problem, dt, n_steps, np.full(paths.size, float(xb)), tape.brownian, tape.levy, config, diag, record_b)
-        return {"sum_sq": sum_sq, "sum_quad": sum_quad, "count": paths.size, "diag": diag}
-
-    if kind == "strong":
-        ref_dt = payload["reference_dt"]
-        n_fine = payload["n_fine"]
-        dts = payload["dts"]
-        error_mode = payload["error_mode"]
-        tape = make_tape(problem, ref_dt, n_fine, paths, seed)
-        ratios = {d: int(round(d / ref_dt)) for d in dts}
-        smallest = min(ratios.values())
-        record_multiple = smallest if error_mode == "max_on_grid" else n_fine
-        ref_nodes = {}
-
-        def on_ref(i, y):
-            if i % record_multiple == 0 or i == n_fine:
-                ref_nodes[i] = y.copy()
-
-        y0 = np.full(paths.size, float(problem.x0))
-        _evolve(problem, ref_dt, n_fine, y0, tape.brownian, tape.levy, config, diag, on_ref)
-        errors = {}
-        for d in dts:
-            ratio = ratios[d]
-            coarse = tape.coarsen(d)
-            n_coarse = n_fine // ratio
-            if error_mode == "max_on_grid":
-                worst = np.zeros(paths.size)
-
-                def on_coarse(i, y, ratio=ratio, worst=worst):
-                    np.maximum(worst, np.abs(y - ref_nodes[i * ratio]), out=worst)
-
-                _evolve(problem, d, n_coarse, y0, coarse.brownian, coarse.levy, config, diag, on_coarse)
-                errors[d] = worst
-            else:
-                terminal = _evolve(
-                    problem, d, n_coarse, y0, coarse.brownian, coarse.levy, config, diag
-                )
-                errors[d] = np.abs(terminal - ref_nodes[n_fine])
-        return {"errors": errors, "reference_terminal": ref_nodes[n_fine], "diag": diag}
-
-    raise ConfigurationError(f"unknown chunk kind {kind!r}")
+    tape = make_tape(problem, dt, n_steps, np.arange(lo, hi), seed)
+    try:
+        return kernel(problem, tape, hi - lo, n_steps, diag, *args), diag
+    except StepFailureError as exc:
+        exc.diagnostics["path"] = lo + exc.diagnostics["index"] % (hi - lo)
+        raise
 
 
-def _require_source(problem: SdeProblem, workers: int) -> None:
+def _pool_chunk(task):
+    source, *chunk = task
+    return _run_chunk(problem_from_config(source), *chunk)
+
+
+def _run_chunks(problem, kernel, args, n_paths, dt, n_steps, seed, workers, budget_bytes):
+    """Run ``kernel(problem, tape, width, n_steps, diag, *args)`` on each chunk.
+
+    Tapes have ``n_steps`` steps of ``dt``.  Chunks run inline, or on a spawn
+    pool whose workers rebuild the problem from ``problem.source``.  Returns
+    the kernel outputs in chunk order and the merged solver diagnostics.
+    """
+    streams = int(problem.noise.brownian_dim > 0) + int(problem.noise.has_jumps)
+    ranges = _chunk_ranges(n_paths, n_steps, streams, budget_bytes)
     if workers > 1 and problem.source is None:
         raise ConfigurationError(
             "worker processes rebuild the problem from its config; "
             "problems defined with bare callables only run with workers=1"
         )
-
-
-def _base_payload(problem, kind, dt, n_steps, seed, rng_range, extra):
-    payload = {
-        "kind": kind,
-        "config": problem.source,
-        "dt": dt,
-        "n_steps": n_steps,
-        "seed": seed,
-        "path_range": rng_range,
-    }
-    payload.update(extra)
-    return payload
-
-
-def _run_payloads(problem: SdeProblem, payloads, workers: int):
-    """Run chunks inline (reusing the caller's problem object) or on a spawn pool.
-
-    Pool workers rebuild the problem from ``payload["config"]``.
-    """
-    if workers <= 1 or len(payloads) <= 1:
-        return [_chunk_worker(p, problem) for p in payloads]
-    ctx = multiprocessing.get_context("spawn")
-    with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
-        return list(pool.map(_chunk_worker, payloads))
+    chunks = [(kernel, args, dt, n_steps, lo, hi, seed) for lo, hi in ranges]
+    if workers <= 1 or len(ranges) <= 1:
+        done = [_run_chunk(problem, *chunk) for chunk in chunks]
+    else:
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
+            done = list(pool.map(_pool_chunk, [(problem.source, *chunk) for chunk in chunks]))
+    diag = StepDiagnostics()
+    for _, chunk_diag in done:
+        diag.merge(chunk_diag)
+    return [out for out, _ in done], diag
 
 
 # ---------------------------------------------------------------------------
@@ -371,25 +330,7 @@ class StrongErrorRun:
     master_seed: int
     error_mode: str
     errors: dict[float, np.ndarray]
-    reference_terminal: np.ndarray
     diagnostics: StepDiagnostics
-
-
-def _merge_curve(chunks, dt: float) -> MomentCurve:
-    sum_sq = np.zeros_like(chunks[0]["sum_sq"])
-    sum_quad = np.zeros_like(chunks[0]["sum_quad"])
-    count = 0
-    for ch in chunks:
-        sum_sq += ch["sum_sq"]
-        sum_quad += ch["sum_quad"]
-        count += ch["count"]
-    mean = sum_sq / count
-    if count > 1:
-        var = np.maximum(sum_quad / count - mean * mean, 0.0) * (count / (count - 1))
-        stderr = np.sqrt(var / count)
-    else:
-        stderr = np.zeros_like(mean)
-    return MomentCurve(dt=dt, n_paths=count, mean=mean, stderr=stderr)
 
 
 # ---------------------------------------------------------------------------
@@ -404,40 +345,41 @@ def simulate_ensemble(
     checkpoints=(),
     x0: float | None = None,
     workers: int = 1,
-    step_config: ImplicitStepConfig | None = None,
     chunk_budget_bytes: int = _DEFAULT_CHUNK_BUDGET,
 ) -> EnsembleResult:
     """Evolve an ensemble at one step size; record terminals and checkpoints."""
     n_steps = steps_for_horizon(problem.horizon, dt)
-    record_steps = sorted({checkpoint_step(t, dt, n_steps) for t in checkpoints})
-    _require_source(problem, workers)
-    extra = {"record_steps": record_steps}
-    if x0 is not None:
-        extra["x0"] = float(x0)
-    if step_config is not None:
-        extra["step_config"] = step_config.__dict__
-    payloads = [
-        _base_payload(problem, "ensemble", dt, n_steps, master_seed, rng, extra)
-        for rng in _chunk_ranges(n_paths, n_steps, _noise_stream_count(problem), chunk_budget_bytes)
-    ]
-    results = _run_payloads(problem, payloads, workers)
-    terminal = np.concatenate([r["terminal"] for r in results])
-    diag = StepDiagnostics()
-    for r in results:
-        diag.merge(r["diag"])
-    out = EnsembleResult(
+    steps = {float(t): checkpoint_step(t, dt, n_steps) for t in checkpoints}
+    x0 = float(problem.x0 if x0 is None else x0)
+    args = (x0, frozenset(steps.values()))
+    outs, diag = _run_chunks(
+        problem, _ensemble_kernel, args, n_paths, dt, n_steps, master_seed, workers,
+        chunk_budget_bytes,
+    )
+    return EnsembleResult(
         problem=problem.name,
         dt=dt,
         n_steps=n_steps,
         n_paths=n_paths,
         master_seed=master_seed,
-        terminal=terminal,
+        terminal=np.concatenate([terminal for terminal, _ in outs]),
+        checkpoints={t: np.concatenate([rec[s] for _, rec in outs]) for t, s in steps.items()},
         diagnostics=diag,
     )
-    for t in checkpoints:
-        step = checkpoint_step(t, dt, n_steps)
-        out.checkpoints[float(t)] = np.concatenate([r["record"][step] for r in results])
-    return out
+
+
+def _moment_curve(problem, starts, dt, n_steps, n_paths, master_seed, workers, budget_bytes):
+    outs, _ = _run_chunks(
+        problem, _moment_kernel, (starts,), n_paths, dt, n_steps, master_seed, workers, budget_bytes
+    )
+    sum_q, sum_q2 = sum(outs)
+    mean = sum_q / n_paths
+    if n_paths > 1:
+        var = np.maximum(sum_q2 / n_paths - mean * mean, 0.0) * (n_paths / (n_paths - 1))
+        stderr = np.sqrt(var / n_paths)
+    else:
+        stderr = np.zeros_like(mean)
+    return MomentCurve(dt=dt, n_paths=n_paths, mean=mean, stderr=stderr)
 
 
 def second_moment_curve(
@@ -446,18 +388,13 @@ def second_moment_curve(
     n_steps: int,
     n_paths: int,
     master_seed: int,
-    x0: float | None = None,
     workers: int = 1,
     chunk_budget_bytes: int = _DEFAULT_CHUNK_BUDGET,
 ) -> MomentCurve:
     """E|Y_i|^2 for i = 0..n_steps, estimated over an ensemble."""
-    _require_source(problem, workers)
-    extra = {} if x0 is None else {"x0": float(x0)}
-    payloads = [
-        _base_payload(problem, "curve", dt, n_steps, master_seed, rng, extra)
-        for rng in _chunk_ranges(n_paths, n_steps, _noise_stream_count(problem), chunk_budget_bytes)
-    ]
-    return _merge_curve(_run_payloads(problem, payloads, workers), dt)
+    return _moment_curve(
+        problem, float(problem.x0), dt, n_steps, n_paths, master_seed, workers, chunk_budget_bytes
+    )
 
 
 def coupling_curve(
@@ -471,13 +408,10 @@ def coupling_curve(
     chunk_budget_bytes: int = _DEFAULT_CHUNK_BUDGET,
 ) -> MomentCurve:
     """E|Y_i - Y'_i|^2 for two starts driven by the same noise realisation."""
-    _require_source(problem, workers)
-    extra = {"x0_pair": (float(x0_pair[0]), float(x0_pair[1]))}
-    payloads = [
-        _base_payload(problem, "coupling", dt, n_steps, master_seed, rng, extra)
-        for rng in _chunk_ranges(n_paths, n_steps, _noise_stream_count(problem), chunk_budget_bytes)
-    ]
-    return _merge_curve(_run_payloads(problem, payloads, workers), dt)
+    starts = (float(x0_pair[0]), float(x0_pair[1]))
+    return _moment_curve(
+        problem, starts, dt, n_steps, n_paths, master_seed, workers, chunk_budget_bytes
+    )
 
 
 def strong_error_run(
@@ -501,32 +435,18 @@ def strong_error_run(
     if not dts:
         raise ConfigurationError("need at least one coarse dt")
     n_fine = steps_for_horizon(problem.horizon, reference_dt)
-    for d in dts:
-        ratio_f = d / reference_dt
-        if abs(ratio_f - round(ratio_f)) > _GRID_RTOL * ratio_f or round(ratio_f) < 1:
-            raise ConfigurationError(
-                f"coarse dt={d} must be an integer multiple of reference_dt={reference_dt}"
-            )
-        if n_fine % round(ratio_f):
-            raise ConfigurationError(f"reference grid ({n_fine} steps) not divisible by ratio {ratio_f}")
-    _require_source(problem, workers)
-    extra = {"reference_dt": reference_dt, "n_fine": n_fine, "dts": dts, "error_mode": error_mode}
-    payloads = [
-        _base_payload(problem, "strong", reference_dt, n_fine, master_seed, rng, extra)
-        for rng in _chunk_ranges(n_paths, n_fine, _noise_stream_count(problem), chunk_budget_bytes)
-    ]
-    results = _run_payloads(problem, payloads, workers)
-    errors = {d: np.concatenate([r["errors"][d] for r in results]) for d in dts}
-    diag = StepDiagnostics()
-    for r in results:
-        diag.merge(r["diag"])
+    ratios = [_grid_ratio(d, reference_dt, n_fine) for d in dts]
+    args = (dts, ratios, error_mode)
+    outs, diag = _run_chunks(
+        problem, _strong_kernel, args, n_paths, reference_dt, n_fine, master_seed, workers,
+        chunk_budget_bytes,
+    )
     return StrongErrorRun(
         problem=problem.name,
         reference_dt=reference_dt,
         n_paths=n_paths,
         master_seed=master_seed,
         error_mode=error_mode,
-        errors=errors,
-        reference_terminal=np.concatenate([r["reference_terminal"] for r in results]),
+        errors={d: np.concatenate([errs[j] for errs in outs]) for j, d in enumerate(dts)},
         diagnostics=diag,
     )

@@ -452,7 +452,16 @@ def run_sampler_validation(
 # ---------------------------------------------------------------------------
 # Config-driven execution (used by the command line)
 
-_KINDS = ("convergence", "invariant-measure", "probe-assumptions", "sampler-validation")
+# The top-level keys each experiment kind reads; any other key is an error.
+# ``headline`` is informational and ``output_dir`` is read by the CLI.
+_COMMON_KEYS = {"experiment", "problem", "master_seed", "headline", "output_dir"}
+_KEYS = {
+    "convergence": _COMMON_KEYS | {"n_paths", "band", "dts", "reference_dt", "error_mode"},
+    "invariant-measure": _COMMON_KEYS
+    | {"n_paths", "band", "dt", "checkpoints", "reference", "k", "ratio_times"},
+    "probe-assumptions": _COMMON_KEYS | {"n_pairs", "radius"},
+    "sampler-validation": _COMMON_KEYS | {"n", "times", "u_grid"},
+}
 
 
 def _resolve_problem(ref) -> SdeProblem:
@@ -474,9 +483,15 @@ def execute_config(cfg: dict, n_paths=None, master_seed=None, workers=1):
     if not isinstance(cfg, dict):
         raise ConfigurationError("config root must be an object")
     kind = cfg.get("experiment")
-    if kind not in _KINDS:
+    if kind not in _KEYS:
         raise ConfigurationError(
-            f"field 'experiment': got {kind!r}, expected one of {', '.join(_KINDS)}"
+            f"field 'experiment': got {kind!r}, expected one of {', '.join(_KEYS)}"
+        )
+    unknown = sorted(set(cfg) - _KEYS[kind])
+    if unknown:
+        raise ConfigurationError(
+            f"field {unknown[0]!r} is not read by a {kind} experiment; "
+            f"allowed: {', '.join(sorted(_KEYS[kind]))}"
         )
     band = cfg.get("band")
     if band is not None:

@@ -155,11 +155,15 @@ def _bracketed_solve(problem, t, c, dt, config, diag):
         half *= 2.0
         lo, hi = c - half, c + half
         r_lo, r_hi = scalar_residual(lo), scalar_residual(hi)
-    # Brent needs finite endpoint values; a steep drift can overflow at the
-    # bracket edges while keeping a usable sign, so shrink by sign-bisection
-    # until both endpoint residuals are finite.
+    # Brent needs finite endpoint values, and it runs out of iterations on a
+    # bracket that spans many orders of magnitude: a large explicit part puts
+    # the root of a steep drift far inside [c - A, c + A] (for paper-5.4 at
+    # dt = 0.01, c = 1e30 has its root near 4.6e10).  So first bisect in
+    # asinh(y), which halves the span in orders of magnitude, until both end
+    # residuals are finite and the ends lie within a factor of about e.  A
+    # steep drift can overflow at the ends while keeping a usable sign.
     shrink = 0
-    while not (np.isfinite(r_lo) and np.isfinite(r_hi)):
+    while not (np.isfinite(r_lo) and np.isfinite(r_hi)) or np.arcsinh(hi) - np.arcsinh(lo) > 1.0:
         shrink += 1
         if shrink > config.max_bisection_iters:
             raise StepFailureError(
@@ -167,7 +171,7 @@ def _bracketed_solve(problem, t, c, dt, config, diag):
                 f"{config.max_bisection_iters} halvings",
                 diagnostics={"t": t, "c": c, "dt": dt, "lo": lo, "hi": hi},
             )
-        mid = 0.5 * (lo + hi)
+        mid = float(np.sinh(0.5 * (np.arcsinh(lo) + np.arcsinh(hi))))
         r_mid = scalar_residual(mid)
         if r_mid < 0.0 or (np.isnan(r_mid) and not np.isfinite(r_lo)):
             lo, r_lo = mid, r_mid
@@ -283,7 +287,11 @@ def solve_implicit_steps(
     stuck.extend(unconverged(active).tolist())
     worst = 0.0
     for i in stuck:
-        y[i], res = _bracketed_solve(problem, t, float(c[i]), dt, config, diag)
+        try:
+            y[i], res = _bracketed_solve(problem, t, float(c[i]), dt, config, diag)
+        except StepFailureError as exc:
+            exc.diagnostics["index"] = i
+            raise
         worst = max(worst, res)
     done = np.setdiff1d(np.arange(c.size), np.asarray(stuck, dtype=int), assume_unique=False)
     if done.size:

@@ -192,7 +192,10 @@ def test_step_failure_exits_4(tmp_path, capsys):
     }
     cfg_path = _write_cfg(tmp_path / "runaway.json", cfg)
     assert main(["run", cfg_path, "--out", str(tmp_path / "o")]) == 4
-    assert "simulation failed" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "simulation failed" in err
+    # every path blows up on the first step of the 2^-7 reference run
+    assert "at path=0 step=1 t=0.0078125" in err
 
 
 def test_unwritable_out_dir_exits_3(tmp_path, capsys):

@@ -13,7 +13,7 @@ from levyem.engine import (
     steps_for_horizon,
     strong_error_run,
 )
-from levyem.errors import ConfigurationError
+from levyem.errors import ConfigurationError, StepFailureError
 from levyem.model import AssumptionConstants, SdeProblem
 from levyem.noise import NoiseSpec
 from levyem.problems import builtin_problem
@@ -92,26 +92,67 @@ def test_tape_coarsen_validation():
     np.testing.assert_allclose(coarse.levy[:, 0], tape.levy[:, 0] + tape.levy[:, 1])
 
 
-def test_ensemble_determinism_and_chunk_invariance():
+# Each public entry point on paper-5.4, as a function of (n_paths, seed,
+# **run options) returning its output arrays.  Per-path outputs are exact
+# under any chunking; the moment curves sum per chunk, so a different
+# chunking only reorders floating-point additions.
+def _ensemble_arrays(problem, n_paths, seed, **kw):
+    r = simulate_ensemble(problem, 0.05, n_paths, master_seed=seed, checkpoints=[1.0], **kw)
+    return r.terminal, r.checkpoints[1.0]
+
+
+def _second_moment_arrays(problem, n_paths, seed, **kw):
+    c = second_moment_curve(problem, 0.1, 100, n_paths, master_seed=seed, **kw)
+    return c.mean, c.stderr
+
+
+def _coupling_arrays(problem, n_paths, seed, **kw):
+    c = coupling_curve(problem, (10.0, -10.0), 0.1, 100, n_paths, master_seed=seed, **kw)
+    return c.mean, c.stderr
+
+
+def _strong_arrays(error_mode):
+    def run(problem, n_paths, seed, **kw):
+        r = strong_error_run(problem, [0.2, 0.4], 0.1, n_paths, seed, error_mode=error_mode, **kw)
+        return tuple(r.errors[d] for d in sorted(r.errors))
+
+    return run
+
+
+_ENTRY_POINTS = {
+    "simulate_ensemble": (_ensemble_arrays, True),
+    "second_moment_curve": (_second_moment_arrays, False),
+    "coupling_curve": (_coupling_arrays, False),
+    "strong_error_run-terminal": (_strong_arrays("terminal"), True),
+    "strong_error_run-max_on_grid": (_strong_arrays("max_on_grid"), True),
+}
+
+
+@pytest.mark.parametrize("entry", list(_ENTRY_POINTS))
+def test_ensemble_determinism_and_chunk_invariance(entry):
+    run, per_path = _ENTRY_POINTS[entry]
     problem = builtin_problem("paper-5.4")
-    a = simulate_ensemble(problem, 0.05, 50, master_seed=11, checkpoints=[1.0])
-    b = simulate_ensemble(problem, 0.05, 50, master_seed=11, checkpoints=[1.0])
-    np.testing.assert_array_equal(a.terminal, b.terminal)
+    a = run(problem, 50, 11)
+    b = run(problem, 50, 11)
+    for x, y in zip(a, b):
+        np.testing.assert_array_equal(x, y)
     # a tiny chunk budget forces many chunks; per-path seeding keeps results identical
-    c = simulate_ensemble(
-        problem, 0.05, 50, master_seed=11, checkpoints=[1.0], chunk_budget_bytes=1 << 12
-    )
-    np.testing.assert_array_equal(a.terminal, c.terminal)
-    np.testing.assert_array_equal(a.checkpoints[1.0], c.checkpoints[1.0])
+    c = run(problem, 50, 11, chunk_budget_bytes=1 << 12)
+    for x, y in zip(a, c):
+        if per_path:
+            np.testing.assert_array_equal(x, y)
+        else:
+            np.testing.assert_allclose(x, y, rtol=1e-12)
 
 
-def test_worker_count_does_not_change_results():
+@pytest.mark.parametrize("entry", list(_ENTRY_POINTS))
+def test_worker_count_does_not_change_results(entry):
+    run, _ = _ENTRY_POINTS[entry]
     problem = builtin_problem("paper-5.4")
-    a = simulate_ensemble(problem, 0.05, 24, master_seed=3, chunk_budget_bytes=1 << 12)
-    b = simulate_ensemble(
-        problem, 0.05, 24, master_seed=3, workers=2, chunk_budget_bytes=1 << 12
-    )
-    np.testing.assert_array_equal(a.terminal, b.terminal)
+    a = run(problem, 24, 3, chunk_budget_bytes=1 << 12)
+    b = run(problem, 24, 3, workers=2, chunk_budget_bytes=1 << 12)
+    for x, y in zip(a, b):
+        np.testing.assert_array_equal(x, y)
 
 
 def test_checkpoint_alignment():
@@ -157,6 +198,80 @@ def test_coupling_curve_decays():
     assert curve.mean[-1] < 1e-6
 
 
+def test_coupling_curve_is_the_mean_squared_gap_of_two_ensembles():
+    # Same seed and horizon on all three runs, so both starts see the tapes
+    # of simulate_ensemble path for path.
+    problem = builtin_problem("paper-5.4")
+    dt, xa, xb = 0.05, 10.0, -10.0
+    n_steps = steps_for_horizon(problem.horizon, dt)
+    curve = coupling_curve(problem, (xa, xb), dt, n_steps, 32, master_seed=21)
+    times = [0.05, 0.5, 2.0]
+    a = simulate_ensemble(problem, dt, 32, master_seed=21, checkpoints=times, x0=xa)
+    b = simulate_ensemble(problem, dt, 32, master_seed=21, checkpoints=times, x0=xb)
+    for t in times:
+        gap_sq = (a.checkpoints[t] - b.checkpoints[t]) ** 2
+        np.testing.assert_allclose(curve.mean[round(t / dt)], gap_sq.mean(), rtol=1e-12)
+
+
+def _trap_problem(t_fail, threshold):
+    """dX = -X dt + dB from 0, whose drift is NaN above ``threshold`` at t_fail."""
+    constants = AssumptionConstants(
+        H=4.0, sigma=1.0, q=4.0, M=1.0, K1=1.0, K2=1.0, gamma1=0.5, gamma2=0.5,
+        K3=-1.0, K4=0.5,
+    )
+
+    def drift(t, x):
+        if abs(t - t_fail) < 1e-9:
+            return np.where(x > threshold, np.nan, -x)
+        return -x
+
+    return SdeProblem(
+        name="trap",
+        drift=drift,
+        drift_jacobian=lambda t, x: np.full_like(x, -1.0),
+        diffusion=lambda t, x: np.ones_like(x),
+        x0=0.0,
+        horizon=1.0,
+        noise=NoiseSpec(kind="none", brownian_dim=1),
+        constants=constants,
+        monotone_bound=-1.0,
+    )
+
+
+@pytest.mark.parametrize("starts", [None, (0.0, 3.0)], ids=["ensemble", "coupling"])
+def test_step_failure_names_path_step_and_time(starts):
+    # The explicit parts of step k follow from a clean run; the trap is set so
+    # that only the largest of them has its root inside the NaN region, which
+    # sends that element to the bracketed solve, and that solve fails.
+    dt, k, n_paths, seed, budget = 0.05, 5, 24, 5, 1 << 10  # chunks of 6 paths
+    clean = _trap_problem(-1.0, np.inf)
+    before = simulate_ensemble(clean, dt, n_paths, seed, checkpoints=[(k - 1) * dt])
+    tape = make_tape(clean, dt, steps_for_horizon(clean.horizon, dt), np.arange(n_paths), seed)
+    c = before.checkpoints[(k - 1) * dt] + tape.brownian[:, k - 1]
+    if starts is not None:  # the gap of a pair under linear drift and shared noise
+        c = np.concatenate([c, c + (starts[1] - starts[0]) / (1.0 + dt) ** (k - 1)])
+    order = np.argsort(c)
+    top, second = c[order[-1]], c[order[-2]]
+    assert second < top / (1.0 + dt)
+    start, path = divmod(int(order[-1]), n_paths)
+    assert path >= 6, "the trapped path should lie past the first chunk"
+
+    trap = _trap_problem(k * dt, 0.5 * (second + top / (1.0 + dt)))
+    with pytest.raises(StepFailureError) as info:
+        if starts is None:
+            simulate_ensemble(trap, dt, n_paths, seed, chunk_budget_bytes=budget)
+        else:
+            coupling_curve(trap, starts, dt, 20, n_paths, seed, chunk_budget_bytes=budget)
+    where = info.value.diagnostics
+    assert where["path"] == path
+    assert where["step"] == k
+    assert where["t"] == pytest.approx(k * dt)
+    if starts is None:
+        assert "start" not in where
+    else:
+        assert where["start"] == start == 1
+
+
 def test_strong_error_run_reference_coupling():
     problem = builtin_problem("paper-5.4")
     run = strong_error_run(problem, [0.02, 0.01], 0.01, 128, master_seed=15)
@@ -178,6 +293,15 @@ def test_max_on_grid_dominates_terminal_error():
     term = strong_error_run(problem, [0.05], 0.01, 96, master_seed=16, error_mode="terminal")
     grid = strong_error_run(problem, [0.05], 0.01, 96, master_seed=16, error_mode="max_on_grid")
     assert np.all(grid.errors[0.05] >= term.errors[0.05])
+
+
+def test_max_on_grid_with_levels_that_do_not_nest():
+    # ratios 4 and 10: the reference must keep every node either level visits
+    problem = builtin_problem("paper-5.4")
+    term = strong_error_run(problem, [0.04, 0.1], 0.01, 8, master_seed=16)
+    grid = strong_error_run(problem, [0.04, 0.1], 0.01, 8, master_seed=16, error_mode="max_on_grid")
+    for d in (0.04, 0.1):
+        assert np.all(grid.errors[d] >= term.errors[d])
 
 
 def test_x0_override():

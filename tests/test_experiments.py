@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import levyem.experiments as experiments
 from levyem.convergence import predicted_order
 from levyem.errors import ConfigurationError
 from levyem.experiments import (
@@ -138,6 +139,24 @@ def test_reports_missing_field_by_name():
         )
     with pytest.raises(ConfigurationError, match="'problem'"):
         execute_config({"experiment": "probe-assumptions"})
+
+
+def test_rejects_unknown_top_level_key():
+    cfg = dict(_small_convergence_cfg(), n_path=10)
+    with pytest.raises(ConfigurationError, match=r"'n_path'.*allowed: .*n_paths"):
+        execute_config(cfg)
+    with pytest.raises(ConfigurationError, match="'dts'"):
+        execute_config(dict(_small_measure_cfg(), dts=[0.1]))
+
+
+def test_bundled_configs_pass_the_schema(monkeypatch):
+    # the runners are stubbed: only validation and problem building run
+    monkeypatch.setattr(experiments, "run_convergence", lambda *a, **k: "convergence")
+    monkeypatch.setattr(experiments, "run_invariant_measure", lambda *a, **k: "invariant-measure")
+    config_dir = Path(__file__).resolve().parents[1] / "configs"
+    for path in sorted(config_dir.glob("*.json")):
+        cfg = json.loads(path.read_text())
+        assert execute_config(cfg) == cfg["experiment"], path.name
 
 
 def test_rejects_malformed_band():

@@ -8,6 +8,7 @@ from levyem.errors import ConfigurationError, StepFailureError
 from levyem.implicit import (
     ImplicitStepConfig,
     StepDiagnostics,
+    _residual_floor,
     bracket_halfwidth,
     implicit_residual,
     solvability_limit,
@@ -139,15 +140,34 @@ def test_non_finite_explicit_part_raises(bad):
     assert info.value.diagnostics["index"] == 2
 
 
+def _assert_root_within_tolerance(problem, t, c, dt, y):
+    r, jac = implicit_residual(problem, t, np.array([y]), c, dt)
+    accept = max(ImplicitStepConfig().abs_tol, float(_residual_floor(y, c, jac[0])))
+    assert abs(float(r[0])) <= accept < np.inf
+
+
+@pytest.mark.parametrize("c", [1e30, 1e60, 1e100])
+def test_large_finite_explicit_part_is_solved(c):
+    # Newton from y = c shrinks a cubic's iterate by only about 2/3 per step,
+    # so these reach the bracketed solve, whose bracket [c - A, c + A] spans
+    # many orders of magnitude around a root near (c / dt)^(1/3).
+    problem = builtin_problem("paper-5.4")
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = solve_implicit_steps(problem, 1.0, np.array([c]), 0.01)[0]
+    assert y == pytest.approx((c / 0.01) ** (1.0 / 3.0), rel=1e-6)
+    _assert_root_within_tolerance(problem, 1.0, c, 0.01, y)
+
+
 def test_overflowing_explicit_part_is_not_accepted():
     # At c = 1e200 the drift and its Jacobian overflow at the starting point,
     # which makes the residual floor inf, and |r| <= inf must not accept y = c.
     # The true root, about 2.15e67, sits some 130 orders of magnitude inside
-    # the a-priori bracket, past the bisection budget, so the step fails loudly.
+    # the a-priori bracket; bisecting in asinh(y) reaches it.
     problem = builtin_problem("paper-5.4")
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(StepFailureError, match="not finite"):
-            solve_implicit_steps(problem, 0.5, np.array([1.0, 1e200]), 0.01)
+        y = solve_implicit_steps(problem, 0.5, np.array([1.0, 1e200]), 0.01)[1]
+    assert y == pytest.approx(2.15443469e67, rel=1e-8)
+    _assert_root_within_tolerance(problem, 0.5, 1e200, 0.01, y)
 
 
 def test_config_validation():
