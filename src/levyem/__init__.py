@@ -30,7 +30,6 @@ from .engine import (
 from .errors import ConfigurationError, StepFailureError
 from .experiments import catalog, entry_config, execute_config, write_run
 from .implicit import (
-    ImplicitStepConfig,
     StepDiagnostics,
     implicit_residual,
     solvability_limit,
@@ -74,7 +73,6 @@ __all__ = [
     "EnsembleResult",
     "ErrorRow",
     "ErrorTable",
-    "ImplicitStepConfig",
     "IncrementTape",
     "JumpLaw",
     "MomentCurve",

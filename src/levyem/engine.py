@@ -98,23 +98,24 @@ class IncrementTape:
     """Pre-drawn driving increments for a block of paths on one time grid."""
 
     fine_dt: float
+    n_steps: int  # steps on the grid, also when neither noise is present
     brownian: np.ndarray | None  # (n_paths, n_steps) Brownian increments, or None
     levy: np.ndarray | None  # (n_paths, n_steps) jump increments, or None
 
     def coarsen(self, dt: float) -> "IncrementTape":
         """Aggregate to step size dt (an integer multiple of fine_dt) by block sums."""
-        n_fine = (self.brownian if self.brownian is not None else self.levy).shape[1]
-        ratio = _grid_ratio(dt, self.fine_dt, n_fine)
+        ratio = _grid_ratio(dt, self.fine_dt, self.n_steps)
         if ratio == 1:
             return self
 
         def block_sum(arr):
             if arr is None:
                 return None
-            return arr.reshape(arr.shape[0], n_fine // ratio, ratio).sum(axis=2)
+            return arr.reshape(arr.shape[0], self.n_steps // ratio, ratio).sum(axis=2)
 
         return IncrementTape(
             fine_dt=self.fine_dt * ratio,
+            n_steps=self.n_steps // ratio,
             brownian=block_sum(self.brownian),
             levy=block_sum(self.levy),
         )
@@ -142,7 +143,7 @@ def make_tape(
             levy[row] = sample_levy_increments(
                 spec, fine_dt, n_steps, SeedPolicy(master_seed, int(path), "levy")
             )
-    return IncrementTape(fine_dt=fine_dt, brownian=brownian, levy=levy)
+    return IncrementTape(fine_dt=fine_dt, n_steps=n_steps, brownian=brownian, levy=levy)
 
 
 # ---------------------------------------------------------------------------

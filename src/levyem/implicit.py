@@ -11,14 +11,12 @@ root exists, is unique, and satisfies the a-priori bound
 
     |Y| <= (|c| + dt * |f(t, 0)|) / (1 - dt * max(L, 0)).
 
-The solver runs damped Newton from ``Y = c`` (halving the step while the
-residual fails to decrease) and, for the rare scalar elements where Newton
-stalls, falls back to a bracketed root solve on the guaranteed enclosing
-interval (Brent's method, followed by a Newton polish so residuals reach
-solver tolerance rather than just interval tolerance).  The state is
-scalar: the batch entry point vectorises Newton across paths and only drops
-to per-element bracketing for stragglers, and ``solve_implicit_step`` is its
-one-state wrapper.
+The solver runs damped Newton from ``Y = c`` across the whole batch
+(halving the step while the residual fails to decrease).  The rare elements
+where Newton stalls are bisected together, in asinh(y), on their guaranteed
+enclosing intervals until each interval is two adjacent doubles; both
+stages accept a root by the same residual test.  The state is scalar, and
+``solve_implicit_step`` is the one-state wrapper of the batch solver.
 """
 
 from __future__ import annotations
@@ -26,13 +24,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import ConfigurationError, StepFailureError
 from .model import SdeProblem
 
 __all__ = [
-    "ImplicitStepConfig",
     "StepDiagnostics",
     "implicit_residual",
     "solvability_limit",
@@ -41,9 +37,14 @@ __all__ = [
     "solve_implicit_steps",
 ]
 
+_ABS_TOL = 1e-12
+_MAX_NEWTON_ITERS = 50
+_MAX_DAMPINGS = 30
+_MAX_BISECTIONS = 200
 _JAC_FLOOR = 1e-8
 _FD_STEP = 1e-7
 _RES_SAFETY = 32.0
+_FLOAT_MAX = np.finfo(float).max
 
 
 def _residual_floor(y, c, jac):
@@ -52,28 +53,17 @@ def _residual_floor(y, c, jac):
     One ulp of movement in the iterate changes the residual by about
     eps * |y| * |r'(y)|, and evaluating the residual itself loses
     eps * (|y| + |c|) to cancellation, so demanding less than this is
-    asking for noise.  The step is accepted at max(abs_tol, floor).
+    asking for noise.  The step is accepted at max(_ABS_TOL, floor).
     """
     return _RES_SAFETY * np.finfo(float).eps * (
         1.0 + np.abs(y) + np.abs(c) + np.abs(jac) * np.abs(y)
     )
 
 
-@dataclass(frozen=True)
-class ImplicitStepConfig:
-    """Tolerances and iteration budgets for the per-step root solve."""
-
-    abs_tol: float = 1e-12
-    max_newton_iters: int = 50
-    max_dampings: int = 30
-    max_bisection_iters: int = 200
-
-    def __post_init__(self):
-        if self.abs_tol <= 0:
-            raise ConfigurationError(f"abs_tol must be positive, got {self.abs_tol}")
-        for field_name in ("max_newton_iters", "max_dampings", "max_bisection_iters"):
-            if getattr(self, field_name) < 1:
-                raise ConfigurationError(f"{field_name} must be >= 1")
+def _accepted(y, r, c, jac):
+    """Residual test; a NaN residual or an overflowed (inf) floor never passes."""
+    tol = np.maximum(_ABS_TOL, _residual_floor(y, c, jac))
+    return (np.abs(r) <= tol) & (tol < np.inf)
 
 
 @dataclass
@@ -99,10 +89,14 @@ def _drift_at(problem: SdeProblem, t: float, y: np.ndarray) -> np.ndarray:
     return np.asarray(problem.drift(t, y), dtype=float)
 
 
+def _residual(problem: SdeProblem, t: float, y: np.ndarray, c, dt: float) -> np.ndarray:
+    return y - c - dt * _drift_at(problem, t, y)
+
+
 def implicit_residual(problem: SdeProblem, t: float, y, c, dt: float):
     """Residual r(y) = y - c - dt*f(t, y) and its derivative in y."""
     y = np.asarray(y, dtype=float)
-    r = y - c - dt * _drift_at(problem, t, y)
+    r = _residual(problem, t, y, c, dt)
     if problem.drift_jacobian is not None:
         jac = 1.0 - dt * np.asarray(problem.drift_jacobian(t, y), dtype=float)
     else:
@@ -135,80 +129,53 @@ def bracket_halfwidth(problem: SdeProblem, t: float, c, dt: float):
     return 2.0 * (np.abs(c) + dt * f0 + 1.0) / denom
 
 
-def _bracketed_solve(problem, t, c, dt, config, diag):
-    """Per-element Brent solve on the guaranteed bracket, plus Newton polish."""
+def _bracketed_solve(problem, t, c, dt, index):
+    """Roots and residuals for the stragglers ``c`` (batch indices ``index``).
 
-    def scalar_residual(y):
-        return float(y - c - dt * _drift_at(problem, t, np.array([y]))[0])
+    All stragglers are bisected together on their guaranteed brackets in
+    asinh(y), which halves the span in orders of magnitude: a large explicit
+    part puts the root of a steep drift far inside [c - A, c + A] (for
+    paper-5.4 at dt = 0.01, c = 1e30 has its root near 4.6e10), and the drift
+    may overflow at the ends while keeping a usable sign.  Where the asinh
+    midpoint is not strictly inside a bracket, the plain midpoint is used, so
+    brackets shrink to two adjacent doubles.
+    """
+    half = bracket_halfwidth(problem, t, c, dt)
+    lo = np.maximum(c - half, -_FLOAT_MAX)
+    hi = np.minimum(c + half, _FLOAT_MAX)
+    r_lo, r_hi = _residual(problem, t, lo, c, dt), _residual(problem, t, hi, c, dt)
+    no_sign_change = (r_lo > 0.0) | (r_hi < 0.0)  # impossible when dt * L < 1
+    _fail_where(no_sign_change, "could not bracket the implicit step root", t, c, dt, index,
+                lo=lo, hi=hi)
+    for _ in range(_MAX_BISECTIONS):
+        live = np.flatnonzero(np.nextafter(lo, np.inf) < hi)
+        if live.size == 0:
+            break
+        a, b, ra = lo[live], hi[live], r_lo[live]
+        mid = np.sinh(0.5 * (np.arcsinh(a) + np.arcsinh(b)))
+        mid = np.where((a < mid) & (mid < b), mid, 0.5 * a + 0.5 * b)
+        r_mid = _residual(problem, t, mid, c[live], dt)
+        up = (r_mid < 0.0) | (np.isnan(r_mid) & ~np.isfinite(ra))
+        lo[live[up]], r_lo[live[up]] = mid[up], r_mid[up]
+        hi[live[~up]], r_hi[live[~up]] = mid[~up], r_mid[~up]
+    nearer_lo = np.nan_to_num(np.abs(r_lo), nan=np.inf) <= np.nan_to_num(np.abs(r_hi), nan=np.inf)
+    y = np.where(nearer_lo, lo, hi)
+    r, jac = implicit_residual(problem, t, y, c, dt)
+    _fail_where(~_accepted(y, r, c, jac), "implicit step residual above tolerance after bisection",
+                t, c, dt, index, y=y, residual=r)
+    return y, r
 
-    half = float(bracket_halfwidth(problem, t, c, dt))
-    lo, hi = c - half, c + half
-    r_lo, r_hi = scalar_residual(lo), scalar_residual(hi)
-    expansions = 0
-    while r_lo > 0.0 or r_hi < 0.0:  # numerically impossible in exact arithmetic
-        expansions += 1
-        if expansions > 60:
-            raise StepFailureError(
-                "could not bracket the implicit step root",
-                diagnostics={"t": t, "c": c, "dt": dt, "halfwidth": half},
-            )
-        half *= 2.0
-        lo, hi = c - half, c + half
-        r_lo, r_hi = scalar_residual(lo), scalar_residual(hi)
-    # Brent needs finite endpoint values, and it runs out of iterations on a
-    # bracket that spans many orders of magnitude: a large explicit part puts
-    # the root of a steep drift far inside [c - A, c + A] (for paper-5.4 at
-    # dt = 0.01, c = 1e30 has its root near 4.6e10).  So first bisect in
-    # asinh(y), which halves the span in orders of magnitude, until both end
-    # residuals are finite and the ends lie within a factor of about e.  A
-    # steep drift can overflow at the ends while keeping a usable sign.
-    shrink = 0
-    while not (np.isfinite(r_lo) and np.isfinite(r_hi)) or np.arcsinh(hi) - np.arcsinh(lo) > 1.0:
-        shrink += 1
-        if shrink > config.max_bisection_iters:
-            raise StepFailureError(
-                "implicit step residual still not finite at the bracket ends after "
-                f"{config.max_bisection_iters} halvings",
-                diagnostics={"t": t, "c": c, "dt": dt, "lo": lo, "hi": hi},
-            )
-        mid = float(np.sinh(0.5 * (np.arcsinh(lo) + np.arcsinh(hi))))
-        r_mid = scalar_residual(mid)
-        if r_mid < 0.0 or (np.isnan(r_mid) and not np.isfinite(r_lo)):
-            lo, r_lo = mid, r_mid
-        else:
-            hi, r_hi = mid, r_mid
-    try:
-        y = brentq(
-            scalar_residual,
-            lo,
-            hi,
-            xtol=1e-14,
-            rtol=4.0 * np.finfo(float).eps,
-            maxiter=config.max_bisection_iters,
-        )
-    except RuntimeError as exc:  # brentq's iteration budget ran out
-        raise StepFailureError(
-            f"bracketed implicit step solve failed: {exc}",
-            diagnostics={"t": t, "c": c, "dt": dt, "lo": lo, "hi": hi},
-        ) from exc
-    jac_val = 1.0
-    for _ in range(5):
-        r, jac = implicit_residual(problem, t, np.array([y]), c, dt)
-        r, jac_val = float(r[0]), float(jac[0])
-        if abs(r) <= config.abs_tol:
-            break
-        if abs(jac_val) < _JAC_FLOOR:
-            break
-        y -= r / jac_val
-    r = scalar_residual(y)
-    diag.bracketed_elements += 1
-    accept = max(config.abs_tol, float(_residual_floor(y, c, jac_val)))
-    if not abs(r) <= accept < np.inf:
-        raise StepFailureError(
-            f"implicit step residual {r:.3e} above tolerance {accept:.3e}",
-            diagnostics={"t": t, "c": c, "dt": dt, "y": y},
-        )
-    return y, abs(r)
+
+def _fail_where(bad, message, t, c, dt, index, **values):
+    """Raise for the first straggler marked ``bad``, naming its batch index and time."""
+    if not bad.any():
+        return
+    k = int(np.flatnonzero(bad)[0])
+    details = {name: float(v[k]) for name, v in values.items()}
+    raise StepFailureError(
+        f"{message} at t={t}: " + ", ".join(f"{n}={v:.6g}" for n, v in details.items()),
+        diagnostics={"t": t, "index": int(index[k]), "c": float(c[k]), "dt": dt} | details,
+    )
 
 
 def solve_implicit_steps(
@@ -216,7 +183,6 @@ def solve_implicit_steps(
     t: float,
     c,
     dt: float,
-    config: ImplicitStepConfig | None = None,
     diagnostics: StepDiagnostics | None = None,
 ):
     """Solve Y = c + dt*f(t, Y) for a batch of scalar explicit parts ``c``.
@@ -227,7 +193,6 @@ def solve_implicit_steps(
     brought within tolerance; a NaN residual or an overflowed floor never
     counts as converged.
     """
-    config = config or ImplicitStepConfig()
     _check_dt(problem, dt)
     c = np.asarray(c, dtype=float)
     if c.ndim != 1:
@@ -245,16 +210,9 @@ def solve_implicit_steps(
             diagnostics.merge(diag)
         return y
     r, jac = implicit_residual(problem, t, y, c, dt)
-
-    def unconverged(idx):
-        # written so that a NaN residual or an overflowed (inf) floor never
-        # counts as converged
-        tol = np.maximum(config.abs_tol, _residual_floor(y[idx], c[idx], jac[idx]))
-        return idx[~((np.abs(r[idx]) <= tol) & (tol < np.inf))]
-
-    active = unconverged(np.arange(c.size))
-    stuck: list[int] = []
-    for _ in range(config.max_newton_iters):
+    accepted = _accepted(y, r, c, jac)
+    active = np.flatnonzero(~accepted)
+    for _ in range(_MAX_NEWTON_ITERS):
         if active.size == 0:
             break
         diag.newton_iterations += 1
@@ -263,7 +221,7 @@ def solve_implicit_steps(
         step = -ra / denom
         lam = np.ones_like(step)
         pending = np.arange(active.size)
-        for _ in range(config.max_dampings + 1):
+        for _ in range(_MAX_DAMPINGS + 1):
             cand = ya[pending] + lam[pending] * step[pending]
             rc, jc = implicit_residual(problem, t, cand, c[active[pending]], dt)
             ok = np.isfinite(rc) & (np.abs(rc) < np.abs(ra[pending]))
@@ -278,25 +236,18 @@ def solve_implicit_steps(
             lam[pending] *= 0.5
         else:
             # no damping level improved these elements: Newton has stagnated,
-            # so anything still above its resolvable floor goes to bracketing
-            stuck.extend(unconverged(active[pending]).tolist())
+            # so they stay unaccepted and go to the bracketed stage
             keep = np.ones(active.size, dtype=bool)
             keep[pending] = False
             active = active[keep]
-        active = unconverged(active)
-    stuck.extend(unconverged(active).tolist())
-    worst = 0.0
-    for i in stuck:
-        try:
-            y[i], res = _bracketed_solve(problem, t, float(c[i]), dt, config, diag)
-        except StepFailureError as exc:
-            exc.diagnostics["index"] = i
-            raise
-        worst = max(worst, res)
-    done = np.setdiff1d(np.arange(c.size), np.asarray(stuck, dtype=int), assume_unique=False)
-    if done.size:
-        worst = max(worst, float(np.abs(r[done]).max()))
-    diag.worst_residual = worst
+        done = _accepted(y[active], r[active], c[active], jac[active])
+        accepted[active[done]] = True
+        active = active[~done]
+    stragglers = np.flatnonzero(~accepted)
+    if stragglers.size:
+        y[stragglers], r[stragglers] = _bracketed_solve(problem, t, c[stragglers], dt, stragglers)
+        diag.bracketed_elements = stragglers.size
+    diag.worst_residual = float(np.abs(r).max())
     if diagnostics is not None:
         diagnostics.merge(diag)
     return y
@@ -307,9 +258,8 @@ def solve_implicit_step(
     t: float,
     c: float,
     dt: float,
-    config: ImplicitStepConfig | None = None,
     diagnostics: StepDiagnostics | None = None,
 ) -> float:
     """Solve Y = c + dt*f(t, Y) for one scalar explicit part ``c``."""
     c = np.asarray(c, dtype=float).reshape(1)
-    return float(solve_implicit_steps(problem, t, c, dt, config, diagnostics)[0])
+    return float(solve_implicit_steps(problem, t, c, dt, diagnostics)[0])

@@ -26,9 +26,8 @@ before any simulation is run.  For linear coefficients the ratios are exact.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -141,10 +140,6 @@ class SdeProblem:
         if unknown:
             raise ConfigurationError(f"unknown probes declared: {sorted(unknown)}")
 
-    @property
-    def has_diffusion(self) -> bool:
-        return self.diffusion is not None
-
 
 # ---------------------------------------------------------------------------
 # probes
@@ -163,9 +158,6 @@ class ProbeReport:
     @property
     def passed(self) -> bool:
         return self.violations == 0
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self) | {"passed": self.passed}, indent=2)
 
 
 def _probe_draws(problem: SdeProblem, n_pairs: int, radius: float, seed: int):

@@ -22,9 +22,8 @@ Conventions
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,12 +72,6 @@ class SeedPolicy:
             raise ConfigurationError(f"unknown stream tag {self.stream!r}")
         if self.path_index < 0:
             raise ConfigurationError("path_index must be >= 0")
-
-    def with_path(self, path_index: int) -> "SeedPolicy":
-        return SeedPolicy(self.master_seed, path_index, self.stream)
-
-    def with_stream(self, stream: str) -> "SeedPolicy":
-        return SeedPolicy(self.master_seed, self.path_index, stream)
 
 
 def make_rng(seed: "SeedPolicy | int") -> np.random.Generator:
@@ -342,14 +335,10 @@ class MomentConditionReport:
     small_jump_reason: str
     large_jump_ok: bool
     large_jump_reason: str
-    checks: list = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
         return self.small_jump_ok and self.large_jump_ok
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2)
 
 
 def _small_jump_check(g0: float, alpha: float, strict: bool = True) -> tuple[bool, str]:
@@ -396,7 +385,7 @@ def validate_moment_conditions(spec: NoiseSpec) -> MomentConditionReport:
                     f"stable tail index {spec.alpha}: |z|**({gi}) not integrable at infinity "
                     "(driver admissible only for invariant-measure experiments)",
                 )
-    report = MomentConditionReport(
+    return MomentConditionReport(
         kind=spec.kind,
         gamma0=g0,
         gamma_inf=gi,
@@ -405,8 +394,3 @@ def validate_moment_conditions(spec: NoiseSpec) -> MomentConditionReport:
         large_jump_ok=large[0],
         large_jump_reason=large[1],
     )
-    report.checks = [
-        {"name": "small_jump_gamma0", "passed": small[0], "reason": small[1]},
-        {"name": "large_jump_gamma_inf", "passed": large[0], "reason": large[1]},
-    ]
-    return report

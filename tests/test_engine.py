@@ -65,6 +65,20 @@ def test_deterministic_problem_matches_backward_euler():
     np.testing.assert_allclose(result.terminal, expect, rtol=1e-13)
 
 
+@pytest.mark.parametrize("error_mode", ["terminal", "max_on_grid"])
+def test_strong_error_run_without_noise(error_mode):
+    # a noise-free tape holds no increment arrays to read its step count from
+    problem = _deterministic_problem()
+    run = strong_error_run(problem, [0.5, 1.0], 0.25, 3, 1, error_mode=error_mode)
+    ref = 10.0 / 1.5 ** np.arange(17)  # backward Euler at dt = 0.25 over 16 steps
+    for d, errors in run.errors.items():
+        ratio = int(d / 0.25)
+        coarse = 10.0 / (1.0 + 2.0 * d) ** np.arange(16 // ratio + 1)
+        gaps = np.abs(coarse - ref[::ratio])
+        expect = gaps[-1] if error_mode == "terminal" else gaps.max()
+        np.testing.assert_allclose(errors, np.full(3, expect), rtol=1e-12)
+
+
 def test_tape_aggregation_exactness():
     # summing 2**15 fine increments vs one coarse increment: <= 1e-12 relative
     problem = builtin_problem("paper-5.4")

@@ -6,7 +6,7 @@ from scipy import optimize
 
 from levyem.errors import ConfigurationError, StepFailureError
 from levyem.implicit import (
-    ImplicitStepConfig,
+    _ABS_TOL,
     StepDiagnostics,
     _residual_floor,
     bracket_halfwidth,
@@ -48,14 +48,27 @@ def test_solver_matches_brent_oracle(name):
         assert abs(r[0]) <= 1e-12
 
 
-def test_batch_equals_scalar():
+@pytest.mark.parametrize(
+    "large", [(), (1e30, 1e100, 1e200)], ids=["ordinary", "with-stragglers"]
+)
+def test_batch_equals_scalar(large):
+    # Newton cannot reach the roots of the large explicit parts in its budget,
+    # so those elements go to the bracketed stage, which solves them together;
+    # each element's result must still not depend on the rest of the batch.
     problem = builtin_problem("paper-5.4")
     rng = np.random.default_rng(5)
     t, dt = 0.37, 0.01
     c = rng.normal(0.0, 5.0, 256)
-    batch = solve_implicit_steps(problem, t, c, dt)
-    one_by_one = np.array([solve_implicit_step(problem, t, ci, dt) for ci in c])
+    c[[17, 128, 255][: len(large)]] = large
+    diag = StepDiagnostics()
+    with np.errstate(over="ignore", invalid="ignore"):
+        batch = solve_implicit_steps(problem, t, c, dt, diagnostics=diag)
+        one_by_one = np.array([solve_implicit_step(problem, t, ci, dt) for ci in c])
     np.testing.assert_array_equal(batch, one_by_one)
+    assert diag.bracketed_elements == len(large)
+    for y, ci in zip(batch[np.isin(c, large)], large):  # the root lies within one ulp of y
+        r, _ = implicit_residual(problem, t, np.nextafter([y, y], [-np.inf, np.inf]), ci, dt)
+        assert r[0] <= 0.0 <= r[1]
 
 
 def test_linear_drift_closed_form():
@@ -142,7 +155,7 @@ def test_non_finite_explicit_part_raises(bad):
 
 def _assert_root_within_tolerance(problem, t, c, dt, y):
     r, jac = implicit_residual(problem, t, np.array([y]), c, dt)
-    accept = max(ImplicitStepConfig().abs_tol, float(_residual_floor(y, c, jac[0])))
+    accept = max(_ABS_TOL, float(_residual_floor(y, c, jac[0])))
     assert abs(float(r[0])) <= accept < np.inf
 
 
@@ -170,8 +183,13 @@ def test_overflowing_explicit_part_is_not_accepted():
     _assert_root_within_tolerance(problem, 0.5, 1e200, 0.01, y)
 
 
-def test_config_validation():
-    with pytest.raises(ConfigurationError):
-        ImplicitStepConfig(abs_tol=0.0)
-    with pytest.raises(ConfigurationError):
-        ImplicitStepConfig(max_newton_iters=0)
+@pytest.mark.parametrize("c", [1.7e308, -1.7e308])
+def test_explicit_part_near_float_max_raises(c):
+    # The root exists, near (|c| / dt)^(1/3) = 2.6e103, but the cubic drift
+    # overflows there (y**3 > 1.8e308), so no residual can be evaluated at it
+    # and no iterate can pass the residual test; the solve must fail loudly.
+    problem = builtin_problem("paper-5.4")
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(StepFailureError) as info:
+        solve_implicit_steps(problem, 0.5, np.array([1.0, c]), 0.01)
+    assert info.value.diagnostics["index"] == 1
+    assert info.value.diagnostics["t"] == 0.5
