@@ -12,7 +12,6 @@ Brownian component and min(gamma1, 1/gamma0) without one
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -71,21 +70,6 @@ class ErrorTable:
                 raise ConfigurationError(
                     f"dt={d} is not an integer multiple of reference_dt={self.reference_dt}"
                 )
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "problem": self.problem,
-                "reference_dt": self.reference_dt,
-                "error_mode": self.error_mode,
-                "master_seed": self.master_seed,
-                "rows": [
-                    {"dt": r.dt, "mse": r.mse, "rmse": r.rmse, "stderr": r.stderr, "n_paths": r.n_paths}
-                    for r in self.rows
-                ],
-            },
-            indent=2,
-        )
 
 
 @dataclass(frozen=True)

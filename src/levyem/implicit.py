@@ -11,12 +11,23 @@ root exists, is unique, and satisfies the a-priori bound
 
     |Y| <= (|c| + dt * |f(t, 0)|) / (1 - dt * max(L, 0)).
 
-The solver runs damped Newton from ``Y = c`` across the whole batch
-(halving the step while the residual fails to decrease).  The rare elements
-where Newton stalls are bisected together, in asinh(y), on their guaranteed
-enclosing intervals until each interval is two adjacent doubles; both
-stages accept a root by the same residual test.  The state is scalar, and
-``solve_implicit_step`` is the one-state wrapper of the batch solver.
+The residual and its derivative come from one factory,
+``residual_function(problem, t, dt)``.  For a grammar problem,
+``y - dt * f(t, y)`` is a polynomial in y whose coefficients are computed
+once per solve from ``problem.drift_polynomial``, and r and r' are evaluated
+together by Horner's rule; a problem defined with bare callables evaluates
+``drift`` and ``drift_jacobian`` (or a central difference of the drift).
+
+Damped Newton runs from ``Y = c`` over the whole batch with a mask of live
+(not yet accepted) elements: each pass takes the full Newton step at full
+width, and only the elements whose residual did not decrease are gathered
+and retried at halved steps.  The rare elements where Newton stalls are
+bisected together, in asinh(y), on their guaranteed enclosing intervals
+until each interval is two adjacent doubles; both stages accept a root by
+the same residual test.  Newton iterations and halvings are counted per
+element, so merged diagnostics do not depend on how paths are batched.  The
+state is scalar, and ``solve_implicit_step`` is the one-state wrapper of the
+batch solver.
 """
 
 from __future__ import annotations
@@ -27,10 +38,12 @@ import numpy as np
 
 from .errors import ConfigurationError, StepFailureError
 from .model import SdeProblem
+from .problems import horner
 
 __all__ = [
     "StepDiagnostics",
     "implicit_residual",
+    "residual_function",
     "solvability_limit",
     "bracket_halfwidth",
     "solve_implicit_step",
@@ -45,9 +58,10 @@ _JAC_FLOOR = 1e-8
 _FD_STEP = 1e-7
 _RES_SAFETY = 32.0
 _FLOAT_MAX = np.finfo(float).max
+_EPS = np.finfo(float).eps
 
 
-def _residual_floor(y, c, jac):
+def _residual_floor(y, abs_c, jac):
     """Smallest residual magnitude resolvable in double precision at y.
 
     One ulp of movement in the iterate changes the residual by about
@@ -55,20 +69,24 @@ def _residual_floor(y, c, jac):
     eps * (|y| + |c|) to cancellation, so demanding less than this is
     asking for noise.  The step is accepted at max(_ABS_TOL, floor).
     """
-    return _RES_SAFETY * np.finfo(float).eps * (
-        1.0 + np.abs(y) + np.abs(c) + np.abs(jac) * np.abs(y)
-    )
+    abs_y = np.abs(y)
+    return _RES_SAFETY * _EPS * (1.0 + abs_y + abs_c + np.abs(jac) * abs_y)
 
 
-def _accepted(y, r, c, jac):
+def _accepted(y, r, abs_c, jac):
     """Residual test; a NaN residual or an overflowed (inf) floor never passes."""
-    tol = np.maximum(_ABS_TOL, _residual_floor(y, c, jac))
+    tol = np.maximum(_ABS_TOL, _residual_floor(y, abs_c, jac))
     return (np.abs(r) <= tol) & (tol < np.inf)
 
 
 @dataclass
 class StepDiagnostics:
-    """Aggregated solver effort counters (merged across steps and chunks)."""
+    """Aggregated solver effort counters (merged across steps and chunks).
+
+    ``newton_iterations`` and ``damping_halvings`` sum, over the elements of
+    each batch, the Newton passes and step halvings that element took, so
+    merged values do not depend on how paths are batched.
+    """
 
     solves: int = 0
     newton_iterations: int = 0
@@ -89,21 +107,46 @@ def _drift_at(problem: SdeProblem, t: float, y: np.ndarray) -> np.ndarray:
     return np.asarray(problem.drift(t, y), dtype=float)
 
 
-def _residual(problem: SdeProblem, t: float, y: np.ndarray, c, dt: float) -> np.ndarray:
-    return y - c - dt * _drift_at(problem, t, y)
+def residual_function(problem: SdeProblem, t: float, dt: float):
+    """The residual of one step as ``(y, c) -> (r, r')`` at fixed ``t`` and ``dt``.
+
+    For a grammar problem ``y - dt * f(t, y)`` is itself a polynomial in y:
+    its coefficients are computed once here, and each call evaluates r and r'
+    together in one Horner pass.  A problem defined with bare callables
+    evaluates ``drift`` and ``drift_jacobian``, or a central difference of
+    the drift when it has no Jacobian.
+    """
+    poly = problem.drift_polynomial
+    if poly is not None:
+        g = -dt * poly.coefficients(t)
+        present = list(poly.present)
+        if poly.degree < 2:  # pad, so that r' comes out as an array like r
+            g = np.concatenate([g, np.zeros(2 - poly.degree)])
+            present += [False] * (2 - poly.degree)
+        g[1] += 1.0
+        present[1] = True
+        g = g.tolist()
+
+        def residual(y, c):
+            v, dv = horner(g, present, y)
+            return v - c, dv
+
+        return residual
+
+    def residual(y, c):
+        r = y - c - dt * _drift_at(problem, t, y)
+        if problem.drift_jacobian is not None:
+            return r, 1.0 - dt * np.asarray(problem.drift_jacobian(t, y), dtype=float)
+        h = _FD_STEP * np.maximum(1.0, np.abs(y))
+        df = (_drift_at(problem, t, y + h) - _drift_at(problem, t, y - h)) / (2.0 * h)
+        return r, 1.0 - dt * df
+
+    return residual
 
 
 def implicit_residual(problem: SdeProblem, t: float, y, c, dt: float):
     """Residual r(y) = y - c - dt*f(t, y) and its derivative in y."""
-    y = np.asarray(y, dtype=float)
-    r = _residual(problem, t, y, c, dt)
-    if problem.drift_jacobian is not None:
-        jac = 1.0 - dt * np.asarray(problem.drift_jacobian(t, y), dtype=float)
-    else:
-        h = _FD_STEP * np.maximum(1.0, np.abs(y))
-        df = (_drift_at(problem, t, y + h) - _drift_at(problem, t, y - h)) / (2.0 * h)
-        jac = 1.0 - dt * df
-    return r, jac
+    return residual_function(problem, t, dt)(np.asarray(y, dtype=float), c)
 
 
 def solvability_limit(problem: SdeProblem) -> float:
@@ -129,7 +172,7 @@ def bracket_halfwidth(problem: SdeProblem, t: float, c, dt: float):
     return 2.0 * (np.abs(c) + dt * f0 + 1.0) / denom
 
 
-def _bracketed_solve(problem, t, c, dt, index):
+def _bracketed_solve(residual, problem, t, c, dt, index):
     """Roots and residuals for the stragglers ``c`` (batch indices ``index``).
 
     All stragglers are bisected together on their guaranteed brackets in
@@ -143,7 +186,7 @@ def _bracketed_solve(problem, t, c, dt, index):
     half = bracket_halfwidth(problem, t, c, dt)
     lo = np.maximum(c - half, -_FLOAT_MAX)
     hi = np.minimum(c + half, _FLOAT_MAX)
-    r_lo, r_hi = _residual(problem, t, lo, c, dt), _residual(problem, t, hi, c, dt)
+    r_lo, r_hi = residual(lo, c)[0], residual(hi, c)[0]
     no_sign_change = (r_lo > 0.0) | (r_hi < 0.0)  # impossible when dt * L < 1
     _fail_where(no_sign_change, "could not bracket the implicit step root", t, c, dt, index,
                 lo=lo, hi=hi)
@@ -154,16 +197,41 @@ def _bracketed_solve(problem, t, c, dt, index):
         a, b, ra = lo[live], hi[live], r_lo[live]
         mid = np.sinh(0.5 * (np.arcsinh(a) + np.arcsinh(b)))
         mid = np.where((a < mid) & (mid < b), mid, 0.5 * a + 0.5 * b)
-        r_mid = _residual(problem, t, mid, c[live], dt)
+        r_mid = residual(mid, c[live])[0]
         up = (r_mid < 0.0) | (np.isnan(r_mid) & ~np.isfinite(ra))
         lo[live[up]], r_lo[live[up]] = mid[up], r_mid[up]
         hi[live[~up]], r_hi[live[~up]] = mid[~up], r_mid[~up]
     nearer_lo = np.nan_to_num(np.abs(r_lo), nan=np.inf) <= np.nan_to_num(np.abs(r_hi), nan=np.inf)
     y = np.where(nearer_lo, lo, hi)
-    r, jac = implicit_residual(problem, t, y, c, dt)
-    _fail_where(~_accepted(y, r, c, jac), "implicit step residual above tolerance after bisection",
+    r, jac = residual(y, c)
+    _fail_where(~_accepted(y, r, np.abs(c), jac),
+                "implicit step residual above tolerance after bisection",
                 t, c, dt, index, y=y, residual=r)
     return y, r
+
+
+def _damp(residual, y, r, jac, step, c, pending, diag):
+    """Halve the Newton step of the ``pending`` elements until their residual decreases.
+
+    The full step ``y - step`` has failed them already.  Each halving retries
+    the elements still pending at ``y - lam * step``, lam = 1/2, 1/4, ...,
+    and writes the ones that improve into ``y``, ``r`` and ``jac``.  Returns
+    the elements no halving improved: Newton has stagnated there.
+    """
+    lam = 1.0
+    for _ in range(_MAX_DAMPINGS):
+        diag.damping_halvings += pending.size
+        lam *= 0.5
+        cand = y[pending] - lam * step[pending]
+        rc, jc = residual(cand, c[pending])
+        ok = np.abs(rc) < np.abs(r[pending])
+        hit = pending[ok]
+        y[hit], r[hit], jac[hit] = cand[ok], rc[ok], jc[ok]
+        pending = pending[~ok]
+        if pending.size == 0:
+            return pending
+    diag.damping_halvings += pending.size
+    return pending
 
 
 def _fail_where(bad, message, t, c, dt, index, **values):
@@ -209,43 +277,33 @@ def solve_implicit_steps(
         if diagnostics is not None:
             diagnostics.merge(diag)
         return y
-    r, jac = implicit_residual(problem, t, y, c, dt)
-    accepted = _accepted(y, r, c, jac)
-    active = np.flatnonzero(~accepted)
+    residual = residual_function(problem, t, dt)
+    abs_c = np.abs(c)
+    r, jac = residual(y, c)
+    accepted = _accepted(y, r, abs_c, jac)
+    live = ~accepted
     for _ in range(_MAX_NEWTON_ITERS):
-        if active.size == 0:
+        n_live = int(np.count_nonzero(live))
+        if n_live == 0:
             break
-        diag.newton_iterations += 1
-        ya, ra, ja = y[active], r[active], jac[active]
-        denom = np.where(np.abs(ja) >= _JAC_FLOOR, ja, 1.0)
-        step = -ra / denom
-        lam = np.ones_like(step)
-        pending = np.arange(active.size)
-        for _ in range(_MAX_DAMPINGS + 1):
-            cand = ya[pending] + lam[pending] * step[pending]
-            rc, jc = implicit_residual(problem, t, cand, c[active[pending]], dt)
-            ok = np.isfinite(rc) & (np.abs(rc) < np.abs(ra[pending]))
-            hit = pending[ok]
-            y[active[hit]] = cand[ok]
-            r[active[hit]] = rc[ok]
-            jac[active[hit]] = jc[ok]
-            pending = pending[~ok]
-            if pending.size == 0:
-                break
-            diag.damping_halvings += 1
-            lam[pending] *= 0.5
-        else:
-            # no damping level improved these elements: Newton has stagnated,
-            # so they stay unaccepted and go to the bracketed stage
-            keep = np.ones(active.size, dtype=bool)
-            keep[pending] = False
-            active = active[keep]
-        done = _accepted(y[active], r[active], c[active], jac[active])
-        accepted[active[done]] = True
-        active = active[~done]
+        diag.newton_iterations += n_live
+        step = r / np.where(np.abs(jac) >= _JAC_FLOOR, jac, 1.0)  # the Newton step is -step
+        cand = y - step
+        rc, jc = residual(cand, c)
+        ok = live & (np.abs(rc) < np.abs(r))  # a NaN or infinite residual never improves
+        np.copyto(y, cand, where=ok)
+        np.copyto(r, rc, where=ok)
+        np.copyto(jac, jc, where=ok)
+        pending = np.nonzero(live ^ ok)[0]
+        if pending.size:
+            live[_damp(residual, y, r, jac, step, c, pending, diag)] = False
+        accepted = _accepted(y, r, abs_c, jac)
+        live &= ~accepted
     stragglers = np.flatnonzero(~accepted)
     if stragglers.size:
-        y[stragglers], r[stragglers] = _bracketed_solve(problem, t, c[stragglers], dt, stragglers)
+        y[stragglers], r[stragglers] = _bracketed_solve(
+            residual, problem, t, c[stragglers], dt, stragglers
+        )
         diag.bracketed_elements = stragglers.size
     diag.worst_residual = float(np.abs(r).max())
     if diagnostics is not None:

@@ -15,7 +15,6 @@ sampler correctness is established independently by the noise-module tests.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -224,18 +223,6 @@ class InvariantReport:
     ks_decreasing: bool
     wasserstein_decreasing: bool
     final_p_value: float
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "k": self.k,
-                "ks_decreasing": self.ks_decreasing,
-                "wasserstein_decreasing": self.wasserstein_decreasing,
-                "final_p_value": self.final_p_value,
-                "rows": [vars(r) for r in self.rows],
-            },
-            indent=2,
-        )
 
 
 def _decreasing_with_slack(values, stderrs) -> bool:

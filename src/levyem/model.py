@@ -28,12 +28,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from .errors import ConfigurationError
 from .noise import AUX_STREAM, NoiseSpec, SeedPolicy, make_rng
+
+if TYPE_CHECKING:
+    from .problems import CompiledPolynomial
 
 __all__ = [
     "AssumptionConstants",
@@ -113,6 +116,11 @@ class SdeProblem:
     stepping.  ``diffusion`` is None when there is no Brownian term;
     ``drift_jacobian`` (the derivative of the drift in x) is optional, and a
     central difference stands in for it when it is None.
+
+    ``drift_polynomial`` is the drift's compiled polynomial in x, set by
+    :func:`levyem.problems.problem_from_config` (``drift`` and
+    ``drift_jacobian`` are its views there); the implicit solver evaluates it
+    directly.  It is None for a problem defined with bare callables.
     """
 
     name: str
@@ -124,6 +132,7 @@ class SdeProblem:
     monotone_bound: float
     diffusion: Callable | None = None
     drift_jacobian: Callable | None = None
+    drift_polynomial: "CompiledPolynomial | None" = None
     declared_probes: tuple = PROBE_NAMES
     source: dict | None = None  # config the problem was built from, if any
 

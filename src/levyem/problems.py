@@ -11,6 +11,14 @@ fractional powers of it must stay real for every exponent in (0, 1]).  A term
 without a ``time_factor`` has ``w(t) = 1``.  This covers polynomial drifts with
 Hoelder-in-time prefactors, which is exactly the shape of every built-in model.
 
+:func:`compile_terms` turns a term list into a :class:`CompiledPolynomial`,
+``sum_k a_k(t) x**k``: ``coefficients(t)`` evaluates each distinct window
+factor once and sums the terms of each power of x, and ``value`` and
+``derivative`` evaluate the polynomial by Horner's rule.  A grammar problem's
+``drift``, ``drift_jacobian`` and ``diffusion`` are these views, and its
+``drift_polynomial`` is the drift's compiled polynomial, which the implicit
+solver evaluates directly.
+
 Built-in problems (keys of :data:`BUILTIN_PROBLEMS`):
 
 =============  ==============================================================
@@ -39,7 +47,9 @@ from .noise import JumpLaw, NoiseSpec
 
 __all__ = [
     "signed_power",
+    "CompiledPolynomial",
     "compile_terms",
+    "horner",
     "problem_from_config",
     "builtin_problem",
     "builtin_problem_names",
@@ -99,35 +109,73 @@ def _parse_terms(terms, label: str) -> list[tuple[float, int, tuple | None]]:
     return parsed
 
 
-def compile_terms(terms, label: str = "drift"):
-    """Compile a term list into broadcastable (value, derivative-in-x) callables."""
-    parsed = _parse_terms(terms, label)
+class CompiledPolynomial:
+    """A term list compiled to ``sum_k a_k(t) * x**k``.
 
-    def value(t, x):
-        total = 0.0
+    ``coefficients(t)`` gives the coefficient vector ``a_0(t) .. a_n(t)``;
+    each distinct window factor is evaluated once per call, whatever the
+    number of terms that share it.  ``t`` may be a scalar or an array, the
+    result has shape ``(n + 1,) + shape(t)``.  ``value`` and ``derivative``
+    (the problem's coefficient callables) evaluate the polynomial in x by
+    Horner's rule and broadcast over ``t`` and ``x``.
+    """
+
+    def __init__(self, parsed):
+        self.degree = max((x_power for _, x_power, _ in parsed), default=0)
+        self.constant = np.zeros(self.degree + 1)  # summed coefficients without a time factor
+        self.windows: dict[tuple, list[tuple[int, float]]] = {}
+        present = [False] * (self.degree + 1)
         for coeff, x_power, tf in parsed:
-            piece = coeff * np.power(x, x_power) if x_power else coeff * np.ones_like(np.asarray(x, dtype=float))
-            if tf is not None:
-                a, b, p = tf
-                piece = piece * signed_power((t - a) * (b - t), p)
-            total = total + piece
-        return total
+            present[x_power] = True
+            if tf is None:
+                self.constant[x_power] += coeff
+            else:
+                self.windows.setdefault(tf, []).append((x_power, coeff))
+        self.present = tuple(present)  # powers without a term have a_k(t) = 0
 
-    def derivative(t, x):
-        total = 0.0
-        for coeff, x_power, tf in parsed:
-            if x_power == 0:
-                continue
-            piece = coeff * x_power * np.power(x, x_power - 1)
-            if tf is not None:
-                a, b, p = tf
-                piece = piece * signed_power((t - a) * (b - t), p)
-            total = total + piece
-        if np.isscalar(total) and not np.isscalar(x):
-            return np.full_like(np.asarray(x, dtype=float), float(total))
-        return total
+    def coefficients(self, t):
+        t = np.asarray(t, dtype=float)
+        out = np.empty((self.degree + 1,) + t.shape)
+        out[...] = self.constant.reshape((-1,) + (1,) * t.ndim)
+        for (a, b, p), terms in self.windows.items():
+            w = signed_power((t - a) * (b - t), p)
+            for x_power, coeff in terms:
+                out[x_power] += coeff * w
+        return out
 
-    return value, derivative
+    def value(self, t, x):
+        x = np.asarray(x, dtype=float)
+        v = horner(self.coefficients(t), self.present, x)[0]
+        return v if self.degree >= 1 else _broadcast(v, t, x)
+
+    def derivative(self, t, x):
+        x = np.asarray(x, dtype=float)
+        dv = horner(self.coefficients(t), self.present, x)[1]
+        return dv if self.degree >= 2 else _broadcast(dv, t, x)
+
+
+def _broadcast(v, t, x):
+    """``v`` (free of x) at the shape of ``t`` and ``x`` together."""
+    return v + np.zeros(np.broadcast_shapes(np.shape(t), x.shape))
+
+
+def horner(coeffs, present, x):
+    """p(x) and p'(x) for p = sum_k coeffs[k] * x**k, in one Horner pass.
+
+    ``present[k]`` False marks a coefficient known to be zero, whose addition
+    is skipped.  The coefficients broadcast against ``x``.
+    """
+    n = len(coeffs) - 1
+    p, dp = coeffs[n], 0.0
+    for k in range(n - 1, -1, -1):
+        dp = p if k == n - 1 else dp * x + p
+        p = p * x + coeffs[k] if present[k] else p * x
+    return p, dp
+
+
+def compile_terms(terms, label: str = "drift") -> CompiledPolynomial:
+    """Compile a term list (checked against the grammar) to its polynomial in x."""
+    return CompiledPolynomial(_parse_terms(terms, label))
 
 
 def _parse_noise(spec: dict) -> NoiseSpec:
@@ -161,14 +209,15 @@ def problem_from_config(config: dict) -> SdeProblem:
         raise ConfigurationError(f"problem config missing keys: {sorted(missing)}")
     if config.get("dim", 1) != 1:
         raise ConfigurationError(f"dim: the grammar covers scalar problems only (dim 1), got {config['dim']!r}")
-    drift, drift_jac = compile_terms(config["drift"], "drift")
+    drift = compile_terms(config["drift"], "drift")
     diffusion_terms = config.get("diffusion") or []
-    diffusion = compile_terms(diffusion_terms, "diffusion")[0] if diffusion_terms else None
+    diffusion = compile_terms(diffusion_terms, "diffusion").value if diffusion_terms else None
     noise = _parse_noise(config["noise"])
     return SdeProblem(
         name=str(config.get("name", "custom")),
-        drift=drift,
-        drift_jacobian=drift_jac,
+        drift=drift.value,
+        drift_jacobian=drift.derivative,
+        drift_polynomial=drift,
         diffusion=diffusion,
         x0=float(config["x0"]),
         horizon=float(config["horizon"]),

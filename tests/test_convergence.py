@@ -111,10 +111,3 @@ def test_strong_error_table_gates():
         strong_error_table(builtin_problem("paper-5.3"), [0.01], 0.005, 200, 1)
     with pytest.raises(ConfigurationError):
         strong_error_table(builtin_problem("paper-5.4"), [0.01], 0.005, 50, 1)  # < 100 paths
-
-
-def test_table_serialization():
-    dts = [0.1, 0.05, 0.025]
-    table = _table(dts, [0.3, 0.2, 0.13])
-    payload = table.to_json()
-    assert '"rows"' in payload and '"reference_dt"' in payload

@@ -169,6 +169,21 @@ def test_worker_count_does_not_change_results(entry):
         np.testing.assert_array_equal(x, y)
 
 
+@pytest.mark.parametrize("entry", ["simulate_ensemble", "strong_error_run"])
+def test_diagnostics_do_not_depend_on_chunks_or_workers(entry):
+    # the solver counts Newton iterations and halvings per element, so their
+    # sums do not depend on how paths are grouped into batches
+    problem = builtin_problem("paper-5.4")
+    if entry == "simulate_ensemble":
+        run = lambda **kw: simulate_ensemble(problem, 0.05, 60, master_seed=7, **kw).diagnostics
+    else:
+        run = lambda **kw: strong_error_run(problem, [0.2, 0.4], 0.1, 60, 7, **kw).diagnostics
+    one_chunk = run(chunk_budget_bytes=2**27)
+    assert one_chunk.newton_iterations > one_chunk.solves  # several iterations per solve
+    assert run(chunk_budget_bytes=2**14) == one_chunk
+    assert run(chunk_budget_bytes=2**14, workers=2) == one_chunk
+
+
 def test_checkpoint_alignment():
     problem = builtin_problem("paper-5.3")
     horizon = problem.horizon

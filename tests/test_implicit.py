@@ -71,6 +71,48 @@ def test_batch_equals_scalar(large):
         assert r[0] <= 0.0 <= r[1]
 
 
+def _arctan_problem(with_jacobian):
+    # r' = 1 + 100/(1 + y^2) at dt = 1 is steep near 0 and flat far out, so
+    # full Newton steps from y = c overshoot and need several halvings
+    constants = AssumptionConstants(
+        H=1e4, sigma=2.0, q=10.0, M=1.0, K1=1.0, K2=1.0, gamma1=0.5, gamma2=0.5
+    )
+    return SdeProblem(
+        name="arctan",
+        drift=lambda t, x: -100.0 * np.arctan(x),
+        drift_jacobian=(lambda t, x: -100.0 / (1.0 + x * x)) if with_jacobian else None,
+        x0=0.0,
+        horizon=1.0,
+        noise=NoiseSpec(kind="none", brownian_dim=0),
+        constants=constants,
+        monotone_bound=0.0,
+    )
+
+
+@pytest.mark.parametrize(
+    "problem, t, dt, damped",
+    [
+        (_arctan_problem(True), 0.0, 1.0, np.linspace(-150.0, 150.0, 61)),
+        (_arctan_problem(False), 0.0, 1.0, np.linspace(-150.0, 150.0, 61)),
+        # the window term makes full steps fail for c near -0.5 (one halving each)
+        (builtin_problem("paper-5.1a"), 0.5, 1.0, np.linspace(-0.54, -0.425, 24)),
+    ],
+    ids=["bare-callable", "central-difference", "grammar"],
+)
+def test_batch_equals_scalar_through_damping(problem, t, dt, damped):
+    rng = np.random.default_rng(8)
+    c = np.concatenate([damped, rng.normal(0.0, 2.0, 64)])
+    rng.shuffle(c)
+    diag = StepDiagnostics()
+    batch = solve_implicit_steps(problem, t, c, dt, diagnostics=diag)
+    singles = [StepDiagnostics() for _ in c]
+    one_by_one = np.array([solve_implicit_step(problem, t, ci, dt, d) for ci, d in zip(c, singles)])
+    np.testing.assert_array_equal(batch, one_by_one)
+    assert diag.damping_halvings == sum(d.damping_halvings for d in singles) > 0
+    assert diag.newton_iterations == sum(d.newton_iterations for d in singles)
+    assert diag.bracketed_elements == 0
+
+
 def test_linear_drift_closed_form():
     # f = -2x: y = c / (1 + 2 dt), one Newton step suffices
     problem = builtin_problem("paper-5.3")
@@ -155,7 +197,7 @@ def test_non_finite_explicit_part_raises(bad):
 
 def _assert_root_within_tolerance(problem, t, c, dt, y):
     r, jac = implicit_residual(problem, t, np.array([y]), c, dt)
-    accept = max(_ABS_TOL, float(_residual_floor(y, c, jac[0])))
+    accept = max(_ABS_TOL, float(_residual_floor(y, abs(c), jac[0])))
     assert abs(float(r[0])) <= accept < np.inf
 
 
@@ -185,9 +227,10 @@ def test_overflowing_explicit_part_is_not_accepted():
 
 @pytest.mark.parametrize("c", [1.7e308, -1.7e308])
 def test_explicit_part_near_float_max_raises(c):
-    # The root exists, near (|c| / dt)^(1/3) = 2.6e103, but the cubic drift
-    # overflows there (y**3 > 1.8e308), so no residual can be evaluated at it
-    # and no iterate can pass the residual test; the solve must fail loudly.
+    # The root exists, near (|c| / dt)^(1/3) = 2.6e103, and the residual
+    # y + dt*(y**3 + 5y - 5) - c is finite there, but the accepting floor,
+    # eps * (|c| + |r'(y)| |y|) with |r'(y)| |y| ~ 3 |c|, overflows, so no
+    # iterate can pass the residual test; the solve must fail loudly.
     problem = builtin_problem("paper-5.4")
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(StepFailureError) as info:
         solve_implicit_steps(problem, 0.5, np.array([1.0, c]), 0.01)

@@ -5,6 +5,7 @@ import pytest
 
 from levyem.errors import ConfigurationError
 from levyem.problems import (
+    BUILTIN_PROBLEMS,
     builtin_problem,
     builtin_problem_names,
     problem_from_config,
@@ -60,6 +61,46 @@ def test_jacobian_matches_finite_differences():
     h = 1e-6
     fd = (problem.drift(t, x + h) - problem.drift(t, x - h)) / (2.0 * h)
     np.testing.assert_allclose(problem.drift_jacobian(t, x), fd, rtol=1e-6, atol=1e-6)
+
+
+def _term_sum(terms, t, x, derivative=False):
+    """sum of coeff * sign(u)|u|^p * x^k (or its x-derivative), one term at a time."""
+    total = np.zeros(np.broadcast_shapes(np.shape(t), np.shape(x)))
+    for term in terms:
+        coeff, k = term["coeff"], term.get("x_power", 0)
+        w = 1.0
+        if "time_factor" in term:
+            tf = term["time_factor"]
+            u = (t - tf["a"]) * (tf["b"] - t)
+            w = np.sign(u) * np.abs(u) ** tf["power"]
+        if not derivative:
+            total = total + coeff * w * x ** k
+        elif k > 0:
+            total = total + coeff * w * k * x ** (k - 1)
+    return total
+
+
+@pytest.mark.parametrize("name", builtin_problem_names())
+def test_compiled_polynomial_matches_term_sum(name):
+    config = BUILTIN_PROBLEMS[name]
+    problem = builtin_problem(name)
+    x = np.concatenate([-np.logspace(-3.0, 3.0, 31), [0.0], np.logspace(-3.0, 3.0, 31)])
+    # every window is [1, 2]: before it, at its ends, inside it and after it
+    times = [0.0, 0.37, 1.0, 1.2, 1.5, 1.93, 2.0, 2.6]
+    tt, xx = (a.ravel() for a in np.meshgrid(times, x))
+    cases = [(t, x) for t in times] + [(tt, xx)]  # scalar t with a batch of x; array t
+    views = [
+        (problem.drift, config["drift"], False),
+        (problem.drift_jacobian, config["drift"], True),
+    ]
+    if problem.diffusion is not None:
+        views.append((problem.diffusion, config["diffusion"], False))
+    for view, terms, derivative in views:
+        for t, x_ in cases:
+            np.testing.assert_allclose(
+                view(t, x_), _term_sum(terms, t, x_, derivative), rtol=1e-13, atol=0.0,
+                err_msg=f"{name} at t={t}",
+            )
 
 
 def test_config_round_trip():
