@@ -58,7 +58,7 @@ _JAC_FLOOR = 1e-8
 _FD_STEP = 1e-7
 _RES_SAFETY = 32.0
 _FLOAT_MAX = np.finfo(float).max
-_EPS = np.finfo(float).eps
+_FLOOR_SCALE = _RES_SAFETY * np.finfo(float).eps  # a power of two: scaling by it is exact
 
 
 def _residual_floor(y, abs_c, jac):
@@ -67,10 +67,13 @@ def _residual_floor(y, abs_c, jac):
     One ulp of movement in the iterate changes the residual by about
     eps * |y| * |r'(y)|, and evaluating the residual itself loses
     eps * (|y| + |c|) to cancellation, so demanding less than this is
-    asking for noise.  The step is accepted at max(_ABS_TOL, floor).
+    asking for noise.  The step is accepted at max(_ABS_TOL, floor).  The
+    scale is applied to the Jacobian before the product, so the floor stays
+    finite for every finite residual: ``|r'(y)| * |y|`` alone overflows near
+    float max.
     """
     abs_y = np.abs(y)
-    return _RES_SAFETY * _EPS * (1.0 + abs_y + abs_c + np.abs(jac) * abs_y)
+    return _FLOOR_SCALE * (1.0 + abs_y + abs_c) + (_FLOOR_SCALE * np.abs(jac)) * abs_y
 
 
 def _accepted(y, r, abs_c, jac):

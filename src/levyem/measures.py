@@ -11,14 +11,20 @@ coupling is the sorted (monotone) pairing.
 The stable reference is realised by sampling (10x the snapshot size by
 default) rather than by numerical inversion of the characteristic function;
 sampler correctness is established independently by the noise-module tests.
+
+scipy is loaded only by the analysis: ``stats`` (scipy.stats) is imported on
+its first use, for the KS p-value of each snapshot and for the KDE, so that
+``import levyem``, pool workers and convergence runs load numpy alone.  The
+bootstrap folds of the KS statistic are scored here without scipy.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
 from .engine import simulate_ensemble
 from .errors import ConfigurationError
@@ -43,6 +49,22 @@ __all__ = [
 _BOOTSTRAP_FOLDS = 20
 _REFERENCE_FACTOR = 10
 _REFERENCE_MIN = 1_000_000
+_KS_EXACT_MAX_N = 10_000  # ks_2samp(method="auto") is exact when both sizes are <= this
+
+
+def __getattr__(name):
+    """``stats`` is scipy.stats, imported on first use (PEP 562)."""
+    if name == "stats":
+        from scipy import stats
+
+        globals()["stats"] = stats
+        return stats
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _stats():
+    """scipy.stats, read through this module's ``stats`` attribute."""
+    return sys.modules[__name__].stats
 
 
 def _reference_size(ref_kind: str, n: int) -> int:
@@ -162,7 +184,7 @@ def wasserstein_k(a, b, k: float = 1.0) -> float:
 def ks_statistic(a: EmpiricalMeasure, ref: StationaryReference) -> tuple[float, float]:
     """Two-sample KS distance and p-value of the snapshot against the reference."""
     ref_sample = ref.sample(_reference_size(ref.kind, a.n))
-    result = stats.ks_2samp(a.values, ref_sample, method="auto")
+    result = _stats().ks_2samp(a.values, ref_sample, method="auto")
     return float(result.statistic), float(result.pvalue)
 
 
@@ -197,12 +219,51 @@ def evolve_empirical_law(
     ]
 
 
+def _ks_fold_scorer(values: np.ndarray, ref_sample: np.ndarray):
+    """``counts -> ks_2samp(np.repeat(values, counts), ref_sample).statistic`` in O(n).
+
+    ``values`` and ``ref_sample`` are sorted, and ``counts[i]`` is how often
+    a resample holds ``values[i]``.  Between two resampled points the resample's CDF is flat,
+    so the largest gap above the reference's CDF is at a point and the
+    largest gap below it is just under one.  The reference is therefore
+    searched once, here, at every point of ``values`` and just under it; a
+    call needs only the resample's cumulative counts.  The result is
+    scipy's float exactly: the same quotients, and in its exact mode the
+    same rounding to a multiple of 1/lcm(n1, n2).
+    """
+    n1, n2 = values.size, ref_sample.size
+    tie_start = np.searchsorted(values, values, side="left")
+    tie_end = np.searchsorted(values, values, side="right")
+    ref_at = np.searchsorted(ref_sample, values, side="right") / n2
+    ref_under = np.searchsorted(ref_sample, values, side="left") / n2
+    lcm = (n1 // math.gcd(n1, n2)) * n2 if max(n1, n2) <= _KS_EXACT_MAX_N else None
+
+    def score(counts: np.ndarray) -> float:
+        cumulative = np.concatenate(([0], np.cumsum(counts)))
+        at = cumulative[tie_end] / n1 - ref_at
+        under = cumulative[tie_start] / n1 - ref_under
+        max_s = max(at.max(), under.max())
+        min_s = np.clip(-min(at.min(), under.min()), 0, 1)
+        d = min_s if min_s > max_s else max_s
+        if lcm is not None:
+            d = np.round(d * lcm) / lcm
+        return float(d)
+
+    return score
+
+
 def _bootstrap_stderr(values: np.ndarray, statistic, seed: int) -> float:
-    """Path-bootstrap standard error of a statistic of one sample."""
+    """Path-bootstrap standard error of a statistic of one sorted sample.
+
+    Each fold draws ``values.size`` indices with replacement, as
+    ``rng.choice(values, values.size)`` would, and passes ``statistic`` the
+    fold's counts: ``counts[i]`` copies of ``values[i]``.
+    """
     rng = np.random.default_rng(seed)
+    n = values.size
     reps = np.empty(_BOOTSTRAP_FOLDS)
     for j in range(_BOOTSTRAP_FOLDS):
-        reps[j] = statistic(np.sort(rng.choice(values, size=values.size, replace=True)))
+        reps[j] = statistic(np.bincount(rng.integers(0, n, n), minlength=n))
     return float(np.std(reps, ddof=1))
 
 
@@ -251,12 +312,12 @@ def invariant_convergence_report(
         w = wasserstein_k(snap, ref_measure, k)
         ks_se = _bootstrap_stderr(
             snap.values,
-            lambda v: stats.ks_2samp(v, ref.sample(_reference_size(ref.kind, v.size))).statistic,
+            _ks_fold_scorer(snap.values, ref.sample(_reference_size(ref.kind, snap.n))),
             bootstrap_seed + 2 * i,
         )
         w_se = _bootstrap_stderr(
             snap.values,
-            lambda v: wasserstein_k(EmpiricalMeasure(values=v, t=snap.t), ref_measure, k),
+            lambda counts: wasserstein_k(np.repeat(snap.values, counts), ref_measure, k),
             bootstrap_seed + 2 * i + 1,
         )
         rows.append(
@@ -324,5 +385,5 @@ def kde_curve(measure: EmpiricalMeasure, n_grid: int = 256, pad: float = 0.15):
     lo, hi = float(values[0]), float(values[-1])
     span = (hi - lo) or 1.0
     grid = np.linspace(lo - pad * span, hi + pad * span, n_grid)
-    kde = stats.gaussian_kde(values, bw_method="silverman")
+    kde = _stats().gaussian_kde(values, bw_method="silverman")
     return grid, kde(grid)

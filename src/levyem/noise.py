@@ -1,10 +1,11 @@
-"""Driving-noise generators: Brownian, symmetric stable, tempered stable, compound Poisson.
+"""Driving-noise generators: symmetric stable, tempered stable, compound Poisson.
 
 All increments are exact in distribution for the requested window length
 ``dt``; no path-level series truncation is involved.  Randomness is drawn from
 counter-based Philox streams keyed by ``(master_seed, path_index, stream)`` so
 that every path owns reproducible, independent substreams regardless of
-chunking or worker scheduling.
+chunking or worker scheduling.  Brownian increments are drawn inline by
+:func:`levyem.engine.make_tape` from each path's ``"brownian"`` stream.
 
 Conventions
 -----------
@@ -22,7 +23,6 @@ Conventions
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +39,6 @@ __all__ = [
     "NoiseSpec",
     "MomentConditionReport",
     "make_rng",
-    "sample_brownian_increments",
     "sample_alpha_stable",
     "sample_tempered_stable",
     "sample_compound_poisson",
@@ -184,16 +183,6 @@ class NoiseSpec:
         if self.kind in ("none", "alpha_stable", "tempered_stable"):
             return True
         return self.jump_law is not None and self.jump_law.mean() == 0.0
-
-
-def sample_brownian_increments(spec: NoiseSpec, dt: float, n: int, seed) -> np.ndarray:
-    """n Brownian increments of variance dt, shape (n, brownian_dim)."""
-    if n <= 0:
-        raise ConfigurationError(f"need n >= 1 increments, got {n}")
-    if dt <= 0:
-        raise ConfigurationError(f"need dt > 0, got {dt}")
-    rng = make_rng(seed)
-    return math.sqrt(dt) * rng.standard_normal((n, spec.brownian_dim))
 
 
 def _standard_symmetric_stable(alpha: float, n: int, rng: np.random.Generator) -> np.ndarray:

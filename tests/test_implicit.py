@@ -226,13 +226,17 @@ def test_overflowing_explicit_part_is_not_accepted():
 
 
 @pytest.mark.parametrize("c", [1.7e308, -1.7e308])
-def test_explicit_part_near_float_max_raises(c):
-    # The root exists, near (|c| / dt)^(1/3) = 2.6e103, and the residual
-    # y + dt*(y**3 + 5y - 5) - c is finite there, but the accepting floor,
-    # eps * (|c| + |r'(y)| |y|) with |r'(y)| |y| ~ 3 |c|, overflows, so no
-    # iterate can pass the residual test; the solve must fail loudly.
+def test_explicit_part_near_float_max_is_solved(c):
+    # The root sits near (|c| / dt)^(1/3) = 2.57e103, where the residual
+    # y + dt*(y**3 + 5y - 5) - c is finite but |r'(y)| |y| ~ 3 |c| is not:
+    # the accepting floor scales |r'(y)| by 32 eps before the product, so it
+    # stays finite and the bracketed solve's root passes the residual test.
     problem = builtin_problem("paper-5.4")
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(StepFailureError) as info:
-        solve_implicit_steps(problem, 0.5, np.array([1.0, c]), 0.01)
-    assert info.value.diagnostics["index"] == 1
-    assert info.value.diagnostics["t"] == 0.5
+    diag = StepDiagnostics()
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = solve_implicit_steps(problem, 0.5, np.array([1.0, c]), 0.01, diagnostics=diag)[1]
+    assert y == pytest.approx(np.sign(c) * np.cbrt(abs(c)) / np.cbrt(0.01), rel=1e-10)
+    assert diag.bracketed_elements == 1
+    assert diag.worst_residual == pytest.approx(1.9958403e292, rel=1e-6)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _assert_root_within_tolerance(problem, 0.5, c, 0.01, y)

@@ -1,18 +1,28 @@
 """Distances, references, and long-time distribution reports."""
 
 import itertools
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import stats
 
+import levyem
 from levyem.errors import ConfigurationError
 from levyem.measures import (
+    _BOOTSTRAP_FOLDS,
     EmpiricalMeasure,
     StationaryReference,
     evolve_empirical_law,
     invariant_convergence_report,
     kde_curve,
     ks_statistic,
+    _ks_fold_scorer,
+    _reference_size,
     ou_stationary_scale,
     two_initial_value_coupling,
     wasserstein_k,
@@ -162,6 +172,72 @@ def test_ks_rank_invariance():
         assert d_t == pytest.approx(d0, abs=1e-15)
 
 
+# ---------------------------------------------------------------------------
+# Bootstrap folds
+
+
+@pytest.mark.parametrize(
+    "n1, n2, ties",
+    [
+        (400, 400, False),      # equal sizes: exact mode, 1/lcm lattice
+        (1000, 10_000, False),  # unequal sizes, exact mode
+        (300, 700, False),
+        (500, 20_000, False),   # a size above 10,000: asymptotic mode
+        (12_000, 12_000, False),
+        (500, 500, True),       # tied values, within and across the samples
+        (800, 20_000, True),
+    ],
+)
+def test_ks_fold_scorer_equals_scipy(n1, n2, ties):
+    rng = np.random.default_rng(n1 + n2)
+    a, b = rng.standard_cauchy(n1), rng.standard_cauchy(n2) * 1.2 + 0.1
+    if ties:
+        a, b = np.round(a, 1), np.round(b, 1)
+    values = np.sort(a)
+    score = _ks_fold_scorer(values, np.sort(b))
+    folds = [np.ones(n1, dtype=int)]
+    folds += [np.bincount(rng.integers(0, n1, n1), minlength=n1) for _ in range(5)]
+    for counts in folds:
+        expect = stats.ks_2samp(np.repeat(values, counts), b).statistic
+        assert score(counts) == expect
+
+
+def _scipy_bootstrap_stderr(values, statistic, seed):
+    """The bootstrap over sorted ``rng.choice`` resamples, one statistic each."""
+    rng = np.random.default_rng(seed)
+    reps = [
+        statistic(np.sort(rng.choice(values, size=values.size, replace=True)))
+        for _ in range(_BOOTSTRAP_FOLDS)
+    ]
+    return float(np.std(reps, ddof=1))
+
+
+@pytest.mark.parametrize("kind", ["analytic_stable", "empirical_snapshot"])
+def test_report_stderrs_equal_resampled_scipy_folds(kind):
+    scale = ou_stationary_scale(1.5)
+    snaps = [
+        EmpiricalMeasure(
+            values=sample_alpha_stable(1.5, scale * f, 1.0, 2000, SeedPolicy(8, j, "levy")), t=t
+        )
+        for j, (f, t) in enumerate([(1.4, 1.0), (1.1, 2.0), (1.0, 3.0)])
+    ]
+    if kind == "analytic_stable":
+        ref = StationaryReference(kind=kind, alpha=1.5, scale=scale)
+    else:
+        ref = StationaryReference(kind=kind, snapshot=snaps[-1])
+    report = invariant_convergence_report(snaps, ref, k=0.5, bootstrap_seed=77)
+    for i, (snap, row) in enumerate(zip(snaps, report.rows)):
+        ref_sample = ref.sample(_reference_size(kind, snap.n))
+        ks_se = _scipy_bootstrap_stderr(
+            snap.values, lambda v: stats.ks_2samp(v, ref_sample).statistic, 77 + 2 * i
+        )
+        w_se = _scipy_bootstrap_stderr(
+            snap.values, lambda v: wasserstein_k(v, ref.sample(snap.n), 0.5), 77 + 2 * i + 1
+        )
+        assert row.ks_stderr == ks_se
+        assert row.w_stderr == w_se
+
+
 def test_reference_validation():
     with pytest.raises(ConfigurationError):
         StationaryReference(kind="analytic_stable", alpha=0.0, scale=1.0)
@@ -294,3 +370,45 @@ def test_kde_curve_normalizes():
     assert grid.shape == dens.shape == (256,)
     mass = np.trapezoid(dens, grid)
     assert mass == pytest.approx(1.0, abs=0.02)
+
+
+# ---------------------------------------------------------------------------
+# scipy stays off the simulation path
+
+
+def test_simulation_path_does_not_import_scipy(tmp_path):
+    # A scipy that refuses to import comes first on the path, which spawn pool
+    # workers inherit, so an import anywhere on the simulation path fails the
+    # run.  The analysis then loads the real scipy.stats as measures.stats.
+    blocker = tmp_path / "blocker"
+    (blocker / "scipy").mkdir(parents=True)
+    (blocker / "scipy" / "__init__.py").write_text(
+        "raise ImportError('scipy imported on the simulation path')\n"
+    )
+    script = textwrap.dedent(
+        f"""
+        import sys
+
+        import levyem
+        from levyem import builtin_problem, simulate_ensemble, strong_error_run
+
+        problem = builtin_problem("paper-5.4")
+        strong_error_run(problem, [2.0 ** -3, 2.0 ** -4], 2.0 ** -5, 8, 3)
+        # 200 steps x 2 streams x 8 B a path: chunks of 4 paths
+        run = simulate_ensemble(problem, 0.05, 8, 3, workers=2, chunk_budget_bytes=4 * 3200)
+        assert run.terminal.shape == (8,)
+        loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+        assert not loaded, loaded
+
+        sys.path.remove({str(blocker)!r})
+        import scipy.stats
+
+        assert levyem.measures.stats is scipy.stats
+        """
+    )
+    src = Path(levyem.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(blocker), str(src)]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=300, env=env
+    )
+    assert proc.returncode == 0, proc.stderr

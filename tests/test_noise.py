@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from levyem.engine import make_tape
 from levyem.errors import ConfigurationError
+from levyem.model import AssumptionConstants, SdeProblem
 from levyem.noise import (
     JumpLaw,
     NoiseSpec,
@@ -12,7 +14,6 @@ from levyem.noise import (
     increment_characteristic_function,
     make_rng,
     sample_alpha_stable,
-    sample_brownian_increments,
     sample_compound_poisson,
     sample_levy_increments,
     sample_tempered_stable,
@@ -22,28 +23,45 @@ from levyem.noise import (
 BM_SPEC = NoiseSpec(kind="none", brownian_dim=1)
 
 
+def _brownian_problem():
+    """dX = -X dt + dB: a tape of Brownian rows only."""
+    constants = AssumptionConstants(
+        H=4.0, sigma=1.0, q=4.0, M=1.0, K1=1.0, K2=1.0, gamma1=0.5, gamma2=0.5,
+        K3=-1.0, K4=0.5,
+    )
+    return SdeProblem(
+        name="ou-brownian",
+        drift=lambda t, x: -x,
+        drift_jacobian=lambda t, x: np.full_like(x, -1.0),
+        diffusion=lambda t, x: np.ones_like(x),
+        x0=0.0,
+        horizon=1.0,
+        noise=BM_SPEC,
+        constants=constants,
+        monotone_bound=-1.0,
+    )
+
+
 # ---------------------------------------------------------------------------
-# Brownian increments
+# Brownian increments (drawn inline by make_tape)
 
 
 def test_brownian_moments_at_1e6():
-    draw = sample_brownian_increments(BM_SPEC, 1.0, 1_000_000, SeedPolicy(1, 0, "brownian"))
-    assert draw.shape == (1_000_000, 1)
-    assert abs(draw.mean()) < 4e-3
-    assert abs(draw.var() - 1.0) < 0.01
-
-
-def test_brownian_rejects_bad_requests():
-    with pytest.raises(ConfigurationError):
-        sample_brownian_increments(BM_SPEC, 1.0, 0, SeedPolicy(1, 0, "brownian"))
-    with pytest.raises(ConfigurationError):
-        sample_brownian_increments(BM_SPEC, 0.0, 10, SeedPolicy(1, 0, "brownian"))
+    dt = 0.25
+    tape = make_tape(_brownian_problem(), dt, 1000, np.arange(1000), master_seed=1)
+    assert tape.levy is None
+    draw = tape.brownian
+    assert draw.shape == (1000, 1000)
+    assert abs(draw.mean()) < 4e-3 * np.sqrt(dt)
+    assert abs(draw.var() - dt) < 0.01 * dt
 
 
 def test_brownian_determinism():
-    a = sample_brownian_increments(BM_SPEC, 0.5, 1000, SeedPolicy(7, 3, "brownian"))
-    b = sample_brownian_increments(BM_SPEC, 0.5, 1000, SeedPolicy(7, 3, "brownian"))
-    np.testing.assert_array_equal(a, b)
+    a = make_tape(_brownian_problem(), 0.5, 1000, [3, 4], master_seed=7).brownian
+    b = make_tape(_brownian_problem(), 0.5, 1000, [4, 3], master_seed=7).brownian
+    np.testing.assert_array_equal(a, b[::-1])
+    expected = np.sqrt(0.5) * make_rng(SeedPolicy(7, 3, "brownian")).standard_normal(1000)
+    np.testing.assert_array_equal(a[0], expected)
 
 
 def test_streams_are_distinct():

@@ -23,7 +23,16 @@ the same arithmetic print the same hashes:
 * ``coupling-54``: the paper-5.4 coupling from x0 = +10 and -10 over 300 steps
   of 0.01 on 257 paths;
 * ``solve-<problem>``: one implicit solve of 4096 explicit parts per built-in
-  problem, with a few huge ones that reach the bracketed stage.
+  problem, with a few huge ones that reach the bracketed stage;
+* ``law-53``: the invariant-law report of paper-5.3 at dt = 0.01, 1000 paths
+  at t = 0.5, 1 and 2 against the analytic stable reference (1e6 draws);
+* ``law-54``: the invariant-law report of paper-5.4 at dt = 0.01, 600 paths
+  at t = 1, 2 and 5 against the final snapshot, where both KS sizes are
+  equal and at most 10,000.
+
+An invariant-law report is saved as its KS distances, p-values and bootstrap
+standard errors, and its W1 distances and their standard errors, one entry
+per checkpoint.
 
 Each run's merged ``StepDiagnostics`` is saved as one more array
 (solves, Newton iterations, damping halvings, bracketed elements, worst
@@ -44,10 +53,12 @@ from levyem import (
     builtin_problem,
     builtin_problem_names,
     coupling_curve,
+    ou_stationary_scale,
     simulate_ensemble,
     solve_implicit_steps,
     strong_error_run,
 )
+from levyem.experiments import run_invariant_measure
 
 SEED = 20240817
 
@@ -98,6 +109,20 @@ def _solve(name):
     return {"roots": y, "diagnostics": _diag(diag)}
 
 
+def _law(name, checkpoints, n_paths, reference):
+    run = run_invariant_measure(
+        builtin_problem(name), 0.01, checkpoints, n_paths, SEED, reference=reference
+    )
+    rows = run.report.rows
+    return {
+        "ks": [r.ks for r in rows],
+        "p": [r.p_value for r in rows],
+        "ks_stderr": [r.ks_stderr for r in rows],
+        "w1": [r.wasserstein for r in rows],
+        "w_stderr": [r.w_stderr for r in rows],
+    }
+
+
 def run_protocols() -> dict[str, np.ndarray]:
     protocols = {
         "strong-51a": lambda: _strong("paper-5.1a", [2.0 ** -k for k in (5, 6, 7, 8)], 2.0 ** -10,
@@ -109,6 +134,9 @@ def run_protocols() -> dict[str, np.ndarray]:
     }
     for name in builtin_problem_names():
         protocols[f"solve-{name}"] = lambda name=name: _solve(name)
+    analytic = {"kind": "analytic-stable", "alpha": 1.5, "scale": ou_stationary_scale(1.5)}
+    protocols["law-53"] = lambda: _law("paper-5.3", [0.5, 1.0, 2.0], 1000, analytic)
+    protocols["law-54"] = lambda: _law("paper-5.4", [1.0, 2.0, 5.0], 600, {"kind": "final-snapshot"})
     arrays = {}
     for label, protocol in protocols.items():
         for key, value in protocol().items():
