@@ -54,7 +54,6 @@ from .model import (
     second_moment_envelope,
 )
 from .noise import (
-    JumpLaw,
     NoiseSpec,
     SeedPolicy,
     increment_characteristic_function,
@@ -74,7 +73,6 @@ __all__ = [
     "ErrorRow",
     "ErrorTable",
     "IncrementTape",
-    "JumpLaw",
     "MomentCurve",
     "NoiseSpec",
     "OrderFit",

@@ -274,6 +274,8 @@ def _run_chunks(problem, kernel, args, n_paths, dt, n_steps, seed, workers, budg
     pool whose workers rebuild the problem from ``problem.source``.  Returns
     the kernel outputs in chunk order and the merged solver diagnostics.
     """
+    if n_paths < 1:
+        raise ConfigurationError(f"n_paths must be >= 1, got {n_paths}")
     streams = int(problem.noise.brownian_dim > 0) + int(problem.noise.has_jumps)
     ranges = _chunk_ranges(n_paths, n_steps, streams, budget_bytes)
     if workers > 1 and problem.source is None:

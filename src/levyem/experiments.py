@@ -216,7 +216,7 @@ def entry_config(name: str) -> dict:
         raise ConfigurationError(f"unknown experiment {name!r}")
     cfg = {
         "experiment": entry.kind,
-        "problem": dict(builtin_problem(name).source),
+        "problem": json.loads(json.dumps(builtin_problem(name).source)),  # deep copy
         "band": _band_to_json(entry.band),
         "headline": entry.headline,
     }

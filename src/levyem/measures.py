@@ -11,6 +11,8 @@ coupling is the sorted (monotone) pairing.
 The stable reference is realised by sampling (10x the snapshot size by
 default) rather than by numerical inversion of the characteristic function;
 sampler correctness is established independently by the noise-module tests.
+An empirical snapshot is its own reference sample, so every comparison is
+between two samples of the same size; a size mismatch raises.
 
 scipy is loaded only by the analysis: ``stats`` (scipy.stats) is imported on
 its first use, for the KS p-value of each snapshot and for the KDE, so that
@@ -29,7 +31,7 @@ import numpy as np
 from .engine import simulate_ensemble
 from .errors import ConfigurationError
 from .model import SdeProblem, coupling_envelope
-from .noise import SeedPolicy, make_rng, sample_alpha_stable
+from .noise import SeedPolicy, sample_alpha_stable
 
 __all__ = [
     "EmpiricalMeasure",
@@ -133,33 +135,23 @@ class StationaryReference:
             raise ConfigurationError(f"unknown reference kind {self.kind!r}")
 
     def sample(self, n: int) -> np.ndarray:
-        """A reference sample of size n (cached per size; fixed seed)."""
+        """A sorted reference sample of size n.
+
+        The analytic law is sampled with a fixed seed and cached per size; an
+        empirical snapshot is returned as it is, and only for n equal to its size.
+        """
         if self.kind == "empirical_snapshot":
-            values = self.snapshot.values
-            if values.size < n:
+            if self.snapshot.n != n:
                 raise ConfigurationError(
-                    f"snapshot reference has {values.size} points, need {n}"
+                    f"snapshot reference has {self.snapshot.n} points, asked for {n}"
                 )
-            if values.size == n:
-                return values
-            rng = make_rng(SeedPolicy(self.sample_seed, 0, "aux"))
-            return np.sort(rng.choice(values, size=n, replace=False))
+            return self.snapshot.values
         if n not in self._cache:
             draw = sample_alpha_stable(
                 self.alpha, self.scale, 1.0, n, SeedPolicy(self.sample_seed, 0, "levy")
             )
             self._cache[n] = np.sort(draw)
         return self._cache[n]
-
-
-def _match_sizes(a: np.ndarray, b: np.ndarray, seed: int = 424242):
-    """Subsample the larger sorted sample down to the smaller (fixed seed)."""
-    if a.size == b.size:
-        return a, b
-    rng = np.random.default_rng(seed)
-    if a.size > b.size:
-        return np.sort(rng.choice(a, size=b.size, replace=False)), b
-    return a, np.sort(rng.choice(b, size=a.size, replace=False))
 
 
 def _as_sorted_values(sample) -> np.ndarray:
@@ -172,12 +164,13 @@ def _as_sorted_values(sample) -> np.ndarray:
 def wasserstein_k(a, b, k: float = 1.0) -> float:
     """W_k(a, b) = mean |a_(i) - b_(i)|**k over order statistics (k in (0,1]).
 
-    Accepts EmpiricalMeasure or raw 1-d samples; unequal sizes are matched by
-    subsampling the larger down to the smaller with a fixed seed.
+    Accepts EmpiricalMeasure or raw 1-d samples of the same size.
     """
     if not 0.0 < k <= 1.0:
         raise ConfigurationError(f"k must lie in (0,1], got {k}")
-    xs, ys = _match_sizes(_as_sorted_values(a), _as_sorted_values(b))
+    xs, ys = _as_sorted_values(a), _as_sorted_values(b)
+    if xs.size != ys.size:
+        raise ConfigurationError(f"wasserstein_k needs equal sizes, got {xs.size} and {ys.size}")
     return float(np.mean(np.abs(xs - ys) ** k))
 
 
@@ -197,10 +190,6 @@ def evolve_empirical_law(
     workers: int = 1,
 ) -> list[EmpiricalMeasure]:
     """Ensemble snapshots at each checkpoint time from a single run."""
-    if problem.noise.has_jumps and not problem.noise.symmetric:
-        raise ConfigurationError(
-            "long-time distribution experiments assume a symmetric driving law"
-        )
     checkpoints = sorted(float(t) for t in checkpoints)
     if not checkpoints:
         raise ConfigurationError("need at least one checkpoint")

@@ -54,9 +54,6 @@ __all__ = [
     "coupling_envelope",
 ]
 
-PROBE_NAMES = ("one_sided", "polynomial", "diffusion", "time_holder")
-
-
 @dataclass(frozen=True)
 class AssumptionConstants:
     """Declared regularity constants for one problem.
@@ -121,6 +118,10 @@ class SdeProblem:
     :func:`levyem.problems.problem_from_config` (``drift`` and
     ``drift_jacobian`` are its views there); the implicit solver evaluates it
     directly.  It is None for a problem defined with bare callables.
+
+    ``noise`` drives the jumps with symmetric alpha-stable or tempered stable
+    increments, or with none.  :func:`run_declared_probes` checks
+    ``constants`` against ``drift`` and ``diffusion`` with all four probes.
     """
 
     name: str
@@ -133,7 +134,6 @@ class SdeProblem:
     diffusion: Callable | None = None
     drift_jacobian: Callable | None = None
     drift_polynomial: "CompiledPolynomial | None" = None
-    declared_probes: tuple = PROBE_NAMES
     source: dict | None = None  # config the problem was built from, if any
 
     def __post_init__(self):
@@ -145,9 +145,6 @@ class SdeProblem:
             raise ConfigurationError("diffusion given but brownian_dim == 0")
         if self.diffusion is None and self.noise.brownian_dim > 0:
             raise ConfigurationError("brownian_dim > 0 but no diffusion")
-        unknown = set(self.declared_probes) - set(PROBE_NAMES)
-        if unknown:
-            raise ConfigurationError(f"unknown probes declared: {sorted(unknown)}")
 
 
 # ---------------------------------------------------------------------------
@@ -290,18 +287,17 @@ def probe_time_holder(
     )
 
 
-_PROBE_FUNCS = {
-    "one_sided": probe_one_sided_lipschitz,
-    "polynomial": probe_polynomial_lipschitz,
-    "diffusion": probe_diffusion_lipschitz,
-    "time_holder": probe_time_holder,
-}
-
-
 def run_declared_probes(
     problem: SdeProblem, n_pairs: int = 10_000, radius: float = 5.0, seed: int = 0
 ) -> list[ProbeReport]:
-    return [_PROBE_FUNCS[p](problem, n_pairs, radius, seed) for p in problem.declared_probes]
+    """All four probes: one-sided, polynomial, diffusion and time-Hoelder, in that order."""
+    probes = (
+        probe_one_sided_lipschitz,
+        probe_polynomial_lipschitz,
+        probe_diffusion_lipschitz,
+        probe_time_holder,
+    )
+    return [probe(problem, n_pairs, radius, seed) for probe in probes]
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Driving-noise generators: symmetric stable, tempered stable, compound Poisson.
+"""Driving-noise generators: symmetric alpha-stable and tempered stable.
 
 All increments are exact in distribution for the requested window length
 ``dt``; no path-level series truncation is involved.  Randomness is drawn from
@@ -35,13 +35,11 @@ __all__ = [
     "LEVY_STREAM",
     "AUX_STREAM",
     "SeedPolicy",
-    "JumpLaw",
     "NoiseSpec",
     "MomentConditionReport",
     "make_rng",
     "sample_alpha_stable",
     "sample_tempered_stable",
-    "sample_compound_poisson",
     "sample_levy_increments",
     "increment_characteristic_function",
     "validate_moment_conditions",
@@ -83,43 +81,7 @@ def make_rng(seed: "SeedPolicy | int") -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-@dataclass(frozen=True)
-class JumpLaw:
-    """Jump-size distribution for compound-Poisson noise."""
-
-    kind: str  # "point" | "normal" | "uniform"
-    c: float = 1.0       # point mass location
-    mu: float = 0.0      # normal mean
-    sigma: float = 1.0   # normal std
-    a: float = -1.0      # uniform lower
-    b: float = 1.0       # uniform upper
-
-    def __post_init__(self):
-        if self.kind not in ("point", "normal", "uniform"):
-            raise ConfigurationError(f"unknown jump law {self.kind!r}")
-        if self.kind == "normal" and self.sigma <= 0:
-            raise ConfigurationError("normal jump law needs sigma > 0")
-        if self.kind == "uniform" and not self.b > self.a:
-            raise ConfigurationError("uniform jump law needs b > a")
-
-    def mean(self) -> float:
-        if self.kind == "point":
-            return self.c
-        if self.kind == "normal":
-            return self.mu
-        return 0.5 * (self.a + self.b)
-
-    def sample_sums(self, counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Sum of ``counts[i]`` i.i.d. jumps, vectorised over i (exact)."""
-        if self.kind == "point":
-            return self.c * counts.astype(float)
-        if self.kind == "normal":
-            # A sum of k normals is N(k*mu, k*sigma^2).
-            return rng.normal(counts * self.mu, self.sigma * np.sqrt(counts))
-        total_jumps = int(counts.sum())
-        draws = rng.uniform(self.a, self.b, total_jumps)
-        owner = np.repeat(np.arange(counts.size), counts)
-        return np.bincount(owner, weights=draws, minlength=counts.size)
+_KINDS = ("none", "alpha_stable", "tempered_stable")
 
 
 @dataclass(frozen=True)
@@ -132,19 +94,17 @@ class NoiseSpec:
     concrete jump family actually delivers them.
     """
 
-    kind: str = "none"  # "none" | "alpha_stable" | "tempered_stable" | "compound_poisson"
+    kind: str = "none"  # "none" | "alpha_stable" | "tempered_stable"
     alpha: float | None = None
     tempering: float | None = None
     scale: float = 1.0
-    rate: float | None = None
-    jump_law: JumpLaw | None = None
     brownian_dim: int = 1  # 0 (no Brownian term) or 1 (one scalar Brownian driver)
     gamma0: float = 1.5
     gamma_inf: float = 4.0
 
     def __post_init__(self):
-        if self.kind not in ("none", "alpha_stable", "tempered_stable", "compound_poisson"):
-            raise ConfigurationError(f"unknown noise kind {self.kind!r}")
+        if self.kind not in _KINDS:
+            raise ConfigurationError(f"kind must be one of {_KINDS}, got {self.kind!r}")
         if not 1.0 <= self.gamma0 <= 2.0:
             raise ConfigurationError(f"gamma0 must lie in [1, 2], got {self.gamma0}")
         if not self.gamma_inf > 1.0:
@@ -163,11 +123,6 @@ class NoiseSpec:
                 raise ConfigurationError("tempered_stable needs alpha in (0, 2)")
             if self.tempering is None or self.tempering <= 0.0:
                 raise ConfigurationError("tempered_stable needs tempering > 0")
-        elif self.kind == "compound_poisson":
-            if self.rate is None or self.rate <= 0.0:
-                raise ConfigurationError("compound_poisson needs rate > 0")
-            if self.jump_law is None:
-                raise ConfigurationError("compound_poisson needs a jump_law")
 
     @property
     def has_jumps(self) -> bool:
@@ -177,12 +132,6 @@ class NoiseSpec:
     def heavy_tailed(self) -> bool:
         """True when second moments of the jump part do not exist."""
         return self.kind == "alpha_stable" and (self.alpha or 2.0) < 2.0
-
-    @property
-    def symmetric(self) -> bool:
-        if self.kind in ("none", "alpha_stable", "tempered_stable"):
-            return True
-        return self.jump_law is not None and self.jump_law.mean() == 0.0
 
 
 def _standard_symmetric_stable(alpha: float, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -247,24 +196,6 @@ def sample_tempered_stable(
     return values
 
 
-def sample_compound_poisson(
-    rate: float, jump_law: JumpLaw, dt: float, n: int, seed, centered: bool = False
-) -> np.ndarray:
-    """n compound-Poisson increments over dt; optionally compensated to mean 0."""
-    if rate <= 0:
-        raise ConfigurationError(f"rate must be > 0, got {rate}")
-    if n <= 0:
-        raise ConfigurationError(f"need n >= 1 increments, got {n}")
-    if dt <= 0:
-        raise ConfigurationError(f"need dt > 0, got {dt}")
-    rng = make_rng(seed)
-    counts = rng.poisson(rate * dt, n)
-    values = jump_law.sample_sums(counts, rng)
-    if centered:
-        values = values - rate * dt * jump_law.mean()
-    return values
-
-
 def sample_levy_increments(spec: NoiseSpec, dt: float, n: int, seed, with_stats: bool = False):
     """Dispatch on spec.kind; 'none' yields zeros."""
     if spec.kind == "none":
@@ -273,12 +204,9 @@ def sample_levy_increments(spec: NoiseSpec, dt: float, n: int, seed, with_stats:
     if spec.kind == "alpha_stable":
         out = sample_alpha_stable(spec.alpha, spec.scale, dt, n, seed)
         return (out, AcceptanceStats()) if with_stats else out
-    if spec.kind == "tempered_stable":
-        return sample_tempered_stable(
-            spec.alpha, spec.tempering, spec.scale, dt, n, seed, with_stats=with_stats
-        )
-    out = sample_compound_poisson(spec.rate, spec.jump_law, dt, n, seed, centered=True)
-    return (out, AcceptanceStats()) if with_stats else out
+    return sample_tempered_stable(
+        spec.alpha, spec.tempering, spec.scale, dt, n, seed, with_stats=with_stats
+    )
 
 
 def increment_characteristic_function(spec: NoiseSpec, u, t: float) -> np.ndarray:
@@ -286,31 +214,17 @@ def increment_characteristic_function(spec: NoiseSpec, u, t: float) -> np.ndarra
 
     Matches the increment constructions used by ``sample_levy_increments``:
     the tempered branch is the normal tempered-stable law obtained by Brownian
-    subordination (subordinator stability alpha/2, tilt tempering**2/2), and
-    the compound-Poisson branch is centred.
+    subordination (subordinator stability alpha/2, tilt tempering**2/2).
     """
     u = np.asarray(u, dtype=float)
     if spec.kind == "none":
         return np.ones_like(u, dtype=complex)
     if spec.kind == "alpha_stable":
         return np.exp(-t * spec.scale ** spec.alpha * np.abs(u) ** spec.alpha) + 0j
-    if spec.kind == "tempered_stable":
-        rho = spec.alpha / 2.0
-        theta = spec.tempering ** 2 / 2.0
-        s = (spec.scale * u) ** 2 / 2.0
-        return np.exp(-t * ((s + theta) ** rho - theta ** rho)) + 0j
-    law = spec.jump_law
-    if law.kind == "point":
-        phi = np.exp(1j * u * law.c)
-    elif law.kind == "normal":
-        phi = np.exp(1j * u * law.mu - 0.5 * (law.sigma * u) ** 2)
-    else:
-        phi = np.ones_like(u, dtype=complex)
-        nz = u != 0
-        iu = 1j * u[nz]
-        phi[nz] = (np.exp(iu * law.b) - np.exp(iu * law.a)) / (iu * (law.b - law.a))
-    # Increments are centred, so remove the mean drift from the exponent.
-    return np.exp(t * spec.rate * (phi - 1.0) - 1j * u * t * spec.rate * law.mean())
+    rho = spec.alpha / 2.0
+    theta = spec.tempering ** 2 / 2.0
+    s = (spec.scale * u) ** 2 / 2.0
+    return np.exp(-t * ((s + theta) ** rho - theta ** rho)) + 0j
 
 
 @dataclass
@@ -354,9 +268,6 @@ def validate_moment_conditions(spec: NoiseSpec) -> MomentConditionReport:
     if spec.kind == "none":
         small = (True, "no jump component")
         large = (True, "no jump component")
-    elif spec.kind == "compound_poisson":
-        small = (True, "finite activity: jump measure is finite near 0")
-        large = (True, f"jump law {spec.jump_law.kind!r} has all polynomial moments")
     elif spec.kind == "tempered_stable":
         small = _small_jump_check(g0, spec.alpha, strict=False)
         large = (True, f"exponential tempering at rate {spec.tempering} gives all moments")

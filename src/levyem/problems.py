@@ -42,8 +42,8 @@ import numbers
 import numpy as np
 
 from .errors import ConfigurationError
-from .model import PROBE_NAMES, AssumptionConstants, SdeProblem
-from .noise import JumpLaw, NoiseSpec
+from .model import AssumptionConstants, SdeProblem
+from .noise import NoiseSpec
 
 __all__ = [
     "signed_power",
@@ -62,8 +62,13 @@ def signed_power(u, p: float):
     return np.sign(u) * np.abs(u) ** p
 
 
+_PROBLEM_KEYS = {
+    "name", "dim", "drift", "diffusion", "x0", "horizon", "noise", "constants", "monotone_bound"
+}
 _TERM_KEYS = {"coeff", "x_power", "time_factor"}
 _TIME_FACTOR_KEYS = {"a", "b", "power"}
+_NOISE_KEYS = {"kind", "alpha", "tempering", "lambda", "scale", "brownian_dim", "gamma0", "gamma_inf"}
+_CONSTANT_KEYS = {"H", "sigma", "q", "M", "K1", "K2", "gamma1", "gamma2", "K3", "K4"}
 
 
 def _check_keys(spec, allowed: set, required: set, path: str) -> None:
@@ -83,6 +88,13 @@ def _real(value, path: str) -> float:
     return float(value)
 
 
+def _integer(value, path: str) -> int:
+    number = _real(value, path)
+    if not number.is_integer():
+        raise ConfigurationError(f"{path} must be an integer, got {number:g}")
+    return int(number)
+
+
 def _parse_time_factor(spec, path: str) -> tuple[float, float, float]:
     _check_keys(spec, _TIME_FACTOR_KEYS, _TIME_FACTOR_KEYS, path)
     a, b, p = (_real(spec[key], f"{path}.{key}") for key in ("a", "b", "power"))
@@ -99,13 +111,13 @@ def _parse_terms(terms, label: str) -> list[tuple[float, int, tuple | None]]:
         path = f"{label}[{k}]"
         _check_keys(term, _TERM_KEYS, {"coeff"}, path)
         coeff = _real(term["coeff"], f"{path}.coeff")
-        x_power = _real(term.get("x_power", 0), f"{path}.x_power")
-        if not (x_power.is_integer() and x_power >= 0):
-            raise ConfigurationError(f"{path}.x_power must be a non-negative integer, got {x_power:g}")
+        x_power = _integer(term.get("x_power", 0), f"{path}.x_power")
+        if x_power < 0:
+            raise ConfigurationError(f"{path}.x_power must be a non-negative integer, got {x_power}")
         tf = term.get("time_factor")
         if tf is not None:
             tf = _parse_time_factor(tf, f"{path}.time_factor")
-        parsed.append((coeff, int(x_power), tf))
+        parsed.append((coeff, x_power, tf))
     return parsed
 
 
@@ -178,53 +190,54 @@ def compile_terms(terms, label: str = "drift") -> CompiledPolynomial:
     return CompiledPolynomial(_parse_terms(terms, label))
 
 
-def _parse_noise(spec: dict) -> NoiseSpec:
-    if not isinstance(spec, dict):
-        raise ConfigurationError("noise must be a mapping")
+def _parse_noise(spec) -> NoiseSpec:
+    _check_keys(spec, _NOISE_KEYS, set(), "noise")
     spec = dict(spec)
     if "lambda" in spec:  # accept the usual name for the tempering rate
+        if "tempering" in spec:
+            raise ConfigurationError("noise: give one of 'tempering' and 'lambda', not both")
         spec["tempering"] = spec.pop("lambda")
-    jump_law = spec.pop("jump_law", None)
-    if jump_law is not None:
-        jump_law = JumpLaw(**jump_law)
+    for key in sorted(spec.keys() - {"kind"}):
+        parse = _integer if key == "brownian_dim" else _real
+        spec[key] = parse(spec[key], f"noise.{key}")
     try:
-        return NoiseSpec(jump_law=jump_law, **spec)
-    except TypeError as exc:
-        raise ConfigurationError(f"bad noise spec: {exc}") from exc
+        return NoiseSpec(**spec)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"noise: {exc}") from None
 
 
-def _parse_constants(spec: dict) -> AssumptionConstants:
+def _parse_constants(spec) -> AssumptionConstants:
+    _check_keys(spec, _CONSTANT_KEYS, _CONSTANT_KEYS - {"K3", "K4"}, "constants")
+    values = {key: _real(value, f"constants.{key}") for key, value in spec.items()}
     try:
-        return AssumptionConstants(**spec)
-    except TypeError as exc:
-        raise ConfigurationError(f"bad constants block: {exc}") from exc
+        return AssumptionConstants(**values)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"constants: {exc}") from None
 
 
 def problem_from_config(config: dict) -> SdeProblem:
     """Build an SdeProblem from its grammar dictionary (see module docstring)."""
-    if not isinstance(config, dict):
-        raise ConfigurationError("problem config must be a mapping")
-    missing = {"drift", "x0", "horizon", "noise", "constants", "monotone_bound"} - set(config)
-    if missing:
-        raise ConfigurationError(f"problem config missing keys: {sorted(missing)}")
-    if config.get("dim", 1) != 1:
+    required = _PROBLEM_KEYS - {"name", "dim", "diffusion"}
+    _check_keys(config, _PROBLEM_KEYS, required, "problem")
+    if _integer(config.get("dim", 1), "dim") != 1:
         raise ConfigurationError(f"dim: the grammar covers scalar problems only (dim 1), got {config['dim']!r}")
+    name = config.get("name", "custom")
+    if not isinstance(name, str):
+        raise ConfigurationError(f"name must be a string, got {name!r}")
     drift = compile_terms(config["drift"], "drift")
     diffusion_terms = config.get("diffusion") or []
     diffusion = compile_terms(diffusion_terms, "diffusion").value if diffusion_terms else None
-    noise = _parse_noise(config["noise"])
     return SdeProblem(
-        name=str(config.get("name", "custom")),
+        name=name,
         drift=drift.value,
         drift_jacobian=drift.derivative,
         drift_polynomial=drift,
         diffusion=diffusion,
-        x0=float(config["x0"]),
-        horizon=float(config["horizon"]),
-        noise=noise,
+        x0=_real(config["x0"], "x0"),
+        horizon=_real(config["horizon"], "horizon"),
+        noise=_parse_noise(config["noise"]),
         constants=_parse_constants(config["constants"]),
-        monotone_bound=float(config["monotone_bound"]),
-        declared_probes=tuple(config.get("declared_probes", PROBE_NAMES)),
+        monotone_bound=_real(config["monotone_bound"], "monotone_bound"),
         source=config,
     )
 

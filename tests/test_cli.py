@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -173,6 +174,30 @@ def test_precondition_failure_exits_3(tmp_path, capsys):
     cfg_path = _write_cfg(tmp_path / "heavy.json", cfg)
     assert main(["run", cfg_path, "--out", str(tmp_path / "o")]) == 3
     assert "precondition" in capsys.readouterr().err
+
+
+def test_zero_paths_exits_3(tmp_path, capsys):
+    cfg_path = str(Path(__file__).resolve().parents[1] / "configs" / "paper-5.3.json")
+    assert main(["run", cfg_path, "--paths", "0", "--out", str(tmp_path / "o")]) == 3
+    assert "n_paths must be >= 1, got 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "block, key, value",
+    [
+        ("noise", "kind", "compound_poisson"),
+        ("noise", "rate", 2.0),
+        ("noise", "jump_law", {"kind": "normal", "mu": 0.0, "sigma": 1.0}),
+        (None, "declared_probes", ["one_sided"]),
+    ],
+)
+def test_removed_problem_inputs_exit_3(tmp_path, capsys, block, key, value):
+    cfg = _small_measure_cfg()
+    target = cfg["problem"] if block is None else cfg["problem"][block]
+    target[key] = value
+    cfg_path = _write_cfg(tmp_path / "removed.json", cfg)
+    assert main(["run", cfg_path, "--out", str(tmp_path / "o")]) == 3
+    assert key in capsys.readouterr().err
 
 
 def test_step_failure_exits_4(tmp_path, capsys):

@@ -317,6 +317,22 @@ def test_strong_error_run_rejects_bad_grids():
         strong_error_run(problem, [0.005], 0.01, 128, master_seed=15)
 
 
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda p, n: simulate_ensemble(p, 0.01, n, master_seed=1),
+        lambda p, n: second_moment_curve(p, 0.01, 10, n, master_seed=1),
+        lambda p, n: coupling_curve(p, (1.0, -1.0), 0.01, 10, n, master_seed=1),
+        lambda p, n: strong_error_run(p, [0.02], 0.01, n, master_seed=1),
+    ],
+    ids=["simulate_ensemble", "second_moment_curve", "coupling_curve", "strong_error_run"],
+)
+@pytest.mark.parametrize("n_paths", [0, -3])
+def test_path_count_below_one_is_rejected(run, n_paths):
+    with pytest.raises(ConfigurationError, match=f"n_paths must be >= 1, got {n_paths}"):
+        run(builtin_problem("paper-5.4"), n_paths)
+
+
 def test_max_on_grid_dominates_terminal_error():
     problem = builtin_problem("paper-5.4")
     term = strong_error_run(problem, [0.05], 0.01, 96, master_seed=16, error_mode="terminal")

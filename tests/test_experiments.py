@@ -109,9 +109,11 @@ def test_entry_config_mutation_does_not_leak():
     cfg = entry_config("paper-5.3")
     cfg["n_paths"] = 7
     cfg["problem"]["drift"] = []
+    cfg["problem"]["noise"]["alpha"] = 0.5
     fresh = entry_config("paper-5.3")
     assert fresh["n_paths"] == 10_000
     assert fresh["problem"]["drift"]
+    assert fresh["problem"]["noise"]["alpha"] == 1.5
 
 
 # ---------------------------------------------------------------------------

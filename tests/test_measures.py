@@ -28,7 +28,7 @@ from levyem.measures import (
     wasserstein_k,
 )
 from levyem.model import AssumptionConstants, SdeProblem
-from levyem.noise import JumpLaw, NoiseSpec, SeedPolicy, sample_alpha_stable
+from levyem.noise import NoiseSpec, SeedPolicy, sample_alpha_stable
 from levyem.problems import builtin_problem
 
 
@@ -101,12 +101,11 @@ def test_triangle_inequality_on_random_triples():
             assert dac <= dab + dbc + 1e-12
 
 
-def test_unequal_sizes_subsample_deterministically():
+def test_unequal_sizes_raise():
     rng = np.random.default_rng(3)
     a, b = rng.normal(size=500), rng.normal(size=200)
-    w1 = wasserstein_k(a, b)
-    w2 = wasserstein_k(a, b)
-    assert w1 == w2
+    with pytest.raises(ConfigurationError, match="500 and 200"):
+        wasserstein_k(a, b)
 
 
 def test_k_out_of_range():
@@ -252,6 +251,15 @@ def test_reference_validation():
         StationaryReference(kind="unknown")
 
 
+def test_snapshot_reference_only_at_its_own_size():
+    snap = EmpiricalMeasure(values=np.random.default_rng(4).normal(size=64), t=1.0)
+    ref = StationaryReference(kind="empirical_snapshot", snapshot=snap)
+    assert ref.sample(64) is snap.values
+    for n in (32, 65):
+        with pytest.raises(ConfigurationError, match=f"64 points, asked for {n}"):
+            ref.sample(n)
+
+
 def test_reference_sample_cached_and_sorted():
     ref = StationaryReference(kind="analytic_stable", alpha=1.5, scale=1.0)
     a = ref.sample(1000)
@@ -301,31 +309,6 @@ def test_zero_noise_snapshots_are_point_masses():
 def test_checkpoints_must_sit_on_grid():
     with pytest.raises(ConfigurationError):
         evolve_empirical_law(_zero_noise_decay(), 0.1, 8, [0.25], 3)
-
-
-def test_asymmetric_driver_rejected():
-    constants = AssumptionConstants(
-        H=4.0, sigma=1.0, q=4.0, M=1.0, K1=1.0, K2=1.0, gamma1=0.5, gamma2=0.5,
-        K3=-2.0, K4=0.5,
-    )
-    problem = SdeProblem(
-        name="skewed",
-        drift=lambda t, x: -2.0 * x,
-        x0=1.0,
-        horizon=1.0,
-        noise=NoiseSpec(
-            kind="compound_poisson",
-            rate=1.0,
-            jump_law=JumpLaw(kind="normal", mu=1.0, sigma=1.0),
-            brownian_dim=0,
-            gamma0=1.0,
-            gamma_inf=4.0,
-        ),
-        constants=constants,
-        monotone_bound=-2.0,
-    )
-    with pytest.raises(ConfigurationError, match="symmetric"):
-        evolve_empirical_law(problem, 0.1, 8, [1.0], 3)
 
 
 def test_report_zero_distance_for_matching_snapshots():

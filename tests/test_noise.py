@@ -8,13 +8,11 @@ from levyem.engine import make_tape
 from levyem.errors import ConfigurationError
 from levyem.model import AssumptionConstants, SdeProblem
 from levyem.noise import (
-    JumpLaw,
     NoiseSpec,
     SeedPolicy,
     increment_characteristic_function,
     make_rng,
     sample_alpha_stable,
-    sample_compound_poisson,
     sample_levy_increments,
     sample_tempered_stable,
     validate_moment_conditions,
@@ -174,34 +172,6 @@ def test_tempered_variance_matches_subordination_identity():
 
 
 # ---------------------------------------------------------------------------
-# Compound Poisson
-
-
-def test_compound_poisson_thinning():
-    law = JumpLaw(kind="point", c=1.0)
-    dt, rate, n = 1e-3, 2.0, 200_000
-    draw = sample_compound_poisson(rate, law, dt, n, SeedPolicy(16, 0, "levy"), centered=False)
-    frac = np.mean(draw != 0.0)
-    p = rate * dt
-    se = np.sqrt(p * (1 - p) / n)
-    assert abs(frac - p) <= 3.0 * se + 0.5 * p ** 2  # double-jump correction
-
-
-def test_compound_poisson_wald_mean():
-    law = JumpLaw(kind="point", c=1.0)
-    draw = sample_compound_poisson(2.0, law, 1.0, 100_000, SeedPolicy(17, 0, "levy"), centered=False)
-    se = draw.std(ddof=1) / np.sqrt(draw.size)
-    assert abs(draw.mean() - 2.0) <= 3.0 * se
-
-
-def test_compound_poisson_centering():
-    law = JumpLaw(kind="uniform", a=0.0, b=2.0)
-    draw = sample_compound_poisson(3.0, law, 1.0, 100_000, SeedPolicy(18, 0, "levy"), centered=True)
-    se = draw.std(ddof=1) / np.sqrt(draw.size)
-    assert abs(draw.mean()) <= 3.0 * se
-
-
-# ---------------------------------------------------------------------------
 # Characteristic-function helper and dispatcher
 
 
@@ -210,15 +180,8 @@ def test_compound_poisson_centering():
     [
         NoiseSpec(kind="alpha_stable", alpha=1.3, scale=1.5, gamma0=1.4, gamma_inf=1.2, brownian_dim=0),
         NoiseSpec(kind="tempered_stable", alpha=1.3, tempering=1.0, scale=2.0, gamma0=1.3, gamma_inf=4.0),
-        NoiseSpec(
-            kind="compound_poisson",
-            rate=2.0,
-            jump_law=JumpLaw(kind="normal", mu=0.5, sigma=1.0),
-            gamma0=1.0,
-            gamma_inf=4.0,
-        ),
     ],
-    ids=["stable", "tempered", "cpois"],
+    ids=["stable", "tempered"],
 )
 def test_cf_helper_matches_sampler(spec):
     t, n = 0.5, 300_000
@@ -252,8 +215,6 @@ def test_spec_validation_errors():
         NoiseSpec(kind="alpha_stable", alpha=1.5, gamma_inf=1.0)
     with pytest.raises(ConfigurationError):
         NoiseSpec(kind="tempered_stable", alpha=1.3, tempering=0.0)
-    with pytest.raises(ConfigurationError):
-        NoiseSpec(kind="compound_poisson", rate=-1.0, jump_law=JumpLaw(kind="point"))
 
 
 @pytest.mark.parametrize("dim", [-1, 2, 3])

@@ -1,5 +1,7 @@
 """Expression-grammar parsing and the built-in problem table."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -141,6 +143,40 @@ def test_rejects_malformed_configs():
     bad_terms["drift"] = "not-a-list"
     with pytest.raises(ConfigurationError):
         problem_from_config(bad_terms)
+
+    # misspelt or removed keys, and values that are not numbers, are named by their path
+    cases = [
+        ("diffusoin", [{"coeff": 1.0}], "diffusoin"),
+        ("declared_probes", ["one_sided"], "declared_probes"),
+        ("x0", "1.0", "x0"),
+        ("horizon", True, "horizon"),
+        ("monotone_bound", None, "monotone_bound"),
+        ("dim", True, "dim"),
+        ("name", 5, "name"),
+        ("noise.alpha", True, r"noise\.alpha"),
+        ("noise.scale", "2", r"noise\.scale"),
+        ("noise.brownian_dim", 0.5, r"noise\.brownian_dim"),
+        ("noise.brownian_dim", False, r"noise\.brownian_dim"),
+        ("noise.kind", "compound_poisson", "kind.*compound_poisson"),
+        ("noise.rate", 2.0, "rate"),
+        ("noise.jump_law", {"kind": "point"}, "jump_law"),
+        ("noise.lambda", 1.0, "tempering.*lambda"),
+        ("constants.H", True, r"constants\.H"),
+        ("constants.K3", "-2", r"constants\.K3"),
+        ("constants.K5", 1.0, "K5"),
+        ("constants.q", 1.0, r"constants: moment order q"),
+    ]
+    for path, value, match in cases:
+        cfg = copy.deepcopy(base)
+        *parents, key = path.split(".")
+        block = cfg
+        for parent in parents:
+            block = block[parent]
+        block[key] = value
+        if key == "lambda":
+            block["tempering"] = 1.0
+        with pytest.raises(ConfigurationError, match=match):
+            problem_from_config(cfg)
 
 
 def _with_drift(drift):
