@@ -7,10 +7,12 @@ The update over one step of size dt is
 i.e. implicit in the drift only; diffusion and jump increments enter
 explicitly.  A horizon T is covered by N = floor(T / dt) steps.
 
-Every run draws its increments per path on a tape (:class:`IncrementTape`)
-at its finest step and derives coarser resolutions by exact block sums, so
-runs at different step sizes share one realisation of the driving noise,
-which makes pathwise error against a fine-grid reference meaningful.
+Every run draws its increments on a tape (:class:`IncrementTape`) at its
+finest step, one chunk of paths at a time from the per-path streams (row r
+is what path r's own streams give, whatever the chunk), and derives coarser
+resolutions by exact block sums, so runs at different step sizes share one
+realisation of the driving noise, which makes pathwise error against a
+fine-grid reference meaningful.
 
 One runner, ``_run_chunks``, runs each chunk of paths through a kernel,
 inline or on a spawn process pool, and merges the solver diagnostics:
@@ -39,7 +41,13 @@ import numpy as np
 from .errors import ConfigurationError, StepFailureError
 from .implicit import StepDiagnostics, solve_implicit_steps
 from .model import SdeProblem
-from .noise import SeedPolicy, make_rng, sample_levy_increments
+from .noise import (  # make_rng is unused here: bench/tracing.py times it under this name
+    BROWNIAN_STREAM,
+    LEVY_STREAM,
+    PathStreams,
+    make_rng,  # noqa: F401
+    sample_levy_increments,
+)
 from .problems import problem_from_config
 
 __all__ = [
@@ -128,21 +136,24 @@ def make_tape(
     path_indices,
     master_seed: int,
 ) -> IncrementTape:
-    """Draw per-path increments for ``path_indices`` on the fine grid."""
+    """Draw per-path increments for ``path_indices`` on the fine grid.
+
+    Row r holds what path ``path_indices[r]``'s own streams give, so a row
+    does not depend on the other paths of the chunk.
+    """
     spec = problem.noise
     path_indices = np.asarray(path_indices, dtype=int)
-    n_paths = path_indices.size
-    brownian = np.empty((n_paths, n_steps)) if spec.brownian_dim else None
-    levy = np.empty((n_paths, n_steps)) if spec.has_jumps else None
-    sqrt_dt = np.sqrt(fine_dt)
-    for row, path in enumerate(path_indices):
-        if brownian is not None:
-            rng = make_rng(SeedPolicy(master_seed, int(path), "brownian"))
-            brownian[row] = rng.standard_normal(n_steps) * sqrt_dt
-        if levy is not None:
-            levy[row] = sample_levy_increments(
-                spec, fine_dt, n_steps, SeedPolicy(master_seed, int(path), "levy")
-            )
+    brownian = levy = None
+    if spec.brownian_dim:
+        streams = PathStreams(master_seed, path_indices, BROWNIAN_STREAM)
+        brownian = np.empty((path_indices.size, n_steps))
+        for row in range(path_indices.size):
+            streams[row].standard_normal(out=brownian[row])
+            streams.release(row)
+        brownian *= np.sqrt(fine_dt)
+    if spec.has_jumps:
+        streams = PathStreams(master_seed, path_indices, LEVY_STREAM)
+        levy = sample_levy_increments(spec, fine_dt, n_steps, streams)
     return IncrementTape(fine_dt=fine_dt, n_steps=n_steps, brownian=brownian, levy=levy)
 
 

@@ -43,7 +43,7 @@ from .noise import (
     sample_levy_increments,
     validate_moment_conditions,
 )
-from .problems import builtin_problem, problem_from_config
+from .problems import _integer, _real, builtin_problem, problem_from_config
 
 __all__ = [
     "ExperimentEntry",
@@ -478,6 +478,12 @@ def _need(cfg: dict, key: str):
     return cfg[key]
 
 
+def _reals(value, path: str) -> list[float]:
+    if not isinstance(value, (list, tuple)):
+        raise ConfigurationError(f"{path} must be a list of numbers, got {value!r}")
+    return [_real(v, f"{path}[{i}]") for i, v in enumerate(value)]
+
+
 def execute_config(cfg: dict, n_paths=None, master_seed=None, workers=1):
     """Validate and run one experiment config; overrides trump config values."""
     if not isinstance(cfg, dict):
@@ -496,14 +502,17 @@ def execute_config(cfg: dict, n_paths=None, master_seed=None, workers=1):
     band = cfg.get("band")
     if band is not None:
         band = _band_from_json(band)
-    paths = int(n_paths if n_paths is not None else cfg.get("n_paths", 1000))
-    seed = int(master_seed if master_seed is not None else cfg.get("master_seed", _DEFAULT_SEED))
+    paths = _integer(n_paths if n_paths is not None else cfg.get("n_paths", 1000), "n_paths")
+    seed = _integer(
+        master_seed if master_seed is not None else cfg.get("master_seed", _DEFAULT_SEED),
+        "master_seed",
+    )
 
     if kind == "sampler-validation":
         problem = _resolve_problem(_need(cfg, "problem"))
         return run_sampler_validation(
             problem.noise,
-            n=int(cfg.get("n", 100_000)),
+            n=_integer(cfg.get("n", 100_000), "n"),
             master_seed=seed,
             times=cfg.get("times", (0.25, 0.5, 1.0, 2.0)),
             u_grid=cfg.get("u_grid", (0.25, 0.5, 1.0, 2.0, 4.0)),
@@ -513,8 +522,8 @@ def execute_config(cfg: dict, n_paths=None, master_seed=None, workers=1):
     if kind == "convergence":
         return run_convergence(
             problem,
-            [float(d) for d in _need(cfg, "dts")],
-            float(_need(cfg, "reference_dt")),
+            _reals(_need(cfg, "dts"), "dts"),
+            _real(_need(cfg, "reference_dt"), "reference_dt"),
             paths,
             seed,
             error_mode=cfg.get("error_mode", "terminal"),
@@ -524,20 +533,20 @@ def execute_config(cfg: dict, n_paths=None, master_seed=None, workers=1):
     if kind == "invariant-measure":
         return run_invariant_measure(
             problem,
-            float(_need(cfg, "dt")),
-            [float(t) for t in _need(cfg, "checkpoints")],
+            _real(_need(cfg, "dt"), "dt"),
+            _reals(_need(cfg, "checkpoints"), "checkpoints"),
             paths,
             seed,
             reference=cfg.get("reference"),
-            k=float(cfg.get("k", 1.0)),
+            k=_real(cfg.get("k", 1.0), "k"),
             ratio_times=cfg.get("ratio_times"),
             workers=workers,
             band=band,
         )
     return run_probe_assumptions(
         problem,
-        n_pairs=int(cfg.get("n_pairs", 10_000)),
-        radius=float(cfg.get("radius", 5.0)),
+        n_pairs=_integer(cfg.get("n_pairs", 10_000), "n_pairs"),
+        radius=_real(cfg.get("radius", 5.0), "radius"),
         seed=seed,
     )
 

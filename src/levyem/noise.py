@@ -4,8 +4,13 @@ All increments are exact in distribution for the requested window length
 ``dt``; no path-level series truncation is involved.  Randomness is drawn from
 counter-based Philox streams keyed by ``(master_seed, path_index, stream)`` so
 that every path owns reproducible, independent substreams regardless of
-chunking or worker scheduling.  Brownian increments are drawn inline by
-:func:`levyem.engine.make_tape` from each path's ``"brownian"`` stream.
+chunking or worker scheduling.  :func:`levyem.engine.make_tape` draws a
+chunk's tape at once: :class:`PathStreams` derives the keys of all its paths
+in one array pass and resumes each path's stream on one shared generator,
+and the samplers work through the rows in blocks, drawing each row's
+variates from its own stream in the order a one-path call would.  Each tape
+row therefore equals the draw of that path alone; the single-stream calls
+(a ``SeedPolicy`` or master seed) are the one-row case of the same code.
 
 Conventions
 -----------
@@ -23,12 +28,13 @@ Conventions
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .tilted_stable import AcceptanceStats, sample_tilted_stable
+from .tilted_stable import AcceptanceStats, row_blocks, tilted_stable_blocks
 
 __all__ = [
     "BROWNIAN_STREAM",
@@ -37,6 +43,7 @@ __all__ = [
     "SeedPolicy",
     "NoiseSpec",
     "MomentConditionReport",
+    "PathStreams",
     "make_rng",
     "sample_alpha_stable",
     "sample_tempered_stable",
@@ -49,6 +56,7 @@ BROWNIAN_STREAM = "brownian"
 LEVY_STREAM = "levy"
 AUX_STREAM = "aux"
 _STREAM_CODES = {BROWNIAN_STREAM: 0, LEVY_STREAM: 1, AUX_STREAM: 2}
+_MAX_PATH_INDEX = 2**32 - 1  # one 32-bit spawn-key word per path
 
 
 @dataclass(frozen=True)
@@ -67,18 +75,139 @@ class SeedPolicy:
     def __post_init__(self):
         if self.stream not in _STREAM_CODES:
             raise ConfigurationError(f"unknown stream tag {self.stream!r}")
-        if self.path_index < 0:
-            raise ConfigurationError("path_index must be >= 0")
+        if not 0 <= self.path_index <= _MAX_PATH_INDEX:
+            raise ConfigurationError(f"path_index must lie in [0, 2**32), got {self.path_index}")
+
+
+# numpy's SeedSequence hash constants (NEP 19; numpy/random/bit_generator.pyx)
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+
+
+def _hashmix(value, hash_const):
+    value = value ^ hash_const
+    hash_const = hash_const * _MULT_A & _MASK32
+    value = value * hash_const & _MASK32
+    return value ^ (value >> 16), hash_const
+
+
+def _mix(x, y):
+    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return result ^ (result >> 16)
+
+
+def _philox_keys(master_seed: int, paths, stream: str):
+    """Philox keys of the streams ``SeedPolicy(master_seed, p, stream)`` for p in ``paths``.
+
+    Equals ``SeedSequence(master_seed, spawn_key=(p, code)).generate_state(2,
+    np.uint64)``: the entropy words are hashed into a pool of four 32-bit
+    words and two 64-bit words are read off the pool.  The path words may be
+    a Python int or a uint64 array, so one pass serves a single path and an
+    array of paths alike (result ``shape + (2,)``).
+    """
+    master_seed = operator.index(master_seed)
+    if master_seed < 0:
+        raise ConfigurationError(f"master_seed must be >= 0, got {master_seed}")
+    words = []
+    while True:  # little-endian 32-bit words, at least one
+        words.append(master_seed & _MASK32)
+        master_seed >>= 32
+        if not master_seed:
+            break
+    words += [0] * (_POOL_SIZE - len(words))  # a spawn key pads the run entropy
+    hash_const = _INIT_A
+    pool = []
+    for word in words[:_POOL_SIZE]:
+        value, hash_const = _hashmix(word, hash_const)
+        pool.append(value)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                value, hash_const = _hashmix(pool[src], hash_const)
+                pool[dst] = _mix(pool[dst], value)
+    for word in words[_POOL_SIZE:] + [paths, _STREAM_CODES[stream]]:
+        for dst in range(_POOL_SIZE):
+            value, hash_const = _hashmix(word, hash_const)
+            pool[dst] = _mix(pool[dst], value)
+    hash_const = _INIT_B
+    state = []
+    for word in pool:
+        word = word ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        word = word * hash_const & _MASK32
+        state.append(word ^ (word >> 16))
+    keys = np.empty(np.shape(paths) + (2,), dtype=np.uint64)
+    keys[..., 0] = state[0] | state[1] << 32
+    keys[..., 1] = state[2] | state[3] << 32
+    return keys
 
 
 def make_rng(seed: "SeedPolicy | int") -> np.random.Generator:
     """Build the Philox generator addressed by a SeedPolicy (or bare master seed)."""
     if isinstance(seed, int):
         seed = SeedPolicy(seed)
-    ss = np.random.SeedSequence(
-        seed.master_seed, spawn_key=(seed.path_index, _STREAM_CODES[seed.stream])
-    )
-    return np.random.Generator(np.random.Philox(ss))
+    key = _philox_keys(seed.master_seed, seed.path_index, seed.stream)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+class PathStreams:
+    """The streams ``SeedPolicy(master_seed, p, stream)`` of many paths, on one generator.
+
+    ``streams[r]`` saves the position of the row in use, loads row r's (a
+    fresh stream on first use) and returns the shared generator; it is valid
+    until the next ``streams[...]``.  Row r therefore yields exactly what
+    ``make_rng(SeedPolicy(master_seed, paths[r], stream))`` yields, without a
+    generator per path.  Only suspended rows keep a saved position: a row
+    that is drawn from no more is ``release``d.  The samplers accept a list
+    of generators the same way.
+    """
+
+    def __init__(self, master_seed: int, paths, stream: str):
+        paths = np.asarray(paths, dtype=np.int64).ravel()
+        if paths.size and not 0 <= paths.min() <= paths.max() <= _MAX_PATH_INDEX:
+            raise ConfigurationError("path indices must lie in [0, 2**32)")
+        self._keys = _philox_keys(master_seed, paths.astype(np.uint64), stream)
+        self._bitgen = np.random.Philox(key=self._keys[0] if paths.size else 0)
+        self._generator = np.random.Generator(self._bitgen)
+        self._fresh = self._bitgen.state  # counter 0, empty buffer; only the key changes
+        self._saved = {}
+        self._row = 0 if paths.size else None
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+    def __getitem__(self, row: int) -> np.random.Generator:
+        if row != self._row:
+            if self._row is not None:
+                self._saved[self._row] = self._bitgen.state
+            state = self._saved.pop(row, None)
+            if state is None:
+                state = {**self._fresh, "state": {**self._fresh["state"], "key": self._keys[row]}}
+            self._bitgen.state = state
+            self._row = row
+        return self._generator
+
+    def release(self, row: int) -> None:
+        """Forget row's position: it is drawn from no more."""
+        if row == self._row:
+            self._row = None
+        else:
+            self._saved.pop(row, None)
+
+
+def _release(streams, row: int) -> None:
+    if isinstance(streams, PathStreams):
+        streams.release(row)
+
+
+def _as_streams(seed):
+    """(streams, one_row): a SeedPolicy or master seed as one row, a stream set as given."""
+    if isinstance(seed, (SeedPolicy, int)):
+        return [make_rng(seed)], True
+    return seed, False
 
 
 _KINDS = ("none", "alpha_stable", "tempered_stable")
@@ -134,10 +263,11 @@ class NoiseSpec:
         return self.kind == "alpha_stable" and (self.alpha or 2.0) < 2.0
 
 
-def _standard_symmetric_stable(alpha: float, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Chambers-Mallows-Stuck draw, characteristic function exp(-|u|**alpha)."""
-    u = rng.uniform(-np.pi / 2.0, np.pi / 2.0, n)
-    w = rng.standard_exponential(n)
+def _standard_symmetric_stable(alpha: float, u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Chambers-Mallows-Stuck transform, characteristic function exp(-|u|**alpha).
+
+    ``u`` ~ Uniform(-pi/2, pi/2) and ``w`` ~ Exp(1); clips ``w`` in place.
+    """
     np.clip(w, 1e-300, None, out=w)
     if alpha == 1.0:
         return np.tan(u)
@@ -148,18 +278,36 @@ def _standard_symmetric_stable(alpha: float, n: int, rng: np.random.Generator) -
     )
 
 
-def sample_alpha_stable(alpha: float, scale: float, dt: float, n: int, seed) -> np.ndarray:
-    """n symmetric alpha-stable increments over dt; CF exp(-|scale*u|**alpha * dt)."""
-    if not 0.0 < alpha <= 2.0:
-        raise ConfigurationError(f"alpha must lie in (0, 2], got {alpha}")
+def _check_window(scale: float, dt: float, n: int) -> None:
     if scale <= 0:
         raise ConfigurationError(f"scale must be > 0, got {scale}")
     if n <= 0:
         raise ConfigurationError(f"need n >= 1 increments, got {n}")
     if dt <= 0:
         raise ConfigurationError(f"need dt > 0, got {dt}")
-    rng = make_rng(seed)
-    return scale * dt ** (1.0 / alpha) * _standard_symmetric_stable(alpha, n, rng)
+
+
+def sample_alpha_stable(alpha: float, scale: float, dt: float, n: int, seed) -> np.ndarray:
+    """n symmetric alpha-stable increments over dt; CF exp(-|scale*u|**alpha * dt).
+
+    ``seed`` is a SeedPolicy or master seed (returns shape ``(n,)``) or a
+    stream set such as :class:`PathStreams` (returns ``(len(seed), n)``).
+    """
+    if not 0.0 < alpha <= 2.0:
+        raise ConfigurationError(f"alpha must lie in (0, 2], got {alpha}")
+    _check_window(scale, dt, n)
+    streams, one_row = _as_streams(seed)
+    out = np.empty((len(streams), n))
+    for lo, hi in row_blocks(len(streams), n):
+        u = np.empty((hi - lo, n))
+        w = np.empty((hi - lo, n))
+        for i in range(hi - lo):
+            rng = streams[lo + i]
+            u[i] = rng.uniform(-np.pi / 2.0, np.pi / 2.0, n)
+            rng.standard_exponential(out=w[i])
+            _release(streams, lo + i)
+        out[lo:hi] = scale * dt ** (1.0 / alpha) * _standard_symmetric_stable(alpha, u, w)
+    return out[0] if one_row else out
 
 
 def sample_tempered_stable(
@@ -173,33 +321,38 @@ def sample_tempered_stable(
 ):
     """n symmetric tempered-stable increments over dt (Brownian subordination).
 
-    Returns the array, or ``(array, AcceptanceStats)`` when ``with_stats``.
+    ``seed`` is read as by :func:`sample_alpha_stable`.  Each row draws its
+    subordinator, then its Gaussian factors.  Returns the array, or
+    ``(array, AcceptanceStats)`` when ``with_stats``.
     """
     if not 0.0 < alpha < 2.0:
         raise ConfigurationError(f"alpha must lie in (0, 2), got {alpha}")
     if tempering <= 0:
         raise ConfigurationError(f"tempering must be > 0, got {tempering}")
-    if scale <= 0:
-        raise ConfigurationError(f"scale must be > 0, got {scale}")
-    if n <= 0:
-        raise ConfigurationError(f"need n >= 1 increments, got {n}")
-    if dt <= 0:
-        raise ConfigurationError(f"need dt > 0, got {dt}")
-    rng = make_rng(seed)
+    _check_window(scale, dt, n)
+    streams, one_row = _as_streams(seed)
     stats = AcceptanceStats()
     rho = alpha / 2.0
     tilt = tempering * tempering / 2.0
-    subordinator = sample_tilted_stable(rho, tilt, dt, n, rng, stats=stats)
-    values = scale * np.sqrt(subordinator) * rng.standard_normal(n)
+    out = np.empty((len(streams), n))
+    for lo, hi, subordinator in tilted_stable_blocks(rho, tilt, dt, n, streams, stats=stats):
+        z = np.empty_like(subordinator)
+        for i in range(hi - lo):
+            streams[lo + i].standard_normal(out=z[i])
+            _release(streams, lo + i)
+        out[lo:hi] = scale * np.sqrt(subordinator) * z
+    values = out[0] if one_row else out
     if with_stats:
         return values, stats
     return values
 
 
 def sample_levy_increments(spec: NoiseSpec, dt: float, n: int, seed, with_stats: bool = False):
-    """Dispatch on spec.kind; 'none' yields zeros."""
+    """Dispatch on spec.kind; 'none' yields zeros.  ``seed`` as in :func:`sample_alpha_stable`."""
     if spec.kind == "none":
-        out = np.zeros(n)
+        streams, one_row = _as_streams(seed)
+        out = np.zeros((len(streams), n))
+        out = out[0] if one_row else out
         return (out, AcceptanceStats()) if with_stats else out
     if spec.kind == "alpha_stable":
         out = sample_alpha_stable(spec.alpha, spec.scale, dt, n, seed)

@@ -85,10 +85,15 @@ def _check_keys(spec, allowed: set, required: set, path: str) -> None:
 def _real(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigurationError(f"{path} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigurationError(f"{path} is too large for a float, got {value!r}") from None
 
 
 def _integer(value, path: str) -> int:
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)  # exact: a float would round integers above 2**53
     number = _real(value, path)
     if not number.is_integer():
         raise ConfigurationError(f"{path} must be an integer, got {number:g}")

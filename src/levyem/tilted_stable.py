@@ -29,6 +29,7 @@ M. Hofert (2011), "Sampling exponentially tilted stable distributions".
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,10 +38,20 @@ __all__ = [
     "AcceptanceStats",
     "sample_positive_stable",
     "sample_tilted_stable",
+    "tilted_stable_blocks",
 ]
 
 # Above this many divide-and-conquer pieces per draw, double rejection wins.
 _MAX_PARTITION = 64
+# Cells drawn at once by the row samplers.  A block holds a few arrays of this
+# many float64 values, so it bounds their working memory (at least one row).
+BLOCK_CELLS = 2**13
+
+
+def row_blocks(n_rows: int, cells_per_row: int) -> list[tuple[int, int]]:
+    """Contiguous ``(lo, hi)`` row ranges of at most BLOCK_CELLS cells (>= one row)."""
+    step = max(1, BLOCK_CELLS // max(1, cells_per_row))
+    return [(lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step)]
 
 
 @dataclass
@@ -70,6 +81,13 @@ def _kanter_factor(u: np.ndarray, rho: float) -> np.ndarray:
     ) ** (1.0 / (1.0 - rho))
 
 
+def _kanter(u: np.ndarray, e: np.ndarray, rho: float) -> np.ndarray:
+    """(A(U) / E)**((1 - rho) / rho) from U ~ Uniform(0, pi) and E ~ Exp(1); clips u."""
+    # Guard against the measure-zero endpoints where A(u) is 0/0.
+    np.clip(u, 1e-9, np.pi - 1e-9, out=u)
+    return (_kanter_factor(u, rho) / e) ** ((1.0 - rho) / rho)
+
+
 def sample_positive_stable(rho: float, size: int, rng: np.random.Generator) -> np.ndarray:
     """Draw one-sided stable variates with Laplace transform exp(-s**rho).
 
@@ -79,10 +97,8 @@ def sample_positive_stable(rho: float, size: int, rng: np.random.Generator) -> n
     if not 0.0 < rho < 1.0:
         raise ValueError(f"stability index rho must lie in (0, 1), got {rho}")
     u = rng.uniform(0.0, np.pi, size)
-    # Guard against the measure-zero endpoints where A(u) is 0/0.
-    np.clip(u, 1e-9, np.pi - 1e-9, out=u)
     e = rng.standard_exponential(size)
-    return (_kanter_factor(u, rho) / e) ** ((1.0 - rho) / rho)
+    return _kanter(u, e, rho)
 
 
 def sample_tilted_stable(
@@ -96,6 +112,8 @@ def sample_tilted_stable(
 ) -> np.ndarray:
     """Draw ``size`` independent tilted-subordinator increments over ``horizon``.
 
+    The one-row case of :func:`tilted_stable_blocks`.
+
     Parameters
     ----------
     rho : stability index in (0, 1).
@@ -104,70 +122,113 @@ def sample_tilted_stable(
     method : force "divide-conquer" or "double-rejection"; default picks by cost.
     stats : optional AcceptanceStats updated in place with rejection bookkeeping.
     """
+    ((_, _, values),) = tilted_stable_blocks(rho, tilt, horizon, size, [rng], method, stats)
+    return values[0]
+
+
+def tilted_stable_blocks(
+    rho: float,
+    tilt: float,
+    horizon: float,
+    size: int,
+    streams,
+    method: str | None = None,
+    stats: AcceptanceStats | None = None,
+) -> Iterator[tuple[int, int, np.ndarray]]:
+    """``size`` tilted-subordinator increments from each stream, block by block.
+
+    ``streams[r]`` returns the generator of row r (a list of generators, or a
+    :class:`levyem.noise.PathStreams`); each row's draws come from its own
+    stream in the order a one-row call would make them.  Returns an iterator
+    of ``(lo, hi, values)``, ``values`` being the ``(hi - lo, size)`` draws of
+    rows lo..hi-1; a block holds at most BLOCK_CELLS rejection cells (or one
+    row) and is drawn when the iterator reaches it, so consuming one block
+    at a time bounds the memory.
+    """
     if not 0.0 < rho < 1.0:
         raise ValueError(f"stability index rho must lie in (0, 1), got {rho}")
     if tilt < 0.0:
         raise ValueError(f"tilt must be >= 0, got {tilt}")
     if horizon <= 0.0:
         raise ValueError(f"horizon must be > 0, got {horizon}")
-    if size == 0:
-        return np.empty(0)
-
-    if stats is None:
-        stats = AcceptanceStats()
-
-    if tilt == 0.0:
-        out = horizon ** (1.0 / rho) * sample_positive_stable(rho, size, rng)
-        stats.proposed += size
-        stats.accepted += size
-        return out
-
     pieces = max(1, math.ceil(horizon * tilt**rho))
     if method is None:
         method = "divide-conquer" if pieces <= _MAX_PARTITION else "double-rejection"
-
+    if method not in ("divide-conquer", "double-rejection"):
+        raise ValueError(f"unknown method {method!r}")
+    if stats is None:
+        stats = AcceptanceStats()
+    if tilt == 0.0:
+        return _untilted_blocks(rho, horizon, size, streams, stats)
     if method == "divide-conquer":
-        return _divide_and_conquer(rho, tilt, horizon, size, rng, stats)
-    if method == "double-rejection":
-        # Rescale to a unit-window problem: T_h = h**(1/rho) * X with X tilted
-        # by tilt * h**(1/rho).
-        unit_scale = horizon ** (1.0 / rho)
-        unit_tilt = tilt * unit_scale
-        out = np.empty(size)
-        for i in range(size):
-            out[i] = _double_rejection(rho, unit_tilt, rng, stats)
-        return unit_scale * out
-    raise ValueError(f"unknown method {method!r}")
+        return _divide_and_conquer(rho, tilt, horizon, pieces, size, streams, stats)
+    return _double_rejection_blocks(rho, tilt, horizon, size, streams, stats)
 
 
-def _divide_and_conquer(
-    rho: float,
-    tilt: float,
-    horizon: float,
-    size: int,
-    rng: np.random.Generator,
-    stats: AcceptanceStats,
-) -> np.ndarray:
-    """Vectorised piecewise rejection: accept c*S with probability exp(-tilt*c*S)."""
-    pieces = max(1, math.ceil(horizon * tilt**rho))
+def _untilted_blocks(rho, horizon, size, streams, stats):
+    for lo, hi in row_blocks(len(streams), size):
+        values = np.empty((hi - lo, size))
+        for i in range(hi - lo):
+            values[i] = horizon ** (1.0 / rho) * sample_positive_stable(rho, size, streams[lo + i])
+        stats.proposed += values.size
+        stats.accepted += values.size
+        yield lo, hi, values
+
+
+def _double_rejection_blocks(rho, tilt, horizon, size, streams, stats):
+    # Rescale to a unit-window problem: T_h = h**(1/rho) * X with X tilted
+    # by tilt * h**(1/rho).
+    unit_scale = horizon ** (1.0 / rho)
+    unit_tilt = tilt * unit_scale
+    for lo, hi in row_blocks(len(streams), size):
+        values = np.empty((hi - lo, size))
+        for i in range(hi - lo):
+            rng = streams[lo + i]
+            for j in range(size):
+                values[i, j] = _double_rejection(rho, unit_tilt, rng, stats)
+        yield lo, hi, unit_scale * values
+
+
+def _divide_and_conquer(rho, tilt, horizon, pieces, size, streams, stats):
+    """Piecewise rejection over row blocks: accept c*S with probability exp(-tilt*c*S).
+
+    Each round draws, for every row with pending cells, the Kanter uniforms
+    and exponentials and the acceptance uniforms from that row's stream, then
+    transforms and tests all of the round's cells at once.
+    """
     piece_scale = (horizon / pieces) ** (1.0 / rho)
-    n_cells = size * pieces
-    values = np.empty(n_cells)
-    pending = np.arange(n_cells)
-    # Per-cell acceptance probability is exp(-(h/P) * tilt**rho) >= exp(-1),
-    # so the pending set shrinks geometrically; 500 rounds is unreachable.
-    for _ in range(500):
-        draw = piece_scale * sample_positive_stable(rho, pending.size, rng)
-        stats.proposed += pending.size
-        keep = rng.random(pending.size) < np.exp(-tilt * draw)
-        values[pending[keep]] = draw[keep]
-        stats.accepted += int(keep.sum())
-        pending = pending[~keep]
-        if pending.size == 0:
-            break
-    else:  # pragma: no cover - probabilistically unreachable
-        raise RuntimeError("divide-and-conquer rejection failed to terminate")
-    return values.reshape(size, pieces).sum(axis=1)
+    cells = size * pieces
+    for lo, hi in row_blocks(len(streams), cells):
+        rows = hi - lo
+        values = np.empty(rows * cells)
+        pending = np.arange(rows * cells)  # flat cell indices, ordered by row
+        counts = [cells] * rows
+        # Per-cell acceptance probability is exp(-(h/P) * tilt**rho) >= exp(-1),
+        # so the pending set shrinks geometrically; 500 rounds is unreachable.
+        for _ in range(500):
+            u = np.empty(pending.size)
+            e = np.empty(pending.size)
+            v = np.empty(pending.size)
+            at = 0
+            for i, k in enumerate(counts):
+                if k:
+                    rng = streams[lo + i]
+                    u[at:at + k] = rng.uniform(0.0, np.pi, k)
+                    rng.standard_exponential(out=e[at:at + k])
+                    rng.random(out=v[at:at + k])
+                    at += k
+            draw = piece_scale * _kanter(u, e, rho)
+            stats.proposed += pending.size
+            keep = v < np.exp(-tilt * draw)
+            values[pending[keep]] = draw[keep]
+            stats.accepted += int(keep.sum())
+            pending = pending[~keep]
+            if pending.size == 0:
+                break
+            counts = np.bincount(pending // cells, minlength=rows).tolist()
+        else:  # pragma: no cover - probabilistically unreachable
+            raise RuntimeError("divide-and-conquer rejection failed to terminate")
+        yield lo, hi, values.reshape(rows, size, pieces).sum(axis=2)
 
 
 def _safe_exp(x: float) -> float:

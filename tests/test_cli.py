@@ -182,6 +182,25 @@ def test_zero_paths_exits_3(tmp_path, capsys):
     assert "n_paths must be >= 1, got 0" in capsys.readouterr().err
 
 
+def test_seed_above_float_precision_runs_as_given(tmp_path):
+    cfg = {"experiment": "sampler-validation", "problem": "paper-5.4", "n": 64, "times": [0.5]}
+    cfg_path = _write_cfg(tmp_path / "sampler.json", cfg)
+    for seed in (2**53 + 1, 10**400):
+        out_dir = tmp_path / str(seed)[:8]
+        assert main(["run", cfg_path, "--seed", str(seed), "--out", str(out_dir)]) == 0
+        summary = json.loads((out_dir / "summary.json").read_text())
+        assert summary["params"]["master_seed"] == seed
+
+
+@pytest.mark.parametrize("key, value", [("n_paths", 128.9), ("dt", "0.05"), ("master_seed", "7")])
+def test_uncoercible_run_numbers_exit_3(tmp_path, capsys, key, value):
+    cfg = _small_measure_cfg(**{key: value})
+    cfg_path = _write_cfg(tmp_path / "strict.json", cfg)
+    assert main(["run", cfg_path, "--out", str(tmp_path / "o")]) == 3
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize(
     "block, key, value",
     [

@@ -151,6 +151,49 @@ def test_rejects_unknown_top_level_key():
         execute_config(dict(_small_measure_cfg(), dts=[0.1]))
 
 
+@pytest.mark.parametrize(
+    "base, key, value",
+    [
+        ("measure", "n_paths", 128.9),
+        ("measure", "dt", "0.05"),
+        ("measure", "master_seed", "7"),
+        ("measure", "checkpoints", [0.2, "1.0"]),
+        ("measure", "k", True),
+        ("convergence", "dts", 0.125),
+        ("convergence", "reference_dt", None),
+        ("probe", "n_pairs", 10.5),
+        ("probe", "radius", "5"),
+        ("sampler", "n", "1000"),
+        pytest.param("measure", "dt", 10**400, id="measure-dt-10^400"),
+    ],
+)
+def test_run_block_numbers_are_strict(base, key, value):
+    # the run-level numbers are read like the problem block: no coercion
+    cfg = {
+        "measure": _small_measure_cfg,
+        "convergence": _small_convergence_cfg,
+        "probe": lambda: {"experiment": "probe-assumptions", "problem": "paper-5.4"},
+        "sampler": lambda: {"experiment": "sampler-validation", "problem": "paper-5.4"},
+    }[base]()
+    cfg[key] = value
+    with pytest.raises(ConfigurationError, match=key):
+        execute_config(cfg)
+
+
+@pytest.mark.parametrize(
+    "seed", [2**53 + 1, 2**130 + 99, 10**400], ids=["2^53+1", "2^130+99", "10^400"]
+)
+def test_large_seeds_reach_the_run_exactly(seed):
+    # an integer seed is kept as it is: through a float, 2**53 + 1 would run
+    # as 2**53 and 10**400 would overflow
+    cfg = {"experiment": "sampler-validation", "problem": "paper-5.4", "n": 64, "times": [0.5]}
+    from_config = execute_config(dict(cfg, master_seed=seed))
+    overridden = execute_config(cfg, master_seed=seed)
+    assert from_config.params["master_seed"] == overridden.params["master_seed"] == seed
+    assert from_config.rows == overridden.rows
+    assert execute_config(cfg, master_seed=seed - 1).rows != from_config.rows
+
+
 def test_bundled_configs_pass_the_schema(monkeypatch):
     # the runners are stubbed: only validation and problem building run
     monkeypatch.setattr(experiments, "run_convergence", lambda *a, **k: "convergence")

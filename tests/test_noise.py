@@ -1,5 +1,8 @@
 """Increment samplers and moment-condition validation."""
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -7,9 +10,12 @@ from scipy import stats
 from levyem.engine import make_tape
 from levyem.errors import ConfigurationError
 from levyem.model import AssumptionConstants, SdeProblem
+from levyem.problems import builtin_problem
 from levyem.noise import (
     NoiseSpec,
+    PathStreams,
     SeedPolicy,
+    _philox_keys,
     increment_characteristic_function,
     make_rng,
     sample_alpha_stable,
@@ -68,6 +74,115 @@ def test_streams_are_distinct():
     c = make_rng(SeedPolicy(7, 4, "brownian")).standard_normal(100)
     assert not np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+# ---------------------------------------------------------------------------
+# Chunk-level tapes: bit-identical to one stream per path
+
+
+@pytest.mark.parametrize("seed", [0, 7, 20240817, 2**40 + 3, 2**130 + 99])
+def test_philox_keys_match_seed_sequence(seed):
+    paths = np.arange(3000)
+    for stream, code in (("brownian", 0), ("levy", 1), ("aux", 2)):
+        expected = np.array(
+            [
+                np.random.SeedSequence(seed, spawn_key=(int(p), code)).generate_state(2, np.uint64)
+                for p in paths
+            ]
+        )
+        np.testing.assert_array_equal(_philox_keys(seed, paths.astype(np.uint64), stream), expected)
+        np.testing.assert_array_equal(_philox_keys(seed, 2999, stream), expected[-1])
+
+
+def test_path_streams_resume_each_row():
+    streams = PathStreams(3, [5, 9], "levy")
+    a, b = make_rng(SeedPolicy(3, 5, "levy")), make_rng(SeedPolicy(3, 9, "levy"))
+    for row, rng in (0, a), (1, b), (0, a), (0, a), (1, b):
+        np.testing.assert_array_equal(streams[row].random(7), rng.random(7))
+    streams.release(0)
+    np.testing.assert_array_equal(streams[1].random(3), b.random(3))
+    with pytest.raises(ConfigurationError, match="path"):
+        PathStreams(3, [-1], "levy")
+
+
+_TAPE_SPECS = {
+    "stable-1": NoiseSpec(kind="alpha_stable", alpha=1.0, scale=1.5, brownian_dim=0, gamma0=1.4,
+                          gamma_inf=1.2),
+    "stable-2": NoiseSpec(kind="alpha_stable", alpha=2.0, scale=0.5, brownian_dim=0, gamma0=1.4,
+                          gamma_inf=1.2),
+    # tilt 4.5 over dt = 1: three divide-and-conquer pieces per increment
+    "tempered-3-pieces": NoiseSpec(kind="tempered_stable", alpha=1.3, tempering=3.0, gamma0=1.3),
+    # tilt 2e4 over dt = 1: double rejection
+    "tempered-double": NoiseSpec(kind="tempered_stable", alpha=1.3, tempering=200.0, gamma0=1.3),
+}
+
+
+def _tape_problem(name):
+    if name in _TAPE_SPECS:
+        spec = _TAPE_SPECS[name]
+        base = builtin_problem("paper-5.3" if spec.brownian_dim == 0 else "paper-5.4")
+        return dataclasses.replace(base, noise=spec)
+    return builtin_problem(name)
+
+
+@pytest.mark.parametrize("name", ["paper-5.3", "paper-5.4", "paper-5.2", *_TAPE_SPECS])
+def test_tape_rows_equal_one_stream_per_path(name):
+    problem = _tape_problem(name)
+    dt = 1.0 if name in _TAPE_SPECS else 0.01
+    n_steps = 20 if name == "tempered-double" else 300  # double rejection loops per element
+    # rows in several sampler blocks, in no particular order
+    paths = [0, 41, 7, 2**31 + 5, *range(100, 136)]
+    tape = make_tape(problem, dt, n_steps, paths, master_seed=20240817)
+    assert (tape.brownian is None) == (problem.noise.brownian_dim == 0)
+    for row, path in enumerate(paths):
+        if tape.brownian is not None:
+            rng = make_rng(SeedPolicy(20240817, path, "brownian"))
+            np.testing.assert_array_equal(tape.brownian[row], rng.standard_normal(n_steps) * np.sqrt(dt))
+        levy = sample_levy_increments(problem.noise, dt, n_steps, SeedPolicy(20240817, path, "levy"))
+        np.testing.assert_array_equal(tape.levy[row], levy)
+
+
+def _reference_tempered(alpha, tempering, scale, dt, n, rng):
+    """Hofert's divide-and-conquer on one stream, written out: the consumption contract."""
+    rho, tilt = alpha / 2.0, tempering**2 / 2.0
+    pieces = max(1, int(np.ceil(dt * tilt**rho)))
+    piece_scale = (dt / pieces) ** (1.0 / rho)
+    values, pending = np.empty(n * pieces), np.arange(n * pieces)
+    while pending.size:
+        u = np.clip(rng.uniform(0.0, np.pi, pending.size), 1e-9, np.pi - 1e-9)
+        e = rng.standard_exponential(pending.size)
+        a = (np.sin(rho * u) ** rho * np.sin((1.0 - rho) * u) ** (1.0 - rho) / np.sin(u)) ** (
+            1.0 / (1.0 - rho)
+        )
+        draw = piece_scale * (a / e) ** ((1.0 - rho) / rho)
+        keep = rng.random(pending.size) < np.exp(-tilt * draw)
+        values[pending[keep]] = draw[keep]
+        pending = pending[~keep]
+    subordinator = values.reshape(n, pieces).sum(axis=1)
+    return scale * np.sqrt(subordinator) * rng.standard_normal(n)
+
+
+@pytest.mark.parametrize("name, dt", [("paper-5.4", 0.01), ("tempered-3-pieces", 1.0)])
+def test_tempered_rows_follow_the_per_stream_draw_order(name, dt):
+    spec = _tape_problem(name).noise
+    tape = make_tape(_tape_problem(name), dt, 200, [3, 60], master_seed=5)
+    for row, path in enumerate([3, 60]):
+        rng = make_rng(SeedPolicy(5, path, "levy"))
+        expected = _reference_tempered(spec.alpha, spec.tempering, spec.scale, dt, 200, rng)
+        np.testing.assert_array_equal(tape.levy[row], expected)
+
+
+def test_tape_working_memory_is_bounded():
+    # the jump rows are finished block by block: no temporary of the tape's size
+    problem = builtin_problem("paper-5.1a")
+    make_tape(problem, 2.0**-10, 8, np.arange(4), master_seed=1)  # warm-up imports
+    tracemalloc.start()
+    try:
+        tape = make_tape(problem, 2.0**-10, 1024, np.arange(256), master_seed=20240817)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * (tape.brownian.nbytes + tape.levy.nbytes)
 
 
 # ---------------------------------------------------------------------------

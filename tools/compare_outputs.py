@@ -28,7 +28,13 @@ the same arithmetic print the same hashes:
   at t = 0.5, 1 and 2 against the analytic stable reference (1e6 draws);
 * ``law-54``: the invariant-law report of paper-5.4 at dt = 0.01, 600 paths
   at t = 1, 2 and 5 against the final snapshot, where both KS sizes are
-  equal and at most 10,000.
+  equal and at most 10,000;
+* ``tape-<problem>``: the ``make_tape`` rows of 300 paths over 128 steps of
+  2^-6 per built-in problem, drawn as one chunk and as chunks of 64 paths;
+* ``sampler-<problem>``: for paper-5.3 and paper-5.4, the jump increments
+  ``run_sampler_validation`` draws (n = 20,000 at t = 0.25, 0.5, 1 and 2;
+  the tempered sampler splits t = 2 into two pieces) and the z-scores it
+  reports.
 
 An invariant-law report is saved as its KS distances, p-values and bootstrap
 standard errors, and its W1 distances and their standard errors, one entry
@@ -53,12 +59,14 @@ from levyem import (
     builtin_problem,
     builtin_problem_names,
     coupling_curve,
+    make_tape,
     ou_stationary_scale,
     simulate_ensemble,
     solve_implicit_steps,
     strong_error_run,
 )
-from levyem.experiments import run_invariant_measure
+from levyem.experiments import run_invariant_measure, run_sampler_validation
+from levyem.noise import SeedPolicy, sample_levy_increments
 
 SEED = 20240817
 
@@ -123,6 +131,29 @@ def _law(name, checkpoints, n_paths, reference):
     }
 
 
+def _tape(name):
+    problem, dt, n_steps = builtin_problem(name), 2.0 ** -6, 128
+    whole = make_tape(problem, dt, n_steps, np.arange(300), SEED)
+    chunks = [make_tape(problem, dt, n_steps, np.arange(lo, min(lo + 64, 300)), SEED)
+              for lo in range(0, 300, 64)]
+    out = {}
+    for field in ("brownian", "levy"):
+        if getattr(whole, field) is not None:
+            out[field] = getattr(whole, field)
+            out[f"{field}/chunks-of-64"] = np.concatenate([getattr(c, field) for c in chunks])
+    return out
+
+
+def _sampler(name):
+    noise, n, times = builtin_problem(name).noise, 20_000, (0.25, 0.5, 1.0, 2.0)
+    # the stream of each time, as run_sampler_validation addresses it
+    out = {f"t={t:g}": sample_levy_increments(noise, t, n, SeedPolicy(SEED, j, "levy"))
+           for j, t in enumerate(times)}
+    result = run_sampler_validation(noise, n=n, master_seed=SEED, times=times)
+    out["z"] = [row["z"] for row in result.rows]
+    return out
+
+
 def run_protocols() -> dict[str, np.ndarray]:
     protocols = {
         "strong-51a": lambda: _strong("paper-5.1a", [2.0 ** -k for k in (5, 6, 7, 8)], 2.0 ** -10,
@@ -137,6 +168,10 @@ def run_protocols() -> dict[str, np.ndarray]:
     analytic = {"kind": "analytic-stable", "alpha": 1.5, "scale": ou_stationary_scale(1.5)}
     protocols["law-53"] = lambda: _law("paper-5.3", [0.5, 1.0, 2.0], 1000, analytic)
     protocols["law-54"] = lambda: _law("paper-5.4", [1.0, 2.0, 5.0], 600, {"kind": "final-snapshot"})
+    for name in builtin_problem_names():
+        protocols[f"tape-{name}"] = lambda name=name: _tape(name)
+    for name in ("paper-5.3", "paper-5.4"):
+        protocols[f"sampler-{name}"] = lambda name=name: _sampler(name)
     arrays = {}
     for label, protocol in protocols.items():
         for key, value in protocol().items():
