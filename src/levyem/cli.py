@@ -18,6 +18,7 @@ import os
 import sys
 from pathlib import Path
 
+from .engine import default_workers
 from .errors import ConfigurationError, StepFailureError
 from .experiments import (
     ConvergenceResult,
@@ -48,7 +49,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=None, metavar="S",
                      help="override the master seed")
     run.add_argument("--workers", type=int, default=None, metavar="W",
-                     help="worker processes (default: available parallelism)")
+                     help="worker processes (default: available parallelism, "
+                          "or 1 where the platform cannot fork)")
     run.add_argument("--out", default=None, metavar="DIR",
                      help="output directory for this run")
 
@@ -113,7 +115,7 @@ def _cmd_run(args) -> int:
         print(f"error: {config_path}:{exc.lineno}:{exc.colno}: {exc.msg}", file=sys.stderr)
         return 2
 
-    workers = args.workers if args.workers is not None else max(1, os.cpu_count() or 1)
+    workers = args.workers if args.workers is not None else default_workers()
     try:
         result = execute_config(
             cfg, n_paths=args.paths, master_seed=args.seed, workers=workers

@@ -15,7 +15,7 @@ realisation of the driving noise, which makes pathwise error against a
 fine-grid reference meaningful.
 
 One runner, ``_run_chunks``, runs each chunk of paths through a kernel,
-inline or on a spawn process pool, and merges the solver diagnostics:
+inline or on a fork process pool, and merges the solver diagnostics:
 ``_ensemble_kernel`` records checkpoints and terminal values,
 ``_moment_kernel`` sums q and q^2 per step (q = Y^2, or q = (Y - Y')^2 for
 two starts run as one batch on the same tape rows), and ``_strong_kernel``
@@ -27,12 +27,18 @@ grouped into memory chunks or distributed over worker processes.  Chunk
 boundaries are a pure function of the path count and the memory budget, and
 per-chunk results are merged in chunk order, which makes ensemble output
 byte-stable for any worker count.
+
+Pool workers are forked: they inherit the loaded package and the run's
+problem, kernel and arguments, and each task is one chunk's path range.
+Where the platform cannot fork, runs take one worker.
 """
 
 from __future__ import annotations
 
 import math
 import multiprocessing
+import numbers
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -48,7 +54,6 @@ from .noise import (  # make_rng is unused here: bench/tracing.py times it under
     make_rng,  # noqa: F401
     sample_levy_increments,
 )
-from .problems import problem_from_config
 
 __all__ = [
     "IncrementTape",
@@ -67,6 +72,12 @@ __all__ = [
 _DEFAULT_CHUNK_BUDGET = 2**27  # bytes of increment storage per chunk
 _MAX_CHUNK_PATHS = 4096
 _GRID_RTOL = 1e-9
+_CAN_FORK = "fork" in multiprocessing.get_all_start_methods()
+
+
+def default_workers() -> int:
+    """Worker processes when none are asked for: the CPU count, or 1 without fork."""
+    return max(1, os.cpu_count() or 1) if _CAN_FORK else 1
 
 
 def steps_for_horizon(horizon: float, dt: float) -> int:
@@ -198,7 +209,7 @@ def _chunk_ranges(n_paths: int, n_steps: int, streams: int, budget_bytes: int):
 
 
 # ---------------------------------------------------------------------------
-# kernels: one chunk's tape each (top level, so a spawn pool can import them)
+# kernels: one chunk's tape each
 
 
 def _ensemble_kernel(problem, tape, n_paths, n_steps, diag, x0, record_steps):
@@ -273,33 +284,48 @@ def _run_chunk(problem, kernel, args, dt, n_steps, lo, hi, seed):
         raise
 
 
-def _pool_chunk(task):
-    source, *chunk = task
-    return _run_chunk(problem_from_config(source), *chunk)
+_job = None  # a forked worker's (problem, kernel, args, dt, n_steps, seed)
+
+
+def _init_worker(*job):
+    global _job
+    _job = job
+
+
+def _pool_chunk(lo_hi):
+    problem, kernel, args, dt, n_steps, seed = _job
+    return _run_chunk(problem, kernel, args, dt, n_steps, *lo_hi, seed)
 
 
 def _run_chunks(problem, kernel, args, n_paths, dt, n_steps, seed, workers, budget_bytes):
     """Run ``kernel(problem, tape, width, n_steps, diag, *args)`` on each chunk.
 
-    Tapes have ``n_steps`` steps of ``dt``.  Chunks run inline, or on a spawn
-    pool whose workers rebuild the problem from ``problem.source``.  Returns
-    the kernel outputs in chunk order and the merged solver diagnostics.
+    Tapes have ``n_steps`` steps of ``dt``.  Chunks run inline, or on a pool
+    of at most ``workers`` forked processes that inherit the problem, kernel
+    and arguments, so a task is only a chunk's path range.  Returns the
+    kernel outputs in chunk order and the merged solver diagnostics.
     """
+    if isinstance(workers, bool) or not isinstance(workers, numbers.Integral) or workers < 1:
+        raise ConfigurationError(f"workers must be an integer >= 1, got {workers!r}")
+    if workers > 1 and not _CAN_FORK:
+        raise ConfigurationError(
+            f"workers={workers} needs the fork start method, which this platform lacks"
+        )
     if n_paths < 1:
         raise ConfigurationError(f"n_paths must be >= 1, got {n_paths}")
     streams = int(problem.noise.brownian_dim > 0) + int(problem.noise.has_jumps)
     ranges = _chunk_ranges(n_paths, n_steps, streams, budget_bytes)
-    if workers > 1 and problem.source is None:
-        raise ConfigurationError(
-            "worker processes rebuild the problem from its config; "
-            "problems defined with bare callables only run with workers=1"
-        )
-    chunks = [(kernel, args, dt, n_steps, lo, hi, seed) for lo, hi in ranges]
-    if workers <= 1 or len(ranges) <= 1:
-        done = [_run_chunk(problem, *chunk) for chunk in chunks]
+    if workers == 1 or len(ranges) == 1:
+        done = [_run_chunk(problem, kernel, args, dt, n_steps, lo, hi, seed) for lo, hi in ranges]
     else:
-        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
-            done = list(pool.map(_pool_chunk, [(problem.source, *chunk) for chunk in chunks]))
+        # a fork pool starts all of its processes at the first submit
+        with ProcessPoolExecutor(
+            min(workers, len(ranges)),
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_init_worker,
+            initargs=(problem, kernel, args, dt, n_steps, seed),
+        ) as pool:
+            done = list(pool.map(_pool_chunk, ranges))
     diag = StepDiagnostics()
     for _, chunk_diag in done:
         diag.merge(chunk_diag)

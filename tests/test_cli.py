@@ -182,6 +182,15 @@ def test_zero_paths_exits_3(tmp_path, capsys):
     assert "n_paths must be >= 1, got 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_worker_count_below_one_exits_3(tmp_path, capsys, workers):
+    cfg_path = str(Path(__file__).resolve().parents[1] / "configs" / "paper-5.3.json")
+    out_dir = tmp_path / "o"
+    assert main(["run", cfg_path, "--workers", workers, "--out", str(out_dir)]) == 3
+    assert f"workers must be an integer >= 1, got {workers}" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_seed_above_float_precision_runs_as_given(tmp_path):
     cfg = {"experiment": "sampler-validation", "problem": "paper-5.4", "n": 64, "times": [0.5]}
     cfg_path = _write_cfg(tmp_path / "sampler.json", cfg)

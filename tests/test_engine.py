@@ -1,10 +1,12 @@
 """Ensemble evolution: exact oracles, tape aggregation, determinism."""
 
 import math
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
+import levyem.engine as engine
 from levyem.engine import (
     coupling_curve,
     make_tape,
@@ -267,8 +269,12 @@ def _trap_problem(t_fail, threshold):
     )
 
 
-@pytest.mark.parametrize("starts", [None, (0.0, 3.0)], ids=["ensemble", "coupling"])
-def test_step_failure_names_path_step_and_time(starts):
+@pytest.mark.parametrize(
+    "starts, workers",
+    [(None, 1), ((0.0, 3.0), 1), (None, 2), ((0.0, 3.0), 2)],
+    ids=["ensemble", "coupling", "ensemble-pool", "coupling-pool"],
+)
+def test_step_failure_names_path_step_and_time(starts, workers):
     # The explicit parts of step k follow from a clean run; the trap is set so
     # that only the largest of them has its root inside the NaN region, which
     # sends that element to the bracketed solve, and that solve fails.
@@ -288,9 +294,11 @@ def test_step_failure_names_path_step_and_time(starts):
     trap = _trap_problem(k * dt, 0.5 * (second + top / (1.0 + dt)))
     with pytest.raises(StepFailureError) as info:
         if starts is None:
-            simulate_ensemble(trap, dt, n_paths, seed, chunk_budget_bytes=budget)
+            simulate_ensemble(trap, dt, n_paths, seed, workers=workers, chunk_budget_bytes=budget)
         else:
-            coupling_curve(trap, starts, dt, 20, n_paths, seed, chunk_budget_bytes=budget)
+            coupling_curve(
+                trap, starts, dt, 20, n_paths, seed, workers=workers, chunk_budget_bytes=budget
+            )
     where = info.value.diagnostics
     assert where["path"] == path
     assert where["step"] == k
@@ -299,6 +307,50 @@ def test_step_failure_names_path_step_and_time(starts):
         assert "start" not in where
     else:
         assert where["start"] == start == 1
+
+
+def test_bare_callable_problem_runs_on_the_pool():
+    # forked workers inherit the problem, so one without a config runs there too
+    problem = _trap_problem(-1.0, np.inf)
+    one = simulate_ensemble(problem, 0.05, 24, 5, checkpoints=[0.5], chunk_budget_bytes=1 << 10)
+    two = simulate_ensemble(
+        problem, 0.05, 24, 5, checkpoints=[0.5], workers=2, chunk_budget_bytes=1 << 10
+    )
+    np.testing.assert_array_equal(one.terminal, two.terminal)
+    np.testing.assert_array_equal(one.checkpoints[0.5], two.checkpoints[0.5])
+    assert one.diagnostics == two.diagnostics
+
+
+@pytest.mark.parametrize("workers", [0, -2, 1.5, True, "2"])
+def test_bad_worker_count_is_rejected(workers):
+    with pytest.raises(ConfigurationError, match="workers"):
+        simulate_ensemble(builtin_problem("paper-5.4"), 0.1, 4, 1, workers=workers)
+
+
+def test_pool_has_no_more_processes_than_chunks(monkeypatch):
+    sizes = []
+
+    class Recording(ProcessPoolExecutor):
+        def __init__(self, max_workers, **kw):
+            sizes.append(max_workers)
+            super().__init__(max_workers, **kw)
+
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", Recording)
+    problem = builtin_problem("paper-5.4")
+    # 200 steps x 2 streams x 8 B a path: chunks of 8 paths, 3 of them
+    run = simulate_ensemble(problem, 0.05, 24, 3, workers=8, chunk_budget_bytes=8 * 3200)
+    assert sizes == [3]
+    ref = simulate_ensemble(problem, 0.05, 24, 3, chunk_budget_bytes=8 * 3200)
+    np.testing.assert_array_equal(run.terminal, ref.terminal)
+
+
+def test_without_fork_runs_take_one_worker(monkeypatch):
+    monkeypatch.setattr(engine, "_CAN_FORK", False)
+    assert engine.default_workers() == 1
+    problem = builtin_problem("paper-5.4")
+    with pytest.raises(ConfigurationError, match="workers=2"):
+        simulate_ensemble(problem, 0.05, 24, 3, workers=2, chunk_budget_bytes=8 * 3200)
+    assert simulate_ensemble(problem, 0.05, 24, 3, chunk_budget_bytes=8 * 3200).n_paths == 24
 
 
 def test_strong_error_run_reference_coupling():

@@ -360,9 +360,10 @@ def test_kde_curve_normalizes():
 
 
 def test_simulation_path_does_not_import_scipy(tmp_path):
-    # A scipy that refuses to import comes first on the path, which spawn pool
-    # workers inherit, so an import anywhere on the simulation path fails the
-    # run.  The analysis then loads the real scipy.stats as measures.stats.
+    # A scipy that refuses to import comes first on the path, so an import
+    # anywhere on the simulation path fails the run.  Forked pool workers
+    # inherit the parent's modules, so this guards the parent's path.  The
+    # analysis then loads the real scipy.stats as measures.stats.
     blocker = tmp_path / "blocker"
     (blocker / "scipy").mkdir(parents=True)
     (blocker / "scipy" / "__init__.py").write_text(

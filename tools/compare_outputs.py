@@ -20,6 +20,7 @@ the same arithmetic print the same hashes:
   against 2^-8;
 * ``ensemble-54``: paper-5.4 at dt = 0.01, 600 paths in three chunks,
   terminal values and the t = 1 and t = 5 checkpoints;
+* ``ensemble-54-pool``: the same run on ``workers=2``;
 * ``coupling-54``: the paper-5.4 coupling from x0 = +10 and -10 over 300 steps
   of 0.01 on 257 paths;
 * ``solve-<problem>``: one implicit solve of 4096 explicit parts per built-in
@@ -86,11 +87,12 @@ def _strong(name, dts, reference_dt, n_paths, error_mode):
     return out
 
 
-def _ensemble():
+def _ensemble(workers=1):
     problem = builtin_problem("paper-5.4")
     # 1000 steps x 2 streams x 8 B = 16 kB of tape per path: 200 paths a chunk
     run = simulate_ensemble(
-        problem, 0.01, 600, SEED, checkpoints=[1.0, 5.0], chunk_budget_bytes=200 * 16_000
+        problem, 0.01, 600, SEED, checkpoints=[1.0, 5.0], workers=workers,
+        chunk_budget_bytes=200 * 16_000,
     )
     return {
         "terminal": run.terminal,
@@ -161,6 +163,7 @@ def run_protocols() -> dict[str, np.ndarray]:
         "max-52": lambda: _strong("paper-5.2", [2.0 ** -k for k in (4, 5, 6)], 2.0 ** -8, 64,
                                   "max_on_grid"),
         "ensemble-54": _ensemble,
+        "ensemble-54-pool": lambda: _ensemble(workers=2),
         "coupling-54": _coupling,
     }
     for name in builtin_problem_names():
