@@ -80,6 +80,16 @@ def default_workers() -> int:
     return max(1, os.cpu_count() or 1) if _CAN_FORK else 1
 
 
+def check_workers(workers) -> None:
+    """Reject a worker count that is not an integer >= 1, or above 1 without fork."""
+    if isinstance(workers, bool) or not isinstance(workers, numbers.Integral) or workers < 1:
+        raise ConfigurationError(f"workers must be an integer >= 1, got {workers!r}")
+    if workers > 1 and not _CAN_FORK:
+        raise ConfigurationError(
+            f"workers={workers} needs the fork start method, which this platform lacks"
+        )
+
+
 def steps_for_horizon(horizon: float, dt: float) -> int:
     """N = floor(T / dt), robust to dt values that only almost divide T."""
     if dt <= 0:
@@ -305,12 +315,7 @@ def _run_chunks(problem, kernel, args, n_paths, dt, n_steps, seed, workers, budg
     and arguments, so a task is only a chunk's path range.  Returns the
     kernel outputs in chunk order and the merged solver diagnostics.
     """
-    if isinstance(workers, bool) or not isinstance(workers, numbers.Integral) or workers < 1:
-        raise ConfigurationError(f"workers must be an integer >= 1, got {workers!r}")
-    if workers > 1 and not _CAN_FORK:
-        raise ConfigurationError(
-            f"workers={workers} needs the fork start method, which this platform lacks"
-        )
+    check_workers(workers)
     if n_paths < 1:
         raise ConfigurationError(f"n_paths must be >= 1, got {n_paths}")
     streams = int(problem.noise.brownian_dim > 0) + int(problem.noise.has_jumps)

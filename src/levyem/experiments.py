@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .convergence import ErrorTable, OrderFit, fit_order, predicted_order, strong_error_table
+from .engine import check_workers
 from .errors import ConfigurationError
 from .measures import (
     EmpiricalMeasure,
@@ -344,6 +345,8 @@ def run_invariant_measure(
     band=None,
 ) -> MeasureResult:
     """Snapshot the ensemble over time and compare against a reference law."""
+    if ratio_times is not None and len(ratio_times) != 2:
+        raise ConfigurationError(f"ratio_times must hold two times, got {list(ratio_times)!r}")
     snapshots = evolve_empirical_law(
         problem, dt, n_paths, checkpoints, master_seed, workers=workers
     )
@@ -499,6 +502,7 @@ def execute_config(cfg: dict, n_paths=None, master_seed=None, workers=1):
             f"field {unknown[0]!r} is not read by a {kind} experiment; "
             f"allowed: {', '.join(sorted(_KEYS[kind]))}"
         )
+    check_workers(workers)
     band = cfg.get("band")
     if band is not None:
         band = _band_from_json(band)
@@ -514,8 +518,8 @@ def execute_config(cfg: dict, n_paths=None, master_seed=None, workers=1):
             problem.noise,
             n=_integer(cfg.get("n", 100_000), "n"),
             master_seed=seed,
-            times=cfg.get("times", (0.25, 0.5, 1.0, 2.0)),
-            u_grid=cfg.get("u_grid", (0.25, 0.5, 1.0, 2.0, 4.0)),
+            times=_reals(cfg.get("times", (0.25, 0.5, 1.0, 2.0)), "times"),
+            u_grid=_reals(cfg.get("u_grid", (0.25, 0.5, 1.0, 2.0, 4.0)), "u_grid"),
         )
 
     problem = _resolve_problem(_need(cfg, "problem"))
@@ -531,6 +535,7 @@ def execute_config(cfg: dict, n_paths=None, master_seed=None, workers=1):
             band=band,
         )
     if kind == "invariant-measure":
+        ratio_times = cfg.get("ratio_times")
         return run_invariant_measure(
             problem,
             _real(_need(cfg, "dt"), "dt"),
@@ -539,7 +544,7 @@ def execute_config(cfg: dict, n_paths=None, master_seed=None, workers=1):
             seed,
             reference=cfg.get("reference"),
             k=_real(cfg.get("k", 1.0), "k"),
-            ratio_times=cfg.get("ratio_times"),
+            ratio_times=None if ratio_times is None else _reals(ratio_times, "ratio_times"),
             workers=workers,
             band=band,
         )

@@ -3,26 +3,23 @@
 The target law is the increment, over a time window ``h``, of the subordinator
 with Laplace transform
 
-    E exp(-s T_h) = exp(-h * ((s + tilt)**rho - tilt**rho)),   rho in (0, 1),
+    E exp(-s T_h) = exp(-h * ((s + tilt)**rho - tilt**rho)),   rho in (0, 1), tilt > 0,
 
-i.e. the stable subordinator (normalised so that ``E exp(-s T_h) = exp(-h s**rho)``
-when ``tilt == 0``) whose Levy measure is damped by ``exp(-tilt * x)``.
+i.e. the stable subordinator with ``E exp(-s T_h) = exp(-h s**rho)`` whose Levy
+measure is damped by ``exp(-tilt * x)``.
 
-Two exact strategies are used, following Hofert (2011):
-
-* divide-and-conquer rejection: split the window into pieces small enough that
-  a plain stable proposal is accepted with probability >= exp(-1); cheap and
-  fully vectorised, but the number of pieces grows like ``h * tilt**rho``;
-* the double-rejection algorithm of Devroye (2009), whose cost is O(1)
-  uniformly in the tilt; used once divide-and-conquer would need too many
-  pieces.
+One exact sampler serves every window: the divide-and-conquer rejection of
+Hofert (2011).  The window is split into ``P = ceil(h * tilt**rho)`` pieces;
+each piece proposes a stable draw by Kanter's representation and keeps it
+with probability ``exp(-tilt * draw)``, which accepts on average with
+probability ``exp(-(h / P) * tilt**rho) >= exp(-1)``.  The work grows like
+``P``, so a draw may take at most ``_MAX_PARTITION`` pieces; a tilt and window
+that need more raise :class:`~levyem.errors.ConfigurationError`.
 
 References
 ----------
 M. Kanter (1975), "Stable densities under change of scale and total variation
-inequalities" (the untilted representation).
-L. Devroye (2009), "Random variate generation for exponentially and
-polynomially tilted stable distributions".
+inequalities".
 M. Hofert (2011), "Sampling exponentially tilted stable distributions".
 """
 
@@ -34,14 +31,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigurationError
+
 __all__ = [
     "AcceptanceStats",
-    "sample_positive_stable",
     "sample_tilted_stable",
     "tilted_stable_blocks",
 ]
 
-# Above this many divide-and-conquer pieces per draw, double rejection wins.
+# The most divide-and-conquer pieces one draw may take.  Tempering 1 at the
+# catalog's time steps needs one piece, and at the sampler-validation times
+# up to 2 it needs two.
 _MAX_PARTITION = 64
 # Cells drawn at once by the row samplers.  A block holds a few arrays of this
 # many float64 values, so it bounds their working memory (at least one row).
@@ -88,26 +88,12 @@ def _kanter(u: np.ndarray, e: np.ndarray, rho: float) -> np.ndarray:
     return (_kanter_factor(u, rho) / e) ** ((1.0 - rho) / rho)
 
 
-def sample_positive_stable(rho: float, size: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw one-sided stable variates with Laplace transform exp(-s**rho).
-
-    Kanter's representation: S = (A(U) / E)**((1 - rho) / rho) with
-    U ~ Uniform(0, pi) and E ~ Exp(1).
-    """
-    if not 0.0 < rho < 1.0:
-        raise ValueError(f"stability index rho must lie in (0, 1), got {rho}")
-    u = rng.uniform(0.0, np.pi, size)
-    e = rng.standard_exponential(size)
-    return _kanter(u, e, rho)
-
-
 def sample_tilted_stable(
     rho: float,
     tilt: float,
     horizon: float,
     size: int,
     rng: np.random.Generator,
-    method: str | None = None,
     stats: AcceptanceStats | None = None,
 ) -> np.ndarray:
     """Draw ``size`` independent tilted-subordinator increments over ``horizon``.
@@ -117,12 +103,11 @@ def sample_tilted_stable(
     Parameters
     ----------
     rho : stability index in (0, 1).
-    tilt : exponential damping rate, >= 0.
+    tilt : exponential damping rate, > 0.
     horizon : time-window length, > 0.
-    method : force "divide-conquer" or "double-rejection"; default picks by cost.
     stats : optional AcceptanceStats updated in place with rejection bookkeeping.
     """
-    ((_, _, values),) = tilted_stable_blocks(rho, tilt, horizon, size, [rng], method, stats)
+    ((_, _, values),) = tilted_stable_blocks(rho, tilt, horizon, size, [rng], stats)
     return values[0]
 
 
@@ -132,7 +117,6 @@ def tilted_stable_blocks(
     horizon: float,
     size: int,
     streams,
-    method: str | None = None,
     stats: AcceptanceStats | None = None,
 ) -> Iterator[tuple[int, int, np.ndarray]]:
     """``size`` tilted-subordinator increments from each stream, block by block.
@@ -143,50 +127,25 @@ def tilted_stable_blocks(
     of ``(lo, hi, values)``, ``values`` being the ``(hi - lo, size)`` draws of
     rows lo..hi-1; a block holds at most BLOCK_CELLS rejection cells (or one
     row) and is drawn when the iterator reaches it, so consuming one block
-    at a time bounds the memory.
+    at a time bounds the memory.  The arguments are checked, and the pieces
+    counted against _MAX_PARTITION, before the iterator is returned.
     """
     if not 0.0 < rho < 1.0:
         raise ValueError(f"stability index rho must lie in (0, 1), got {rho}")
-    if tilt < 0.0:
-        raise ValueError(f"tilt must be >= 0, got {tilt}")
+    if tilt <= 0.0:
+        raise ValueError(f"tilt must be > 0, got {tilt}")
     if horizon <= 0.0:
         raise ValueError(f"horizon must be > 0, got {horizon}")
     pieces = max(1, math.ceil(horizon * tilt**rho))
-    if method is None:
-        method = "divide-conquer" if pieces <= _MAX_PARTITION else "double-rejection"
-    if method not in ("divide-conquer", "double-rejection"):
-        raise ValueError(f"unknown method {method!r}")
+    if pieces > _MAX_PARTITION:
+        raise ConfigurationError(
+            f"tilt {tilt:g} over a window of {horizon:g} needs {pieces} pieces per draw, "
+            f"above the cap of {_MAX_PARTITION}; for tempered noise the tilt is tempering**2 / 2 "
+            "and the window is dt, so lower the tempering or dt"
+        )
     if stats is None:
         stats = AcceptanceStats()
-    if tilt == 0.0:
-        return _untilted_blocks(rho, horizon, size, streams, stats)
-    if method == "divide-conquer":
-        return _divide_and_conquer(rho, tilt, horizon, pieces, size, streams, stats)
-    return _double_rejection_blocks(rho, tilt, horizon, size, streams, stats)
-
-
-def _untilted_blocks(rho, horizon, size, streams, stats):
-    for lo, hi in row_blocks(len(streams), size):
-        values = np.empty((hi - lo, size))
-        for i in range(hi - lo):
-            values[i] = horizon ** (1.0 / rho) * sample_positive_stable(rho, size, streams[lo + i])
-        stats.proposed += values.size
-        stats.accepted += values.size
-        yield lo, hi, values
-
-
-def _double_rejection_blocks(rho, tilt, horizon, size, streams, stats):
-    # Rescale to a unit-window problem: T_h = h**(1/rho) * X with X tilted
-    # by tilt * h**(1/rho).
-    unit_scale = horizon ** (1.0 / rho)
-    unit_tilt = tilt * unit_scale
-    for lo, hi in row_blocks(len(streams), size):
-        values = np.empty((hi - lo, size))
-        for i in range(hi - lo):
-            rng = streams[lo + i]
-            for j in range(size):
-                values[i, j] = _double_rejection(rho, unit_tilt, rng, stats)
-        yield lo, hi, unit_scale * values
+    return _divide_and_conquer(rho, tilt, horizon, pieces, size, streams, stats)
 
 
 def _divide_and_conquer(rho, tilt, horizon, pieces, size, streams, stats):
@@ -229,127 +188,3 @@ def _divide_and_conquer(rho, tilt, horizon, pieces, size, streams, stats):
         else:  # pragma: no cover - probabilistically unreachable
             raise RuntimeError("divide-and-conquer rejection failed to terminate")
         yield lo, hi, values.reshape(rows, size, pieces).sum(axis=2)
-
-
-def _safe_exp(x: float) -> float:
-    if x > 709.0:
-        return math.inf
-    return math.exp(x)
-
-
-def _sinc(x: float) -> float:
-    if abs(x) < 1e-8:
-        return 1.0
-    return math.sin(x) / x
-
-
-def _zolotarev_function(x: float, alpha: float) -> float:
-    return (
-        ((1.0 - alpha) * _sinc((1.0 - alpha) * x)) ** (1.0 - alpha)
-        * (alpha * _sinc(alpha * x)) ** alpha
-        / _sinc(x)
-    ) ** (1.0 / (1.0 - alpha))
-
-
-def _zolotarev_pdf_exponentiated(x: float, alpha: float) -> float:
-    return _sinc(x) / (
-        _sinc(alpha * x) ** alpha * _sinc((1.0 - alpha) * x) ** (1.0 - alpha)
-    )
-
-
-def _double_rejection(alpha: float, lam: float, rng: np.random.Generator, stats: AcceptanceStats) -> float:
-    """One draw of the standard stable (Laplace exponent s**alpha) tilted by lam.
-
-    Direct port of Devroye's double-rejection scheme as organised by Hofert
-    (2011), Algorithm 3.2.
-    """
-    b = (1.0 - alpha) / alpha
-    lam_alpha = lam**alpha
-    gamma = lam_alpha * alpha * (1.0 - alpha)
-    sqrt_gamma = math.sqrt(gamma)
-    c1 = math.sqrt(math.pi / 2.0)
-    c2 = 2.0 + c1
-    c3 = c2 * sqrt_gamma
-    xi = (1.0 + math.sqrt(2.0) * c3) / math.pi
-    psi = c3 * _safe_exp(-gamma * math.pi * math.pi / 8.0) / math.sqrt(math.pi)
-
-    while True:
-        stats.proposed += 1
-        U, Z, z = _aux_rv(rng, c1, xi, psi, gamma, sqrt_gamma, alpha, lam_alpha)
-        a = _zolotarev_function(U, alpha)
-        m = (b / a) ** alpha * lam_alpha
-        delta = math.sqrt(m * alpha / a)
-        a1 = delta * c1
-        a3 = z / a
-        s = a1 + delta + a3
-        v2 = rng.random()
-        n_draw = 0.0
-        e_draw = 0.0
-        if v2 < a1 / s:
-            n_draw = rng.standard_normal()
-            X = m - delta * abs(n_draw)
-        elif v2 < (a1 + delta) / s:
-            X = m + delta * rng.random()
-        else:
-            e_draw = rng.standard_exponential()
-            X = m + delta + e_draw * a3
-        if X < 0.0:
-            log_accept = -math.inf
-        else:
-            log_accept = -(
-                a * (X - m)
-                + _safe_exp((1.0 / alpha) * math.log(lam_alpha) - b * math.log(m))
-                * ((m / X) ** b - 1.0)
-            )
-            if X < m:
-                log_accept += n_draw * n_draw / 2.0
-            elif X > m + delta:
-                log_accept += e_draw
-        if log_accept > math.log(Z):
-            stats.accepted += 1
-            return X ** (-b)
-
-
-def _aux_rv(rng, c1, xi, psi, gamma, sqrt_gamma, alpha, lam_alpha):
-    """First-level auxiliary variable for double rejection (Devroye's U)."""
-    while True:
-        U = _aux2_rv(rng, c1, xi, psi, gamma, sqrt_gamma)
-        if U >= math.pi:
-            continue
-        zeta = math.sqrt(_zolotarev_pdf_exponentiated(U, alpha))
-        z = 1.0 / (1.0 - (1.0 + alpha * zeta / sqrt_gamma) ** (-1.0 / alpha))
-        inv_accept = (
-            math.pi
-            * _safe_exp(-lam_alpha * (1.0 - 1.0 / (zeta * zeta)))
-            / ((1.0 + c1) * sqrt_gamma / zeta + z)
-        )
-        d = 0.0
-        if gamma >= 1.0:
-            d += xi * _safe_exp(-gamma * U * U / 2.0)
-        if 0.0 < U < math.pi:
-            d += psi / math.sqrt(math.pi - U)
-        if gamma < 1.0:
-            d += xi
-        inv_accept *= d
-        if not inv_accept > 0.0 or math.isinf(inv_accept):
-            continue
-        Z = rng.random() * inv_accept
-        if Z <= 1.0:
-            return U, Z, z
-
-
-def _aux2_rv(rng, c1, xi, psi, gamma, sqrt_gamma):
-    """Second-level auxiliary proposal mixing a half-normal, uniform tails."""
-    w1 = c1 * xi / sqrt_gamma
-    w2 = 2.0 * math.sqrt(math.pi) * psi
-    w3 = xi * math.pi
-    v = rng.random()
-    if gamma >= 1.0:
-        if v < w1 / (w1 + w2):
-            return abs(rng.standard_normal()) / sqrt_gamma
-        w = rng.random()
-        return math.pi * (1.0 - w * w)
-    w = rng.random()
-    if v < w3 / (w2 + w3):
-        return math.pi * w
-    return math.pi * (1.0 - w * w)

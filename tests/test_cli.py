@@ -182,18 +182,45 @@ def test_zero_paths_exits_3(tmp_path, capsys):
     assert "n_paths must be >= 1, got 0" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("workers", ["0", "-2"])
-def test_worker_count_below_one_exits_3(tmp_path, capsys, workers):
-    cfg_path = str(Path(__file__).resolve().parents[1] / "configs" / "paper-5.3.json")
+_SAMPLER_CFG = {"experiment": "sampler-validation", "problem": "paper-5.4", "n": 64, "times": [0.5]}
+_PROBE_CFG = {"experiment": "probe-assumptions", "problem": "paper-5.4", "n_pairs": 64}
+
+
+@pytest.mark.parametrize(
+    "cfg, workers",
+    [
+        pytest.param(None, "0", id="0"),
+        pytest.param(None, "-2", id="-2"),
+        pytest.param(_SAMPLER_CFG, "0", id="sampler-validation-0"),
+        pytest.param(_PROBE_CFG, "0", id="probe-assumptions-0"),
+    ],
+)
+def test_worker_count_below_one_exits_3(tmp_path, capsys, cfg, workers):
+    # every kind checks workers, also those that never start a pool
+    if cfg is None:
+        cfg_path = str(Path(__file__).resolve().parents[1] / "configs" / "paper-5.3.json")
+    else:
+        cfg_path = _write_cfg(tmp_path / "cfg.json", cfg)
     out_dir = tmp_path / "o"
     assert main(["run", cfg_path, "--workers", workers, "--out", str(out_dir)]) == 3
     assert f"workers must be an integer >= 1, got {workers}" in capsys.readouterr().err
     assert not out_dir.exists()
 
 
+def test_tempering_past_the_piece_cap_exits_3(tmp_path, capsys):
+    # tempering 200 at dt = 1 needs 625 sampler pieces per increment, above the cap of 64
+    cfg = _small_measure_cfg(dt=1.0, checkpoints=[1.0, 2.0], ratio_times=[1.0, 2.0])
+    cfg["problem"]["noise"]["tempering"] = 200.0
+    cfg_path = _write_cfg(tmp_path / "steep.json", cfg)
+    out_dir = tmp_path / "o"
+    assert main(["run", cfg_path, "--workers", "1", "--out", str(out_dir)]) == 3
+    err = capsys.readouterr().err
+    assert "625 pieces" in err and "tempering" in err and "dt" in err
+    assert not out_dir.exists()
+
+
 def test_seed_above_float_precision_runs_as_given(tmp_path):
-    cfg = {"experiment": "sampler-validation", "problem": "paper-5.4", "n": 64, "times": [0.5]}
-    cfg_path = _write_cfg(tmp_path / "sampler.json", cfg)
+    cfg_path = _write_cfg(tmp_path / "sampler.json", _SAMPLER_CFG)
     for seed in (2**53 + 1, 10**400):
         out_dir = tmp_path / str(seed)[:8]
         assert main(["run", cfg_path, "--seed", str(seed), "--out", str(out_dir)]) == 0

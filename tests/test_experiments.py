@@ -165,6 +165,11 @@ def test_rejects_unknown_top_level_key():
         ("probe", "radius", "5"),
         ("sampler", "n", "1000"),
         pytest.param("measure", "dt", 10**400, id="measure-dt-10^400"),
+        pytest.param("sampler", "times", ["0.5", True], id="sampler-times-strings"),
+        pytest.param("sampler", "u_grid", [1.0, None], id="sampler-u_grid-null"),
+        pytest.param("measure", "ratio_times", ["1.0"], id="measure-ratio_times-string"),
+        pytest.param("measure", "ratio_times", [1.0], id="measure-ratio_times-one"),
+        pytest.param("measure", "ratio_times", [0.2, 1.0, 5.0], id="measure-ratio_times-three"),
     ],
 )
 def test_run_block_numbers_are_strict(base, key, value):

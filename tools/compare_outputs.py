@@ -32,6 +32,9 @@ the same arithmetic print the same hashes:
   equal and at most 10,000;
 * ``tape-<problem>``: the ``make_tape`` rows of 300 paths over 128 steps of
   2^-6 per built-in problem, drawn as one chunk and as chunks of 64 paths;
+* ``tape-tempered-64-pieces``: the same for paper-5.4 with tempering 34.5,
+  over 8 steps of 1, where each jump increment takes 64 sampler pieces, the
+  most a draw may take;
 * ``sampler-<problem>``: for paper-5.3 and paper-5.4, the jump increments
   ``run_sampler_validation`` draws (n = 20,000 at t = 0.25, 0.5, 1 and 2;
   the tempered sampler splits t = 2 into two pieces) and the z-scores it
@@ -49,6 +52,7 @@ residual).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import sys
 
@@ -133,8 +137,7 @@ def _law(name, checkpoints, n_paths, reference):
     }
 
 
-def _tape(name):
-    problem, dt, n_steps = builtin_problem(name), 2.0 ** -6, 128
+def _tape(problem, dt=2.0 ** -6, n_steps=128):
     whole = make_tape(problem, dt, n_steps, np.arange(300), SEED)
     chunks = [make_tape(problem, dt, n_steps, np.arange(lo, min(lo + 64, 300)), SEED)
               for lo in range(0, 300, 64)]
@@ -172,7 +175,10 @@ def run_protocols() -> dict[str, np.ndarray]:
     protocols["law-53"] = lambda: _law("paper-5.3", [0.5, 1.0, 2.0], 1000, analytic)
     protocols["law-54"] = lambda: _law("paper-5.4", [1.0, 2.0, 5.0], 600, {"kind": "final-snapshot"})
     for name in builtin_problem_names():
-        protocols[f"tape-{name}"] = lambda name=name: _tape(name)
+        protocols[f"tape-{name}"] = lambda name=name: _tape(builtin_problem(name))
+    paper54 = builtin_problem("paper-5.4")
+    steep = dataclasses.replace(paper54, noise=dataclasses.replace(paper54.noise, tempering=34.5))
+    protocols["tape-tempered-64-pieces"] = lambda: _tape(steep, 1.0, 8)
     for name in ("paper-5.3", "paper-5.4"):
         protocols[f"sampler-{name}"] = lambda name=name: _sampler(name)
     arrays = {}
