@@ -55,7 +55,7 @@ from .model import (
 )
 from .noise import (
     NoiseSpec,
-    SeedPolicy,
+    PathStreams,
     increment_characteristic_function,
     sample_levy_increments,
     validate_moment_conditions,
@@ -76,8 +76,8 @@ __all__ = [
     "MomentCurve",
     "NoiseSpec",
     "OrderFit",
+    "PathStreams",
     "SdeProblem",
-    "SeedPolicy",
     "StationaryReference",
     "StepDiagnostics",
     "StepFailureError",

@@ -38,8 +38,9 @@ from .model import (
     zero_state_bounds,
 )
 from .noise import (
+    LEVY_STREAM,
     NoiseSpec,
-    SeedPolicy,
+    PathStreams,
     increment_characteristic_function,
     sample_levy_increments,
     validate_moment_conditions,
@@ -345,6 +346,8 @@ def run_invariant_measure(
     band=None,
 ) -> MeasureResult:
     """Snapshot the ensemble over time and compare against a reference law."""
+    if not isinstance(reference, (dict, type(None))):
+        raise ConfigurationError(f"field 'reference': expected an object, got {reference!r}")
     if ratio_times is not None and len(ratio_times) != 2:
         raise ConfigurationError(f"ratio_times must hold two times, got {list(ratio_times)!r}")
     snapshots = evolve_empirical_law(
@@ -417,11 +420,14 @@ def run_sampler_validation(
     """Empirical vs analytic characteristic function of the jump increments."""
     if not noise.has_jumps:
         raise ConfigurationError("sampler validation needs a jump component")
+    if n < 2:
+        raise ConfigurationError(f"field 'n': need at least 2 draws for a standard error, got {n}")
     u = np.asarray(u_grid, dtype=float)
     rows = []
     max_z = 0.0
     for j, t in enumerate(times):
-        draw = sample_levy_increments(noise, float(t), n, SeedPolicy(master_seed, j, "levy"))
+        streams = PathStreams(master_seed, [j], LEVY_STREAM)
+        draw = sample_levy_increments(noise, float(t), n, streams)[0]
         phase = np.exp(1j * u[:, None] * draw[None, :])
         emp = phase.mean(axis=1)
         # stderr of the complex mean, coordinate-wise
@@ -568,7 +574,7 @@ def _write_csv(path: Path, header, rows):
 
 
 def _write_dat(path: Path, pairs):
-    lines = [f"{x!r} {y!r}" for x, y in pairs]
+    lines = [f"{float(x)!r} {float(y)!r}" for x, y in pairs]
     path.write_text("\n".join(lines) + "\n")
 
 

@@ -31,7 +31,7 @@ import numpy as np
 from .engine import simulate_ensemble
 from .errors import ConfigurationError
 from .model import SdeProblem, coupling_envelope
-from .noise import SeedPolicy, sample_alpha_stable
+from .noise import LEVY_STREAM, PathStreams, sample_alpha_stable
 
 __all__ = [
     "EmpiricalMeasure",
@@ -147,9 +147,8 @@ class StationaryReference:
                 )
             return self.snapshot.values
         if n not in self._cache:
-            draw = sample_alpha_stable(
-                self.alpha, self.scale, 1.0, n, SeedPolicy(self.sample_seed, 0, "levy")
-            )
+            streams = PathStreams(self.sample_seed, [0], LEVY_STREAM)
+            draw = sample_alpha_stable(self.alpha, self.scale, 1.0, n, streams)[0]
             self._cache[n] = np.sort(draw)
         return self._cache[n]
 

@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from .errors import ConfigurationError
-from .noise import AUX_STREAM, NoiseSpec, SeedPolicy, make_rng
+from .noise import AUX_STREAM, NoiseSpec, PathStreams
 
 if TYPE_CHECKING:
     from .problems import CompiledPolynomial
@@ -167,7 +167,7 @@ class ProbeReport:
 
 
 def _probe_draws(problem: SdeProblem, n_pairs: int, radius: float, seed: int):
-    rng = make_rng(SeedPolicy(seed, 0, AUX_STREAM))
+    rng = PathStreams(seed, [0], AUX_STREAM)[0]
     t = rng.uniform(0.0, problem.horizon, n_pairs)
     x = rng.uniform(-radius, radius, n_pairs)
     y = rng.uniform(-radius, radius, n_pairs)
@@ -291,6 +291,10 @@ def run_declared_probes(
     problem: SdeProblem, n_pairs: int = 10_000, radius: float = 5.0, seed: int = 0
 ) -> list[ProbeReport]:
     """All four probes: one-sided, polynomial, diffusion and time-Hoelder, in that order."""
+    if n_pairs < 1:
+        raise ConfigurationError(f"field 'n_pairs': need at least one pair, got {n_pairs}")
+    if not 0.0 < radius < math.inf:
+        raise ConfigurationError(f"field 'radius': need a finite radius > 0, got {radius}")
     probes = (
         probe_one_sided_lipschitz,
         probe_polynomial_lipschitz,

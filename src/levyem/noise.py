@@ -1,16 +1,18 @@
 """Driving-noise generators: symmetric alpha-stable and tempered stable.
 
 All increments are exact in distribution for the requested window length
-``dt``; no path-level series truncation is involved.  Randomness is drawn from
-counter-based Philox streams keyed by ``(master_seed, path_index, stream)`` so
-that every path owns reproducible, independent substreams regardless of
-chunking or worker scheduling.  :func:`levyem.engine.make_tape` draws a
-chunk's tape at once: :class:`PathStreams` derives the keys of all its paths
-in one array pass and resumes each path's stream on one shared generator,
-and the samplers work through the rows in blocks, drawing each row's
-variates from its own stream in the order a one-path call would.  Each tape
-row therefore equals the draw of that path alone; the single-stream calls
-(a ``SeedPolicy`` or master seed) are the one-row case of the same code.
+``dt``; no path-level series truncation is involved.  Randomness has one
+address: :class:`PathStreams` ``(master_seed, paths, stream)`` holds the
+counter-based Philox streams of the given paths, one per path, keyed by
+``(master_seed, path_index, stream)``, so every path owns a reproducible,
+independent substream regardless of chunking or worker scheduling.  It
+derives the keys of all its paths in one array pass and resumes each path's
+stream on one shared generator.  The samplers take a ``PathStreams`` and
+return one row per path, working through the rows in blocks and drawing
+each row's variates from its own stream, so a row does not depend on the
+other paths of the call: :func:`levyem.engine.make_tape` draws a chunk's
+tape this way, and a one-path draw is ``PathStreams(seed, [p], stream)``
+and row 0.
 
 Conventions
 -----------
@@ -40,7 +42,6 @@ __all__ = [
     "BROWNIAN_STREAM",
     "LEVY_STREAM",
     "AUX_STREAM",
-    "SeedPolicy",
     "NoiseSpec",
     "MomentConditionReport",
     "PathStreams",
@@ -57,26 +58,6 @@ LEVY_STREAM = "levy"
 AUX_STREAM = "aux"
 _STREAM_CODES = {BROWNIAN_STREAM: 0, LEVY_STREAM: 1, AUX_STREAM: 2}
 _MAX_PATH_INDEX = 2**32 - 1  # one 32-bit spawn-key word per path
-
-
-@dataclass(frozen=True)
-class SeedPolicy:
-    """Addresses one reproducible random substream.
-
-    The triple is mapped to a numpy ``SeedSequence`` spawn key, so distinct
-    ``(master_seed, path_index, stream)`` triples give statistically
-    independent Philox streams.
-    """
-
-    master_seed: int
-    path_index: int = 0
-    stream: str = LEVY_STREAM
-
-    def __post_init__(self):
-        if self.stream not in _STREAM_CODES:
-            raise ConfigurationError(f"unknown stream tag {self.stream!r}")
-        if not 0 <= self.path_index <= _MAX_PATH_INDEX:
-            raise ConfigurationError(f"path_index must lie in [0, 2**32), got {self.path_index}")
 
 
 # numpy's SeedSequence hash constants (NEP 19; numpy/random/bit_generator.pyx)
@@ -100,7 +81,7 @@ def _mix(x, y):
 
 
 def _philox_keys(master_seed: int, paths, stream: str):
-    """Philox keys of the streams ``SeedPolicy(master_seed, p, stream)`` for p in ``paths``.
+    """Philox keys of the streams ``(master_seed, p, stream)`` for p in ``paths``.
 
     Equals ``SeedSequence(master_seed, spawn_key=(p, code)).generate_state(2,
     np.uint64)``: the entropy words are hashed into a pool of four 32-bit
@@ -145,27 +126,23 @@ def _philox_keys(master_seed: int, paths, stream: str):
     return keys
 
 
-def make_rng(seed: "SeedPolicy | int") -> np.random.Generator:
-    """Build the Philox generator addressed by a SeedPolicy (or bare master seed)."""
-    if isinstance(seed, int):
-        seed = SeedPolicy(seed)
-    key = _philox_keys(seed.master_seed, seed.path_index, seed.stream)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
 class PathStreams:
-    """The streams ``SeedPolicy(master_seed, p, stream)`` of many paths, on one generator.
+    """The streams ``(master_seed, p, stream)`` of the paths p in ``paths``, on one generator.
 
+    ``stream`` is one of BROWNIAN_STREAM, LEVY_STREAM and AUX_STREAM.
     ``streams[r]`` saves the position of the row in use, loads row r's (a
     fresh stream on first use) and returns the shared generator; it is valid
     until the next ``streams[...]``.  Row r therefore yields exactly what
-    ``make_rng(SeedPolicy(master_seed, paths[r], stream))`` yields, without a
-    generator per path.  Only suspended rows keep a saved position: a row
-    that is drawn from no more is ``release``d.  The samplers accept a list
-    of generators the same way.
+    path ``paths[r]``'s own stream yields, without a generator per path.
+    Only suspended rows keep a saved position: a row that is drawn from no
+    more is ``release``d.
     """
 
     def __init__(self, master_seed: int, paths, stream: str):
+        if stream not in _STREAM_CODES:
+            raise ConfigurationError(
+                f"unknown stream tag {stream!r}, expected one of {', '.join(_STREAM_CODES)}"
+            )
         paths = np.asarray(paths, dtype=np.int64).ravel()
         if paths.size and not 0 <= paths.min() <= paths.max() <= _MAX_PATH_INDEX:
             raise ConfigurationError("path indices must lie in [0, 2**32)")
@@ -198,16 +175,12 @@ class PathStreams:
             self._saved.pop(row, None)
 
 
-def _release(streams, row: int) -> None:
-    if isinstance(streams, PathStreams):
-        streams.release(row)
+def make_rng(master_seed: int, path_index: int, stream: str) -> np.random.Generator:
+    """The generator of one path's stream: row 0 of a one-path :class:`PathStreams`.
 
-
-def _as_streams(seed):
-    """(streams, one_row): a SeedPolicy or master seed as one row, a stream set as given."""
-    if isinstance(seed, (SeedPolicy, int)):
-        return [make_rng(seed)], True
-    return seed, False
+    Nothing in the package calls it; ``bench/tracing.py`` times it under this name.
+    """
+    return PathStreams(master_seed, [path_index], stream)[0]
 
 
 _KINDS = ("none", "alpha_stable", "tempered_stable")
@@ -287,16 +260,16 @@ def _check_window(scale: float, dt: float, n: int) -> None:
         raise ConfigurationError(f"need dt > 0, got {dt}")
 
 
-def sample_alpha_stable(alpha: float, scale: float, dt: float, n: int, seed) -> np.ndarray:
-    """n symmetric alpha-stable increments over dt; CF exp(-|scale*u|**alpha * dt).
+def sample_alpha_stable(
+    alpha: float, scale: float, dt: float, n: int, streams: PathStreams
+) -> np.ndarray:
+    """n symmetric alpha-stable increments over dt per stream, shape ``(len(streams), n)``.
 
-    ``seed`` is a SeedPolicy or master seed (returns shape ``(n,)``) or a
-    stream set such as :class:`PathStreams` (returns ``(len(seed), n)``).
+    The CF of each increment is exp(-|scale*u|**alpha * dt).
     """
     if not 0.0 < alpha <= 2.0:
         raise ConfigurationError(f"alpha must lie in (0, 2], got {alpha}")
     _check_window(scale, dt, n)
-    streams, one_row = _as_streams(seed)
     out = np.empty((len(streams), n))
     for lo, hi in row_blocks(len(streams), n):
         u = np.empty((hi - lo, n))
@@ -305,9 +278,9 @@ def sample_alpha_stable(alpha: float, scale: float, dt: float, n: int, seed) -> 
             rng = streams[lo + i]
             u[i] = rng.uniform(-np.pi / 2.0, np.pi / 2.0, n)
             rng.standard_exponential(out=w[i])
-            _release(streams, lo + i)
+            streams.release(lo + i)
         out[lo:hi] = scale * dt ** (1.0 / alpha) * _standard_symmetric_stable(alpha, u, w)
-    return out[0] if one_row else out
+    return out
 
 
 def sample_tempered_stable(
@@ -316,21 +289,20 @@ def sample_tempered_stable(
     scale: float,
     dt: float,
     n: int,
-    seed,
+    streams: PathStreams,
     with_stats: bool = False,
 ):
-    """n symmetric tempered-stable increments over dt (Brownian subordination).
+    """n symmetric tempered-stable increments over dt per stream (Brownian subordination).
 
-    ``seed`` is read as by :func:`sample_alpha_stable`.  Each row draws its
-    subordinator, then its Gaussian factors.  Returns the array, or
-    ``(array, AcceptanceStats)`` when ``with_stats``.
+    Each row draws its subordinator, then its Gaussian factors.  Returns the
+    ``(len(streams), n)`` array, or ``(array, AcceptanceStats)`` when
+    ``with_stats``.
     """
     if not 0.0 < alpha < 2.0:
         raise ConfigurationError(f"alpha must lie in (0, 2), got {alpha}")
     if tempering <= 0:
         raise ConfigurationError(f"tempering must be > 0, got {tempering}")
     _check_window(scale, dt, n)
-    streams, one_row = _as_streams(seed)
     stats = AcceptanceStats()
     rho = alpha / 2.0
     tilt = tempering * tempering / 2.0
@@ -339,27 +311,24 @@ def sample_tempered_stable(
         z = np.empty_like(subordinator)
         for i in range(hi - lo):
             streams[lo + i].standard_normal(out=z[i])
-            _release(streams, lo + i)
+            streams.release(lo + i)
         out[lo:hi] = scale * np.sqrt(subordinator) * z
-    values = out[0] if one_row else out
-    if with_stats:
-        return values, stats
-    return values
+    return (out, stats) if with_stats else out
 
 
-def sample_levy_increments(spec: NoiseSpec, dt: float, n: int, seed, with_stats: bool = False):
-    """Dispatch on spec.kind; 'none' yields zeros.  ``seed`` as in :func:`sample_alpha_stable`."""
-    if spec.kind == "none":
-        streams, one_row = _as_streams(seed)
-        out = np.zeros((len(streams), n))
-        out = out[0] if one_row else out
-        return (out, AcceptanceStats()) if with_stats else out
+def sample_levy_increments(
+    spec: NoiseSpec, dt: float, n: int, streams: PathStreams, with_stats: bool = False
+):
+    """Dispatch on spec.kind, shape ``(len(streams), n)``; 'none' yields zeros."""
+    if spec.kind == "tempered_stable":
+        return sample_tempered_stable(
+            spec.alpha, spec.tempering, spec.scale, dt, n, streams, with_stats=with_stats
+        )
     if spec.kind == "alpha_stable":
-        out = sample_alpha_stable(spec.alpha, spec.scale, dt, n, seed)
-        return (out, AcceptanceStats()) if with_stats else out
-    return sample_tempered_stable(
-        spec.alpha, spec.tempering, spec.scale, dt, n, seed, with_stats=with_stats
-    )
+        out = sample_alpha_stable(spec.alpha, spec.scale, dt, n, streams)
+    else:
+        out = np.zeros((len(streams), n))
+    return (out, AcceptanceStats()) if with_stats else out
 
 
 def increment_characteristic_function(spec: NoiseSpec, u, t: float) -> np.ndarray:

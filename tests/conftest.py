@@ -11,7 +11,7 @@ import pytest
 from levyem.engine import second_moment_curve
 from levyem.experiments import entry_config, execute_config, run_convergence
 from levyem.measures import two_initial_value_coupling
-from levyem.noise import SeedPolicy, sample_tempered_stable
+from levyem.noise import PathStreams, sample_tempered_stable
 from levyem.problems import builtin_problem
 
 CRITERION_SEED = 20240817
@@ -109,16 +109,16 @@ def coupling_decay_54(problem_54):
 def tempered_13_draw_1e6():
     """Tempered stable alpha=1.3, lambda=1, scale=1, dt=1 at n=1e6."""
     return sample_tempered_stable(
-        1.3, 1.0, 1.0, 1.0, 1_000_000, SeedPolicy(CRITERION_SEED, 0, "levy")
-    )
+        1.3, 1.0, 1.0, 1.0, 1_000_000, PathStreams(CRITERION_SEED, [0], "levy")
+    )[0]
 
 
 @pytest.fixture(scope="session")
 def tempered_13_oracle_1e7():
     """Independent 1e7-sample oracle run of the same law (different seed)."""
     return sample_tempered_stable(
-        1.3, 1.0, 1.0, 1.0, 10_000_000, SeedPolicy(987654321, 0, "levy")
-    )
+        1.3, 1.0, 1.0, 1.0, 10_000_000, PathStreams(987654321, [0], "levy")
+    )[0]
 
 
 @pytest.fixture(scope="session")

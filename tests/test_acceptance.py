@@ -41,7 +41,7 @@ from levyem.measures import (
 )
 from levyem.model import second_moment_envelope
 from levyem.noise import (
-    SeedPolicy,
+    PathStreams,
     sample_alpha_stable,
     sample_tempered_stable,
 )
@@ -187,7 +187,7 @@ def test_criterion_09_sampler_suite(tempered_13_draw_1e6, tempered_13_oracle_1e7
     checks = []
 
     # (a) symmetric stable ECF at alpha = 1.5, n = 1e6
-    x = sample_alpha_stable(1.5, 1.0, 1.0, 1_000_000, SeedPolicy(314, 0, "levy"))
+    x = sample_alpha_stable(1.5, 1.0, 1.0, 1_000_000, PathStreams(314, [0], "levy"))[0]
     for t in (0.25, 0.5, 1.0, 2.0):
         cos_tx = np.cos(t * x)
         gap = abs(cos_tx.mean() - math.exp(-(t ** 1.5)))
@@ -195,14 +195,15 @@ def test_criterion_09_sampler_suite(tempered_13_draw_1e6, tempered_13_oracle_1e7
         checks.append(("ecf", gap <= 3.0 * se))
 
     # (b) alpha = 2 at scale 1/sqrt(2) is standard normal, n = 1e5
-    g = sample_alpha_stable(2.0, 1.0 / math.sqrt(2.0), 1.0, 100_000, SeedPolicy(314, 1, "levy"))
+    g = sample_alpha_stable(2.0, 1 / math.sqrt(2.0), 1.0, 100_000, PathStreams(314, [1], "levy"))[0]
     _, p = stats.kstest(g, "norm")
     checks.append(("gaussian-ks", p > 0.01))
 
     # (c) fourth moment strictly decreasing in the tempering rate, n = 1e5
     m4, se4 = [], []
     for j, lam in enumerate((0.5, 1.0, 2.0, 4.0)):
-        d = sample_tempered_stable(1.3, lam, 1.0, 1.0, 100_000, SeedPolicy(314, 2 + j, "levy"))
+        streams = PathStreams(314, [2 + j], "levy")
+        d = sample_tempered_stable(1.3, lam, 1.0, 1.0, 100_000, streams)[0]
         q = d ** 4
         m4.append(q.mean())
         se4.append(q.std(ddof=1) / math.sqrt(q.size))

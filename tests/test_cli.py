@@ -1,12 +1,14 @@
 """Command line driver: exit codes, output routing, artifact layout."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import levyem
 from levyem.cli import main
 from levyem.experiments import entry_config
 
@@ -217,6 +219,35 @@ def test_tempering_past_the_piece_cap_exits_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "625 pieces" in err and "tempering" in err and "dt" in err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("n_pairs", 0), ("n_pairs", -5), ("radius", 0), ("radius", -1)],
+    ids=["n_pairs-0", "n_pairs--5", "radius-0", "radius--1"],
+)
+def test_bad_probe_block_exits_3(tmp_path, key, value):
+    # a subprocess with a timeout, so that a probe stuck redrawing fails the test
+    cfg_path = _write_cfg(tmp_path / "probe.json", dict(_PROBE_CFG, **{key: value}))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(levyem.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    ))
+    proc = subprocess.run(
+        [sys.executable, "-m", "levyem.cli", "run", cfg_path, "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert f"'{key}'" in proc.stderr
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("n", [1, 0])
+def test_sampler_validation_needs_two_draws(tmp_path, capsys, n):
+    # one draw has no standard error: every z would be NaN
+    cfg_path = _write_cfg(tmp_path / "sampler.json", dict(_SAMPLER_CFG, n=n))
+    assert main(["run", cfg_path, "--out", str(tmp_path / "o")]) == 3
+    assert "'n'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_seed_above_float_precision_runs_as_given(tmp_path):

@@ -326,6 +326,12 @@ def test_execute_small_measure_config():
     assert result.reference["kind"] == "final-snapshot"
 
 
+def test_reference_must_be_an_object():
+    cfg = dict(_small_measure_cfg(), reference="final-snapshot")
+    with pytest.raises(ConfigurationError, match="'reference'"):
+        execute_config(cfg)
+
+
 def test_probe_run_populates_decay_and_passes():
     result = run_probe_assumptions(builtin_problem("paper-5.4"), n_pairs=2000, seed=4)
     assert isinstance(result, ProbeResult)
@@ -393,6 +399,15 @@ def test_write_probe_and_sampler_runs(tmp_path):
         "ecf_z.dat",
         "summary.json",
     }
+
+
+def test_dat_files_hold_two_float_columns(tmp_path):
+    out = write_run(execute_config(_small_measure_cfg()), tmp_path / "run")
+    dat_files = sorted(out.glob("*.dat"))
+    assert len(dat_files) == 5  # ks, wasserstein and three densities
+    for path in dat_files:
+        for line in path.read_text().splitlines():
+            x, y = (float(c) for c in line.split(" "))
 
 
 def test_artifacts_are_byte_deterministic(tmp_path):

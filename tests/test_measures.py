@@ -28,7 +28,7 @@ from levyem.measures import (
     wasserstein_k,
 )
 from levyem.model import AssumptionConstants, SdeProblem
-from levyem.noise import NoiseSpec, SeedPolicy, sample_alpha_stable
+from levyem.noise import NoiseSpec, PathStreams, sample_alpha_stable
 from levyem.problems import builtin_problem
 
 
@@ -130,7 +130,7 @@ def test_ks_against_own_reference_small():
     # envelope 0.0272 quoted for level 0.05
     scale = ou_stationary_scale(1.5)
     ref = StationaryReference(kind="analytic_stable", alpha=1.5, scale=scale)
-    draw = sample_alpha_stable(1.5, scale, 1.0, 10_000, SeedPolicy(21, 0, "levy"))
+    draw = sample_alpha_stable(1.5, scale, 1.0, 10_000, PathStreams(21, [0], "levy"))[0]
     d, p = ks_statistic(EmpiricalMeasure(values=draw, t=1.0), ref)
     assert d < 0.0272
     assert p > 0.05
@@ -139,7 +139,7 @@ def test_ks_against_own_reference_small():
 def test_ks_detects_shift():
     scale = ou_stationary_scale(1.5)
     ref = StationaryReference(kind="analytic_stable", alpha=1.5, scale=scale)
-    draw = sample_alpha_stable(1.5, scale, 1.0, 10_000, SeedPolicy(21, 0, "levy")) + 1.0
+    draw = sample_alpha_stable(1.5, scale, 1.0, 10_000, PathStreams(21, [0], "levy"))[0] + 1.0
     d, p = ks_statistic(EmpiricalMeasure(values=draw, t=1.0), ref)
     assert d > 0.2
     assert p < 1e-10
@@ -216,7 +216,8 @@ def test_report_stderrs_equal_resampled_scipy_folds(kind):
     scale = ou_stationary_scale(1.5)
     snaps = [
         EmpiricalMeasure(
-            values=sample_alpha_stable(1.5, scale * f, 1.0, 2000, SeedPolicy(8, j, "levy")), t=t
+            values=sample_alpha_stable(1.5, scale * f, 1.0, 2000, PathStreams(8, [j], "levy"))[0],
+            t=t,
         )
         for j, (f, t) in enumerate([(1.4, 1.0), (1.1, 2.0), (1.0, 3.0)])
     ]

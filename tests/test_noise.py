@@ -14,7 +14,6 @@ from levyem.problems import builtin_problem
 from levyem.noise import (
     NoiseSpec,
     PathStreams,
-    SeedPolicy,
     _philox_keys,
     increment_characteristic_function,
     make_rng,
@@ -25,6 +24,15 @@ from levyem.noise import (
 )
 
 BM_SPEC = NoiseSpec(kind="none", brownian_dim=1)
+STREAM_CODES = {"brownian": 0, "levy": 1, "aux": 2}
+
+
+def _reference_rng(seed, path, stream):
+    """Path ``path``'s stream, built from numpy's SeedSequence alone: the seeding contract."""
+    key = np.random.SeedSequence(seed, spawn_key=(path, STREAM_CODES[stream])).generate_state(
+        2, np.uint64
+    )
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def _brownian_problem():
@@ -64,16 +72,27 @@ def test_brownian_determinism():
     a = make_tape(_brownian_problem(), 0.5, 1000, [3, 4], master_seed=7).brownian
     b = make_tape(_brownian_problem(), 0.5, 1000, [4, 3], master_seed=7).brownian
     np.testing.assert_array_equal(a, b[::-1])
-    expected = np.sqrt(0.5) * make_rng(SeedPolicy(7, 3, "brownian")).standard_normal(1000)
+    expected = np.sqrt(0.5) * _reference_rng(7, 3, "brownian").standard_normal(1000)
     np.testing.assert_array_equal(a[0], expected)
 
 
 def test_streams_are_distinct():
-    a = make_rng(SeedPolicy(7, 3, "brownian")).standard_normal(100)
-    b = make_rng(SeedPolicy(7, 3, "levy")).standard_normal(100)
-    c = make_rng(SeedPolicy(7, 4, "brownian")).standard_normal(100)
+    a = PathStreams(7, [3], "brownian")[0].standard_normal(100)
+    b = PathStreams(7, [3], "levy")[0].standard_normal(100)
+    c = PathStreams(7, [4], "brownian")[0].standard_normal(100)
     assert not np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def test_make_rng_is_one_path_stream():
+    np.testing.assert_array_equal(
+        make_rng(2**40 + 3, 17, "aux").random(50), _reference_rng(2**40 + 3, 17, "aux").random(50)
+    )
+
+
+def test_path_streams_reject_an_unknown_stream_tag():
+    with pytest.raises(ConfigurationError, match="'nope'"):
+        PathStreams(1, [0], "nope")
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +115,7 @@ def test_philox_keys_match_seed_sequence(seed):
 
 def test_path_streams_resume_each_row():
     streams = PathStreams(3, [5, 9], "levy")
-    a, b = make_rng(SeedPolicy(3, 5, "levy")), make_rng(SeedPolicy(3, 9, "levy"))
+    a, b = _reference_rng(3, 5, "levy"), _reference_rng(3, 9, "levy")
     for row, rng in (0, a), (1, b), (0, a), (0, a), (1, b):
         np.testing.assert_array_equal(streams[row].random(7), rng.random(7))
     streams.release(0)
@@ -125,21 +144,19 @@ def _tape_problem(name):
     return builtin_problem(name)
 
 
-@pytest.mark.parametrize("name", ["paper-5.3", "paper-5.4", "paper-5.2", *_TAPE_SPECS])
-def test_tape_rows_equal_one_stream_per_path(name):
-    problem = _tape_problem(name)
-    dt = 1.0 if name in _TAPE_SPECS else 0.01
-    n_steps = 300
-    # rows in several sampler blocks, in no particular order
-    paths = [0, 41, 7, 2**31 + 5, *range(100, 136)]
-    tape = make_tape(problem, dt, n_steps, paths, master_seed=20240817)
-    assert (tape.brownian is None) == (problem.noise.brownian_dim == 0)
-    for row, path in enumerate(paths):
-        if tape.brownian is not None:
-            rng = make_rng(SeedPolicy(20240817, path, "brownian"))
-            np.testing.assert_array_equal(tape.brownian[row], rng.standard_normal(n_steps) * np.sqrt(dt))
-        levy = sample_levy_increments(problem.noise, dt, n_steps, SeedPolicy(20240817, path, "levy"))
-        np.testing.assert_array_equal(tape.levy[row], levy)
+def _reference_stable(alpha, scale, dt, n, rng):
+    """Chambers-Mallows-Stuck on one stream, written out: uniforms, then exponentials."""
+    u = rng.uniform(-np.pi / 2.0, np.pi / 2.0, n)
+    w = np.clip(rng.standard_exponential(n), 1e-300, None)
+    if alpha == 1.0:
+        x = np.tan(u)
+    else:
+        x = (
+            np.sin(alpha * u)
+            / np.cos(u) ** (1.0 / alpha)
+            * (np.cos((1.0 - alpha) * u) / w) ** ((1.0 - alpha) / alpha)
+        )
+    return scale * dt ** (1.0 / alpha) * x
 
 
 def _reference_tempered(alpha, tempering, scale, dt, n, rng):
@@ -162,12 +179,35 @@ def _reference_tempered(alpha, tempering, scale, dt, n, rng):
     return scale * np.sqrt(subordinator) * rng.standard_normal(n)
 
 
+def _reference_levy(spec, dt, n, rng):
+    if spec.kind == "alpha_stable":
+        return _reference_stable(spec.alpha, spec.scale, dt, n, rng)
+    return _reference_tempered(spec.alpha, spec.tempering, spec.scale, dt, n, rng)
+
+
+@pytest.mark.parametrize("name", ["paper-5.3", "paper-5.4", "paper-5.2", *_TAPE_SPECS])
+def test_tape_rows_equal_one_stream_per_path(name):
+    problem = _tape_problem(name)
+    dt = 1.0 if name in _TAPE_SPECS else 0.01
+    n_steps = 300
+    # rows in several sampler blocks, in no particular order
+    paths = [0, 41, 7, 2**31 + 5, *range(100, 136)]
+    tape = make_tape(problem, dt, n_steps, paths, master_seed=20240817)
+    assert (tape.brownian is None) == (problem.noise.brownian_dim == 0)
+    for row, path in enumerate(paths):
+        if tape.brownian is not None:
+            rng = _reference_rng(20240817, path, "brownian")
+            np.testing.assert_array_equal(tape.brownian[row], rng.standard_normal(n_steps) * np.sqrt(dt))
+        levy = _reference_levy(problem.noise, dt, n_steps, _reference_rng(20240817, path, "levy"))
+        np.testing.assert_array_equal(tape.levy[row], levy)
+
+
 @pytest.mark.parametrize("name, dt", [("paper-5.4", 0.01), ("tempered-3-pieces", 1.0)])
 def test_tempered_rows_follow_the_per_stream_draw_order(name, dt):
     spec = _tape_problem(name).noise
     tape = make_tape(_tape_problem(name), dt, 200, [3, 60], master_seed=5)
     for row, path in enumerate([3, 60]):
-        rng = make_rng(SeedPolicy(5, path, "levy"))
+        rng = _reference_rng(5, path, "levy")
         expected = _reference_tempered(spec.alpha, spec.tempering, spec.scale, dt, 200, rng)
         np.testing.assert_array_equal(tape.levy[row], expected)
 
@@ -191,7 +231,7 @@ def test_tape_working_memory_is_bounded():
 
 def test_stable_ecf_against_closed_form():
     # alpha = 1.5, scale = 1, dt = 1, n = 1e6; CF is exp(-|u|**1.5)
-    draw = sample_alpha_stable(1.5, 1.0, 1.0, 1_000_000, SeedPolicy(5, 0, "levy"))
+    draw = sample_alpha_stable(1.5, 1.0, 1.0, 1_000_000, PathStreams(5, [0], "levy"))[0]
     for u in (0.25, 0.5, 1.0, 2.0):
         cos_u = np.cos(u * draw)
         se = cos_u.std(ddof=1) / np.sqrt(cos_u.size)
@@ -201,7 +241,8 @@ def test_stable_ecf_against_closed_form():
 
 def test_stable_alpha2_reduces_to_gaussian():
     # scale 1/sqrt(2) at alpha=2 has variance 2*scale^2 = 1
-    draw = sample_alpha_stable(2.0, 1.0 / np.sqrt(2.0), 1.0, 100_000, SeedPolicy(6, 0, "levy"))
+    streams = PathStreams(6, [0], "levy")
+    draw = sample_alpha_stable(2.0, 1.0 / np.sqrt(2.0), 1.0, 100_000, streams)[0]
     gauss = np.random.default_rng(123).standard_normal(100_000)
     assert stats.ks_2samp(draw, gauss).pvalue > 0.01
 
@@ -209,24 +250,24 @@ def test_stable_alpha2_reduces_to_gaussian():
 def test_stable_self_similarity():
     # one dt=1/4 increment vs the sum of four dt=1/16 increments
     n = 100_000
-    one = sample_alpha_stable(1.5, 1.0, 0.25, n, SeedPolicy(8, 0, "levy"))
-    fine = sample_alpha_stable(1.5, 1.0, 1.0 / 16.0, 4 * n, SeedPolicy(9, 0, "levy"))
+    one = sample_alpha_stable(1.5, 1.0, 0.25, n, PathStreams(8, [0], "levy"))[0]
+    fine = sample_alpha_stable(1.5, 1.0, 1.0 / 16.0, 4 * n, PathStreams(9, [0], "levy"))[0]
     summed = fine.reshape(n, 4).sum(axis=1)
     assert stats.ks_2samp(one, summed).pvalue > 0.01
 
 
 def test_stable_scale_enters_as_dt_power():
     # scale*dt**(1/alpha) scaling: dt=16, alpha=2 doubles the dt=4 spread
-    a = sample_alpha_stable(2.0, 1.0, 4.0, 50_000, SeedPolicy(10, 0, "levy"))
-    b = sample_alpha_stable(2.0, 1.0, 16.0, 50_000, SeedPolicy(10, 0, "levy"))
+    a = sample_alpha_stable(2.0, 1.0, 4.0, 50_000, PathStreams(10, [0], "levy"))[0]
+    b = sample_alpha_stable(2.0, 1.0, 16.0, 50_000, PathStreams(10, [0], "levy"))[0]
     np.testing.assert_allclose(b, 2.0 * a)
 
 
 def test_stable_rejects_bad_alpha():
     with pytest.raises(ConfigurationError):
-        sample_alpha_stable(2.5, 1.0, 1.0, 10, SeedPolicy(1, 0, "levy"))
+        sample_alpha_stable(2.5, 1.0, 1.0, 10, PathStreams(1, [0], "levy"))
     with pytest.raises(ConfigurationError):
-        sample_alpha_stable(0.0, 1.0, 1.0, 10, SeedPolicy(1, 0, "levy"))
+        sample_alpha_stable(0.0, 1.0, 1.0, 10, PathStreams(1, [0], "levy"))
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +275,8 @@ def test_stable_rejects_bad_alpha():
 
 
 def test_tempering_lightens_tails():
-    heavy = sample_tempered_stable(1.3, 1.0, 1.0, 1.0, 100_000, SeedPolicy(11, 0, "levy"))
-    light = sample_tempered_stable(1.3, 8.0, 1.0, 1.0, 100_000, SeedPolicy(12, 0, "levy"))
+    heavy = sample_tempered_stable(1.3, 1.0, 1.0, 1.0, 100_000, PathStreams(11, [0], "levy"))[0]
+    light = sample_tempered_stable(1.3, 8.0, 1.0, 1.0, 100_000, PathStreams(12, [0], "levy"))[0]
     assert light.var() < heavy.var()
 
 
@@ -243,7 +284,7 @@ def test_tempering_fourth_moment_monotone():
     lams = [0.5, 1.0, 2.0, 4.0]
     fourths, stderrs = [], []
     for i, lam in enumerate(lams):
-        draw = sample_tempered_stable(1.3, lam, 1.0, 1.0, 100_000, SeedPolicy(13, i, "levy"))
+        draw = sample_tempered_stable(1.3, lam, 1.0, 1.0, 100_000, PathStreams(13, [i], "levy"))[0]
         x4 = draw ** 4
         fourths.append(x4.mean())
         stderrs.append(x4.std(ddof=1) / np.sqrt(x4.size))
@@ -272,7 +313,7 @@ def test_tempered_exponential_moment_oracle(tempered_13_draw_1e6, tempered_13_or
 
 def test_tempered_acceptance_ratio_bounded():
     _, acc = sample_tempered_stable(
-        1.3, 1.0, 1.0, 1.0, 10_000, SeedPolicy(14, 0, "levy"), with_stats=True
+        1.3, 1.0, 1.0, 1.0, 10_000, PathStreams(14, [0], "levy"), with_stats=True
     )
     assert 0.0 < acc.ratio <= 1.0
 
@@ -280,7 +321,7 @@ def test_tempered_acceptance_ratio_bounded():
 def test_tempered_variance_matches_subordination_identity():
     # Var X = scale^2 * dt * rho * theta**(rho-1), rho = alpha/2, theta = lambda^2/2
     alpha, lam, scale, dt = 1.3, 1.0, 2.0, 0.5
-    draw = sample_tempered_stable(alpha, lam, scale, dt, 400_000, SeedPolicy(15, 0, "levy"))
+    draw = sample_tempered_stable(alpha, lam, scale, dt, 400_000, PathStreams(15, [0], "levy"))[0]
     rho, theta = alpha / 2.0, lam ** 2 / 2.0
     target = scale ** 2 * dt * rho * theta ** (rho - 1.0)
     assert abs(draw.var(ddof=1) - target) / target < 0.05
@@ -300,7 +341,7 @@ def test_tempered_variance_matches_subordination_identity():
 )
 def test_cf_helper_matches_sampler(spec):
     t, n = 0.5, 300_000
-    draw = sample_levy_increments(spec, t, n, SeedPolicy(19, 0, "levy"))
+    draw = sample_levy_increments(spec, t, n, PathStreams(19, [0], "levy"))[0]
     u = np.array([0.4, 1.1, 2.3])
     emp = np.exp(1j * u[:, None] * draw[None, :]).mean(axis=1)
     theo = increment_characteristic_function(spec, u, t)
@@ -313,7 +354,7 @@ def test_cf_at_zero_is_one():
 
 
 def test_dispatcher_none_is_zero():
-    out = sample_levy_increments(NoiseSpec(kind="none"), 0.1, 5, SeedPolicy(1, 0, "levy"))
+    out = sample_levy_increments(NoiseSpec(kind="none"), 0.1, 5, PathStreams(1, [0], "levy"))[0]
     np.testing.assert_array_equal(out, np.zeros(5))
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from levyem.errors import ConfigurationError
-from levyem.noise import SeedPolicy, sample_tempered_stable
+from levyem.noise import PathStreams, sample_tempered_stable
 from levyem.tilted_stable import AcceptanceStats, sample_tilted_stable
 
 
@@ -92,5 +92,5 @@ def test_draws_past_the_piece_cap_are_rejected():
     assert "tempering" in str(raised.value) and "dt" in str(raised.value)
     # tempering 1000 at dt = 1 and alpha 1.3 would need 5,063 pieces
     with pytest.raises(ConfigurationError, match="5063 pieces") as raised:
-        sample_tempered_stable(1.3, 1000.0, 1.0, 1.0, 10, SeedPolicy(12, 0, "levy"))
+        sample_tempered_stable(1.3, 1000.0, 1.0, 1.0, 10, PathStreams(12, [0], "levy"))
     assert "tempering" in str(raised.value) and "dt" in str(raised.value)

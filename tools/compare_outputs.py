@@ -38,7 +38,10 @@ the same arithmetic print the same hashes:
 * ``sampler-<problem>``: for paper-5.3 and paper-5.4, the jump increments
   ``run_sampler_validation`` draws (n = 20,000 at t = 0.25, 0.5, 1 and 2;
   the tempered sampler splits t = 2 into two pieces) and the z-scores it
-  reports.
+  reports;
+* ``probes-<problem>``: ``run_declared_probes`` per built-in problem at its
+  defaults (10,000 pairs, radius 5) and seed 20240817: the worst ratio and
+  the violation count of each of the four probes.
 
 An invariant-law report is saved as its KS distances, p-values and bootstrap
 standard errors, and its W1 distances and their standard errors, one entry
@@ -66,12 +69,13 @@ from levyem import (
     coupling_curve,
     make_tape,
     ou_stationary_scale,
+    run_declared_probes,
     simulate_ensemble,
     solve_implicit_steps,
     strong_error_run,
 )
 from levyem.experiments import run_invariant_measure, run_sampler_validation
-from levyem.noise import SeedPolicy, sample_levy_increments
+from levyem.noise import PathStreams, sample_levy_increments
 
 SEED = 20240817
 
@@ -152,11 +156,19 @@ def _tape(problem, dt=2.0 ** -6, n_steps=128):
 def _sampler(name):
     noise, n, times = builtin_problem(name).noise, 20_000, (0.25, 0.5, 1.0, 2.0)
     # the stream of each time, as run_sampler_validation addresses it
-    out = {f"t={t:g}": sample_levy_increments(noise, t, n, SeedPolicy(SEED, j, "levy"))
+    out = {f"t={t:g}": sample_levy_increments(noise, t, n, PathStreams(SEED, [j], "levy"))[0]
            for j, t in enumerate(times)}
     result = run_sampler_validation(noise, n=n, master_seed=SEED, times=times)
     out["z"] = [row["z"] for row in result.rows]
     return out
+
+
+def _probes(name):
+    reports = run_declared_probes(builtin_problem(name), seed=SEED)
+    return {
+        "max_ratio": [r.max_ratio for r in reports],
+        "violations": [r.violations for r in reports],
+    }
 
 
 def run_protocols() -> dict[str, np.ndarray]:
@@ -181,6 +193,8 @@ def run_protocols() -> dict[str, np.ndarray]:
     protocols["tape-tempered-64-pieces"] = lambda: _tape(steep, 1.0, 8)
     for name in ("paper-5.3", "paper-5.4"):
         protocols[f"sampler-{name}"] = lambda name=name: _sampler(name)
+    for name in builtin_problem_names():
+        protocols[f"probes-{name}"] = lambda name=name: _probes(name)
     arrays = {}
     for label, protocol in protocols.items():
         for key, value in protocol().items():
