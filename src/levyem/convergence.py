@@ -58,7 +58,6 @@ class ErrorTable:
     reference_dt: float
     problem: str = ""
     master_seed: int = 0
-    error_mode: str = "terminal"
 
     def __post_init__(self):
         dts = [r.dt for r in self.rows]
@@ -90,7 +89,6 @@ def strong_error_table(
     reference_dt: float,
     n_paths: int,
     seed: int,
-    error_mode: str = "terminal",
     workers: int = 1,
 ) -> ErrorTable:
     """Coupled mean-square errors at t = T for each dt against the reference."""
@@ -101,28 +99,14 @@ def strong_error_table(
             "driver lacks the large-jump moment required by the strong convergence theory; "
             "alpha-stable noise is admissible only in invariant-measure experiments"
         )
-    run = strong_error_run(
-        problem,
-        dt_list,
-        reference_dt,
-        n_paths,
-        seed,
-        error_mode=error_mode,
-        workers=workers,
-    )
+    run = strong_error_run(problem, dt_list, reference_dt, n_paths, seed, workers=workers)
     rows = []
     for d in sorted(run.errors, reverse=True):
         sq = run.errors[d] ** 2
         mse = float(np.mean(sq))
         stderr = float(np.std(sq, ddof=1) / np.sqrt(sq.size)) if sq.size > 1 else 0.0
         rows.append(ErrorRow(dt=float(d), mse=mse, stderr=stderr, n_paths=int(sq.size)))
-    return ErrorTable(
-        rows=rows,
-        reference_dt=reference_dt,
-        problem=problem.name,
-        master_seed=seed,
-        error_mode=error_mode,
-    )
+    return ErrorTable(rows=rows, reference_dt=reference_dt, problem=problem.name, master_seed=seed)
 
 
 def fit_order(table: ErrorTable) -> OrderFit:

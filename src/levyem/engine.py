@@ -35,7 +35,6 @@ Where the platform cannot fork, runs take one worker.
 
 from __future__ import annotations
 
-import math
 import multiprocessing
 import numbers
 import os
@@ -250,32 +249,15 @@ def _moment_kernel(problem, tape, n_paths, n_steps, diag, starts):
     return sums
 
 
-def _strong_kernel(problem, tape, n_paths, n_fine, diag, dts, ratios, error_mode):
-    """Per-path error of each coarse level dts[j] = ratios[j] * tape.fine_dt."""
-    # reference nodes the levels read: each multiple of the gcd of their ratios, or the end
-    every = math.gcd(*ratios) if error_mode == "max_on_grid" else n_fine
-    ref_nodes = {}
-
-    def on_ref(i, y):
-        if i % every == 0:
-            ref_nodes[i] = y.copy()
-
+def _strong_kernel(problem, tape, n_paths, n_fine, diag, dts, ratios):
+    """Per-path |Y_dt(T) - Y_ref(T)| of each coarse level dts[j] = ratios[j] * tape.fine_dt."""
     y0 = np.full(n_paths, problem.x0)
-    _evolve(problem, tape.fine_dt, n_fine, y0, tape.brownian, tape.levy, diag, on_ref)
+    reference = _evolve(problem, tape.fine_dt, n_fine, y0, tape.brownian, tape.levy, diag)
     errors = []
     for d, ratio in zip(dts, ratios):
         coarse = tape.coarsen(d)
-        if error_mode == "max_on_grid":
-            worst = np.zeros(n_paths)
-
-            def on_coarse(i, y, ratio=ratio, worst=worst):
-                np.maximum(worst, np.abs(y - ref_nodes[i * ratio]), out=worst)
-
-            _evolve(problem, d, n_fine // ratio, y0, coarse.brownian, coarse.levy, diag, on_coarse)
-        else:
-            terminal = _evolve(problem, d, n_fine // ratio, y0, coarse.brownian, coarse.levy, diag)
-            worst = np.abs(terminal - ref_nodes[n_fine])
-        errors.append(worst)
+        terminal = _evolve(problem, d, n_fine // ratio, y0, coarse.brownian, coarse.levy, diag)
+        errors.append(np.abs(terminal - reference))
     return errors
 
 
@@ -373,7 +355,6 @@ class StrongErrorRun:
     reference_dt: float
     n_paths: int
     master_seed: int
-    error_mode: str
     errors: dict[float, np.ndarray]
     diagnostics: StepDiagnostics
 
@@ -465,23 +446,20 @@ def strong_error_run(
     reference_dt: float,
     n_paths: int,
     master_seed: int,
-    error_mode: str = "terminal",
     workers: int = 1,
     chunk_budget_bytes: int = _DEFAULT_CHUNK_BUDGET,
 ) -> StrongErrorRun:
     """Pathwise errors of coarse runs against a fine-grid reference.
 
     All resolutions of one path consume the same increment tape, so the
-    difference at matching nodes is the discretisation error alone.
+    difference at T is the discretisation error alone.
     """
-    if error_mode not in ("terminal", "max_on_grid"):
-        raise ConfigurationError(f"error_mode must be terminal|max_on_grid, got {error_mode!r}")
     dts = sorted(float(d) for d in dts)
     if not dts:
         raise ConfigurationError("need at least one coarse dt")
     n_fine = steps_for_horizon(problem.horizon, reference_dt)
     ratios = [_grid_ratio(d, reference_dt, n_fine) for d in dts]
-    args = (dts, ratios, error_mode)
+    args = (dts, ratios)
     outs, diag = _run_chunks(
         problem, _strong_kernel, args, n_paths, reference_dt, n_fine, master_seed, workers,
         chunk_budget_bytes,
@@ -491,7 +469,6 @@ def strong_error_run(
         reference_dt=reference_dt,
         n_paths=n_paths,
         master_seed=master_seed,
-        error_mode=error_mode,
         errors={d: np.concatenate([errs[j] for errs in outs]) for j, d in enumerate(dts)},
         diagnostics=diag,
     )

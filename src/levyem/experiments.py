@@ -138,7 +138,6 @@ def _convergence_entry(name: str, title: str, floor: float) -> ExperimentEntry:
             "master_seed": _DEFAULT_SEED,
             "dts": list(_CONVERGENCE_DTS),
             "reference_dt": _CONVERGENCE_REF,
-            "error_mode": "terminal",
         },
     )
 
@@ -277,15 +276,21 @@ def run_convergence(
     reference_dt: float,
     n_paths: int,
     master_seed: int,
-    error_mode: str = "terminal",
     workers: int = 1,
     band=None,
 ) -> ConvergenceResult:
     """Measure the strong order on coupled grids and fit the loglog slope."""
-    table = strong_error_table(
-        problem, dts, reference_dt, n_paths, master_seed,
-        error_mode=error_mode, workers=workers,
-    )
+    # the fit needs three rows with nonzero error: fail before simulating
+    distinct = sorted({float(d) for d in dts})
+    if len(distinct) < 3:
+        raise ConfigurationError(
+            f"field 'dts': an order fit needs at least 3 distinct step sizes, got {list(dts)!r}"
+        )
+    if distinct[0] <= reference_dt:
+        raise ConfigurationError(
+            f"field 'dts': every dt must exceed reference_dt = {reference_dt}, got {distinct[0]}"
+        )
+    table = strong_error_table(problem, dts, reference_dt, n_paths, master_seed, workers=workers)
     fit = fit_order(table)
     predicted = predicted_order(
         problem.constants, problem.noise, problem.diffusion is not None
@@ -298,7 +303,6 @@ def run_convergence(
             "reference_dt": float(reference_dt),
             "n_paths": int(n_paths),
             "master_seed": int(master_seed),
-            "error_mode": error_mode,
         },
         table=table,
         fit=fit,
@@ -326,10 +330,11 @@ def _build_reference(spec: dict | None, snapshots) -> tuple[StationaryReference,
     raise ConfigurationError(f"unknown reference kind {kind!r}")
 
 
-def _at_time(report: InvariantReport, t: float):
-    for row in report.rows:
-        if abs(row.t - t) <= 1e-9 * max(1.0, abs(t)):
-            return row
+def _at_time(times, t: float) -> int:
+    """Index of the entry of ``times`` that is t up to rounding."""
+    for i, s in enumerate(times):
+        if abs(s - t) <= 1e-9 * max(1.0, abs(t)):
+            return i
     raise ConfigurationError(f"no checkpoint at t = {t}")
 
 
@@ -348,8 +353,13 @@ def run_invariant_measure(
     """Snapshot the ensemble over time and compare against a reference law."""
     if not isinstance(reference, (dict, type(None))):
         raise ConfigurationError(f"field 'reference': expected an object, got {reference!r}")
-    if ratio_times is not None and len(ratio_times) != 2:
-        raise ConfigurationError(f"ratio_times must hold two times, got {list(ratio_times)!r}")
+    if ratio_times is not None:
+        if len(ratio_times) != 2:
+            raise ConfigurationError(f"ratio_times must hold two times, got {list(ratio_times)!r}")
+        early, late = (float(t) for t in ratio_times)
+        times = [float(c) for c in checkpoints]
+        for t in (early, late):
+            _at_time(times, t)
     snapshots = evolve_empirical_law(
         problem, dt, n_paths, checkpoints, master_seed, workers=workers
     )
@@ -358,9 +368,9 @@ def run_invariant_measure(
     ratio = None
     in_band = None
     if ratio_times is not None:
-        early, late = (float(t) for t in ratio_times)
-        w_early = _at_time(report, early).wasserstein
-        w_late = _at_time(report, late).wasserstein
+        times = [row.t for row in report.rows]
+        w_early = report.rows[_at_time(times, early)].wasserstein
+        w_late = report.rows[_at_time(times, late)].wasserstein
         if w_early <= 0.0:
             raise ConfigurationError(f"degenerate ratio: W at t = {early} is zero")
         ratio = w_late / w_early
@@ -422,6 +432,9 @@ def run_sampler_validation(
         raise ConfigurationError("sampler validation needs a jump component")
     if n < 2:
         raise ConfigurationError(f"field 'n': need at least 2 draws for a standard error, got {n}")
+    for name, values in (("times", times), ("u_grid", u_grid)):
+        if len(values) == 0:
+            raise ConfigurationError(f"field {name!r}: need at least one value")
     u = np.asarray(u_grid, dtype=float)
     rows = []
     max_z = 0.0
@@ -465,7 +478,7 @@ def run_sampler_validation(
 # ``headline`` is informational and ``output_dir`` is read by the CLI.
 _COMMON_KEYS = {"experiment", "problem", "master_seed", "headline", "output_dir"}
 _KEYS = {
-    "convergence": _COMMON_KEYS | {"n_paths", "band", "dts", "reference_dt", "error_mode"},
+    "convergence": _COMMON_KEYS | {"n_paths", "band", "dts", "reference_dt"},
     "invariant-measure": _COMMON_KEYS
     | {"n_paths", "band", "dt", "checkpoints", "reference", "k", "ratio_times"},
     "probe-assumptions": _COMMON_KEYS | {"n_pairs", "radius"},
@@ -536,7 +549,6 @@ def execute_config(cfg: dict, n_paths=None, master_seed=None, workers=1):
             _real(_need(cfg, "reference_dt"), "reference_dt"),
             paths,
             seed,
-            error_mode=cfg.get("error_mode", "terminal"),
             workers=workers,
             band=band,
         )

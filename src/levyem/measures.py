@@ -51,6 +51,9 @@ __all__ = [
 _BOOTSTRAP_FOLDS = 20
 _REFERENCE_FACTOR = 10
 _REFERENCE_MIN = 1_000_000
+_REFERENCE_SEED = 977  # the analytic reference's sample stream
+_KDE_GRID = 256
+_KDE_PAD = 0.15  # of the sample's span, on each side
 _KS_EXACT_MAX_N = 10_000  # ks_2samp(method="auto") is exact when both sizes are <= this
 
 
@@ -117,7 +120,6 @@ class StationaryReference:
     alpha: float = 0.0
     scale: float = 0.0
     snapshot: EmpiricalMeasure | None = None
-    sample_seed: int = 977
     _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -147,7 +149,7 @@ class StationaryReference:
                 )
             return self.snapshot.values
         if n not in self._cache:
-            streams = PathStreams(self.sample_seed, [0], LEVY_STREAM)
+            streams = PathStreams(_REFERENCE_SEED, [0], LEVY_STREAM)
             draw = sample_alpha_stable(self.alpha, self.scale, 1.0, n, streams)[0]
             self._cache[n] = np.sort(draw)
         return self._cache[n]
@@ -364,7 +366,7 @@ def two_initial_value_coupling(
     )
 
 
-def kde_curve(measure: EmpiricalMeasure, n_grid: int = 256, pad: float = 0.15):
+def kde_curve(measure: EmpiricalMeasure):
     """Gaussian-kernel density on a padded range (Silverman bandwidth).
 
     Returns (grid, density) as two arrays — plot-data for density figures.
@@ -372,6 +374,6 @@ def kde_curve(measure: EmpiricalMeasure, n_grid: int = 256, pad: float = 0.15):
     values = measure.values
     lo, hi = float(values[0]), float(values[-1])
     span = (hi - lo) or 1.0
-    grid = np.linspace(lo - pad * span, hi + pad * span, n_grid)
+    grid = np.linspace(lo - _KDE_PAD * span, hi + _KDE_PAD * span, _KDE_GRID)
     kde = _stats().gaussian_kde(values, bw_method="silverman")
     return grid, kde(grid)

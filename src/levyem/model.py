@@ -54,6 +54,9 @@ __all__ = [
     "coupling_envelope",
 ]
 
+_ZERO_STATE_GRID = 1000  # t-nodes over the horizon
+
+
 @dataclass(frozen=True)
 class AssumptionConstants:
     """Declared regularity constants for one problem.
@@ -308,9 +311,9 @@ def run_declared_probes(
 # derived long-time constants
 
 
-def zero_state_bounds(problem: SdeProblem, n_grid: int = 1000) -> tuple[float, float]:
+def zero_state_bounds(problem: SdeProblem) -> tuple[float, float]:
     """(m1, m2) = (sup_t 0.5*|f(t,0)|^2, sup_t |g(t,0)|^2) over a uniform t-grid."""
-    ts = np.linspace(0.0, problem.horizon, n_grid)
+    ts = np.linspace(0.0, problem.horizon, _ZERO_STATE_GRID)
     zero = np.zeros_like(ts)
     f_sq = np.broadcast_to(_eval_pairs(problem.drift, ts, zero), ts.shape) ** 2
     if problem.diffusion is not None:

@@ -67,7 +67,7 @@ _PROBLEM_KEYS = {
 }
 _TERM_KEYS = {"coeff", "x_power", "time_factor"}
 _TIME_FACTOR_KEYS = {"a", "b", "power"}
-_NOISE_KEYS = {"kind", "alpha", "tempering", "lambda", "scale", "brownian_dim", "gamma0", "gamma_inf"}
+_NOISE_KEYS = {"kind", "alpha", "tempering", "scale", "brownian_dim", "gamma0", "gamma_inf"}
 _CONSTANT_KEYS = {"H", "sigma", "q", "M", "K1", "K2", "gamma1", "gamma2", "K3", "K4"}
 
 
@@ -198,10 +198,6 @@ def compile_terms(terms, label: str = "drift") -> CompiledPolynomial:
 def _parse_noise(spec) -> NoiseSpec:
     _check_keys(spec, _NOISE_KEYS, set(), "noise")
     spec = dict(spec)
-    if "lambda" in spec:  # accept the usual name for the tempering rate
-        if "tempering" in spec:
-            raise ConfigurationError("noise: give one of 'tempering' and 'lambda', not both")
-        spec["tempering"] = spec.pop("lambda")
     for key in sorted(spec.keys() - {"kind"}):
         parse = _integer if key == "brownian_dim" else _real
         spec[key] = parse(spec[key], f"noise.{key}")

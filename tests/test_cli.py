@@ -250,6 +250,14 @@ def test_sampler_validation_needs_two_draws(tmp_path, capsys, n):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("field", ["times", "u_grid"])
+def test_sampler_validation_needs_values(tmp_path, capsys, field):
+    cfg_path = _write_cfg(tmp_path / "sampler.json", dict(_SAMPLER_CFG, **{field: []}))
+    assert main(["run", cfg_path, "--out", str(tmp_path / "o")]) == 3
+    assert f"'{field}'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_seed_above_float_precision_runs_as_given(tmp_path):
     cfg_path = _write_cfg(tmp_path / "sampler.json", _SAMPLER_CFG)
     for seed in (2**53 + 1, 10**400):
@@ -284,6 +292,31 @@ def test_removed_problem_inputs_exit_3(tmp_path, capsys, block, key, value):
     cfg_path = _write_cfg(tmp_path / "removed.json", cfg)
     assert main(["run", cfg_path, "--out", str(tmp_path / "o")]) == 3
     assert key in capsys.readouterr().err
+
+
+def _noise_lambda_cfg():
+    cfg = _small_measure_cfg()
+    noise = cfg["problem"]["noise"]
+    noise["lambda"] = noise.pop("tempering")
+    return cfg
+
+
+@pytest.mark.parametrize(
+    "cfg, key, allowed",
+    [
+        pytest.param(
+            _small_convergence_cfg(error_mode="terminal"), "error_mode", "reference_dt",
+            id="error_mode",
+        ),
+        pytest.param(_noise_lambda_cfg(), "lambda", "'tempering'", id="noise-lambda"),
+    ],
+)
+def test_removed_options_exit_3(tmp_path, capsys, cfg, key, allowed):
+    cfg_path = _write_cfg(tmp_path / "removed.json", cfg)
+    assert main(["run", cfg_path, "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert key in err and "allowed: " in err and allowed in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_step_failure_exits_4(tmp_path, capsys):

@@ -67,18 +67,14 @@ def test_deterministic_problem_matches_backward_euler():
     np.testing.assert_allclose(result.terminal, expect, rtol=1e-13)
 
 
-@pytest.mark.parametrize("error_mode", ["terminal", "max_on_grid"])
-def test_strong_error_run_without_noise(error_mode):
+def test_strong_error_run_without_noise():
     # a noise-free tape holds no increment arrays to read its step count from
     problem = _deterministic_problem()
-    run = strong_error_run(problem, [0.5, 1.0], 0.25, 3, 1, error_mode=error_mode)
-    ref = 10.0 / 1.5 ** np.arange(17)  # backward Euler at dt = 0.25 over 16 steps
+    run = strong_error_run(problem, [0.5, 1.0], 0.25, 3, 1)
+    ref = 10.0 / 1.5**16  # backward Euler at dt = 0.25 over 16 steps
     for d, errors in run.errors.items():
-        ratio = int(d / 0.25)
-        coarse = 10.0 / (1.0 + 2.0 * d) ** np.arange(16 // ratio + 1)
-        gaps = np.abs(coarse - ref[::ratio])
-        expect = gaps[-1] if error_mode == "terminal" else gaps.max()
-        np.testing.assert_allclose(errors, np.full(3, expect), rtol=1e-12)
+        coarse = 10.0 / (1.0 + 2.0 * d) ** (16 // int(d / 0.25))
+        np.testing.assert_allclose(errors, np.full(3, abs(coarse - ref)), rtol=1e-12)
 
 
 def test_tape_aggregation_exactness():
@@ -127,20 +123,16 @@ def _coupling_arrays(problem, n_paths, seed, **kw):
     return c.mean, c.stderr
 
 
-def _strong_arrays(error_mode):
-    def run(problem, n_paths, seed, **kw):
-        r = strong_error_run(problem, [0.2, 0.4], 0.1, n_paths, seed, error_mode=error_mode, **kw)
-        return tuple(r.errors[d] for d in sorted(r.errors))
-
-    return run
+def _strong_arrays(problem, n_paths, seed, **kw):
+    r = strong_error_run(problem, [0.2, 0.4], 0.1, n_paths, seed, **kw)
+    return tuple(r.errors[d] for d in sorted(r.errors))
 
 
 _ENTRY_POINTS = {
     "simulate_ensemble": (_ensemble_arrays, True),
     "second_moment_curve": (_second_moment_arrays, False),
     "coupling_curve": (_coupling_arrays, False),
-    "strong_error_run-terminal": (_strong_arrays("terminal"), True),
-    "strong_error_run-max_on_grid": (_strong_arrays("max_on_grid"), True),
+    "strong_error_run-terminal": (_strong_arrays, True),
 }
 
 
@@ -383,22 +375,6 @@ def test_strong_error_run_rejects_bad_grids():
 def test_path_count_below_one_is_rejected(run, n_paths):
     with pytest.raises(ConfigurationError, match=f"n_paths must be >= 1, got {n_paths}"):
         run(builtin_problem("paper-5.4"), n_paths)
-
-
-def test_max_on_grid_dominates_terminal_error():
-    problem = builtin_problem("paper-5.4")
-    term = strong_error_run(problem, [0.05], 0.01, 96, master_seed=16, error_mode="terminal")
-    grid = strong_error_run(problem, [0.05], 0.01, 96, master_seed=16, error_mode="max_on_grid")
-    assert np.all(grid.errors[0.05] >= term.errors[0.05])
-
-
-def test_max_on_grid_with_levels_that_do_not_nest():
-    # ratios 4 and 10: the reference must keep every node either level visits
-    problem = builtin_problem("paper-5.4")
-    term = strong_error_run(problem, [0.04, 0.1], 0.01, 8, master_seed=16)
-    grid = strong_error_run(problem, [0.04, 0.1], 0.01, 8, master_seed=16, error_mode="max_on_grid")
-    for d in (0.04, 0.1):
-        assert np.all(grid.errors[d] >= term.errors[d])
 
 
 def test_x0_override():

@@ -280,6 +280,25 @@ def _small_convergence_cfg():
     }
 
 
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("simulated before the config was checked")
+
+
+@pytest.mark.parametrize(
+    "dts, match",
+    [
+        pytest.param([2.0 ** -3, 2.0 ** -4], "at least 3 distinct", id="two-dts"),
+        pytest.param([2.0 ** -3, 2.0 ** -4, 2.0 ** -4], "at least 3 distinct", id="repeated-dt"),
+        pytest.param([2.0 ** -3, 2.0 ** -4, 2.0 ** -7], "exceed reference_dt", id="dt-at-reference"),
+    ],
+)
+def test_unfittable_dts_fail_before_simulating(monkeypatch, dts, match):
+    monkeypatch.setattr(experiments, "strong_error_table", _must_not_run)
+    cfg = dict(_small_convergence_cfg(), dts=dts)
+    with pytest.raises(ConfigurationError, match=f"'dts'.*{match}"):
+        execute_config(cfg)
+
+
 def test_execute_small_convergence_config():
     result = execute_config(_small_convergence_cfg())
     assert isinstance(result, ConvergenceResult)
@@ -326,6 +345,13 @@ def test_execute_small_measure_config():
     assert result.reference["kind"] == "final-snapshot"
 
 
+def test_ratio_times_are_checked_before_simulating(monkeypatch):
+    monkeypatch.setattr(experiments, "evolve_empirical_law", _must_not_run)
+    cfg = dict(_small_measure_cfg(), ratio_times=[0.2, 0.5])
+    with pytest.raises(ConfigurationError, match="no checkpoint at t = 0.5"):
+        execute_config(cfg)
+
+
 def test_reference_must_be_an_object():
     cfg = dict(_small_measure_cfg(), reference="final-snapshot")
     with pytest.raises(ConfigurationError, match="'reference'"):
@@ -348,6 +374,14 @@ def test_sampler_validation_small():
     assert isinstance(result, SamplerResult)
     assert result.max_z < 5.0
     assert len(result.rows) == 4 * 5
+
+
+@pytest.mark.parametrize("field", ["times", "u_grid"])
+def test_sampler_validation_needs_values(field):
+    # an empty list would run no test and report max |z| = 0
+    noise = builtin_problem("paper-5.4").noise
+    with pytest.raises(ConfigurationError, match=f"'{field}'"):
+        run_sampler_validation(noise, n=64, **{field: []})
 
 
 def test_sampler_validation_needs_jumps():

@@ -160,7 +160,7 @@ def test_rejects_malformed_configs():
         ("noise.kind", "compound_poisson", "kind.*compound_poisson"),
         ("noise.rate", 2.0, "rate"),
         ("noise.jump_law", {"kind": "point"}, "jump_law"),
-        ("noise.lambda", 1.0, "tempering.*lambda"),
+        ("noise.lambda", 1.0, r"noise: unknown keys \['lambda'\]"),
         ("constants.H", True, r"constants\.H"),
         ("constants.K3", "-2", r"constants\.K3"),
         ("constants.K5", 1.0, "K5"),
@@ -173,8 +173,6 @@ def test_rejects_malformed_configs():
         for parent in parents:
             block = block[parent]
         block[key] = value
-        if key == "lambda":
-            block["tempering"] = 1.0
         with pytest.raises(ConfigurationError, match=match):
             problem_from_config(cfg)
 
@@ -209,15 +207,6 @@ def test_misspelled_time_factor_key_rejected():
     window = {"a": 1.0, "b": 2.0, "pwr": 0.5}
     with pytest.raises(ConfigurationError, match=r"drift\[0\]\.time_factor.*pwr"):
         problem_from_config(_with_drift([{"coeff": -2.0, "x_power": 1, "time_factor": window}]))
-
-
-def test_tempering_lambda_alias():
-    cfg = dict(builtin_problem("paper-5.4").source)
-    noise = dict(cfg["noise"])
-    noise["lambda"] = noise.pop("tempering")
-    cfg["noise"] = noise
-    problem = problem_from_config(cfg)
-    assert problem.noise.tempering == 1.0
 
 
 def test_unknown_builtin_name():

@@ -16,7 +16,7 @@ the same arithmetic print the same hashes:
 
 * ``strong-51a``: paper-5.1a terminal strong errors, 256 paths, dts
   2^-5..2^-8 against a 2^-10 reference (the benchmark's workload);
-* ``max-52``: paper-5.2 ``max_on_grid`` errors, 64 paths, dts 2^-4..2^-6
+* ``strong-52``: paper-5.2 terminal strong errors, 64 paths, dts 2^-4..2^-6
   against 2^-8;
 * ``ensemble-54``: paper-5.4 at dt = 0.01, 600 paths in three chunks,
   terminal values and the t = 1 and t = 5 checkpoints;
@@ -29,7 +29,8 @@ the same arithmetic print the same hashes:
   at t = 0.5, 1 and 2 against the analytic stable reference (1e6 draws);
 * ``law-54``: the invariant-law report of paper-5.4 at dt = 0.01, 600 paths
   at t = 1, 2 and 5 against the final snapshot, where both KS sizes are
-  equal and at most 10,000;
+  equal and at most 10,000; each law also saves the ``kde_curve`` grid and
+  density of every snapshot;
 * ``tape-<problem>``: the ``make_tape`` rows of 300 paths over 128 steps of
   2^-6 per built-in problem, drawn as one chunk and as chunks of 64 paths;
 * ``tape-tempered-64-pieces``: the same for paper-5.4 with tempering 34.5,
@@ -41,7 +42,7 @@ the same arithmetic print the same hashes:
   reports;
 * ``probes-<problem>``: ``run_declared_probes`` per built-in problem at its
   defaults (10,000 pairs, radius 5) and seed 20240817: the worst ratio and
-  the violation count of each of the four probes.
+  the violation count of each of the four probes, and ``zero_state_bounds``.
 
 An invariant-law report is saved as its KS distances, p-values and bootstrap
 standard errors, and its W1 distances and their standard errors, one entry
@@ -75,6 +76,8 @@ from levyem import (
     strong_error_run,
 )
 from levyem.experiments import run_invariant_measure, run_sampler_validation
+from levyem.measures import kde_curve
+from levyem.model import zero_state_bounds
 from levyem.noise import PathStreams, sample_levy_increments
 
 SEED = 20240817
@@ -86,10 +89,8 @@ def _diag(d: StepDiagnostics) -> np.ndarray:
     )
 
 
-def _strong(name, dts, reference_dt, n_paths, error_mode):
-    run = strong_error_run(
-        builtin_problem(name), dts, reference_dt, n_paths, SEED, error_mode=error_mode
-    )
+def _strong(name, dts, reference_dt, n_paths):
+    run = strong_error_run(builtin_problem(name), dts, reference_dt, n_paths, SEED)
     out = {f"dt={d:g}": run.errors[d] for d in sorted(run.errors)}
     out["diagnostics"] = _diag(run.diagnostics)
     return out
@@ -132,13 +133,16 @@ def _law(name, checkpoints, n_paths, reference):
         builtin_problem(name), 0.01, checkpoints, n_paths, SEED, reference=reference
     )
     rows = run.report.rows
-    return {
+    out = {
         "ks": [r.ks for r in rows],
         "p": [r.p_value for r in rows],
         "ks_stderr": [r.ks_stderr for r in rows],
         "w1": [r.wasserstein for r in rows],
         "w_stderr": [r.w_stderr for r in rows],
     }
+    for snap in run.snapshots:
+        out[f"kde-t={snap.t:g}"] = kde_curve(snap)
+    return out
 
 
 def _tape(problem, dt=2.0 ** -6, n_steps=128):
@@ -164,19 +168,20 @@ def _sampler(name):
 
 
 def _probes(name):
-    reports = run_declared_probes(builtin_problem(name), seed=SEED)
+    problem = builtin_problem(name)
+    reports = run_declared_probes(problem, seed=SEED)
     return {
         "max_ratio": [r.max_ratio for r in reports],
         "violations": [r.violations for r in reports],
+        "zero_state_bounds": zero_state_bounds(problem),
     }
 
 
 def run_protocols() -> dict[str, np.ndarray]:
     protocols = {
         "strong-51a": lambda: _strong("paper-5.1a", [2.0 ** -k for k in (5, 6, 7, 8)], 2.0 ** -10,
-                                      256, "terminal"),
-        "max-52": lambda: _strong("paper-5.2", [2.0 ** -k for k in (4, 5, 6)], 2.0 ** -8, 64,
-                                  "max_on_grid"),
+                                      256),
+        "strong-52": lambda: _strong("paper-5.2", [2.0 ** -k for k in (4, 5, 6)], 2.0 ** -8, 64),
         "ensemble-54": _ensemble,
         "ensemble-54-pool": lambda: _ensemble(workers=2),
         "coupling-54": _coupling,
