@@ -376,6 +376,10 @@ def simulate_ensemble(
     """Evolve an ensemble at one step size; record terminals and checkpoints."""
     n_steps = steps_for_horizon(problem.horizon, dt)
     steps = {float(t): checkpoint_step(t, dt, n_steps) for t in checkpoints}
+    if len(set(steps.values())) < len(checkpoints):
+        raise ConfigurationError(
+            f"field 'checkpoints': {list(checkpoints)} puts two times on one step of dt = {dt:g}"
+        )
     x0 = float(problem.x0 if x0 is None else x0)
     args = (x0, frozenset(steps.values()))
     outs, diag = _run_chunks(

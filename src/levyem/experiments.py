@@ -28,9 +28,9 @@ from .measures import (
     StationaryReference,
     evolve_empirical_law,
     invariant_convergence_report,
-    kde_curve,
     ou_stationary_scale,
 )
+from .measures import density_curve as kde_curve  # bench/tracing.py times it under this name
 from .model import (
     SdeProblem,
     moment_decay_factors,
@@ -648,9 +648,12 @@ def write_run(result, out_dir) -> Path:
             out / "wasserstein_vs_t.dat",
             [(r.t, r.wasserstein) for r in result.report.rows],
         )
+        tail_mass = {}
         for snap in result.snapshots:
-            grid, dens = kde_curve(snap)
-            _write_dat(out / f"density_t{snap.t:g}.dat", zip(grid, dens))
+            label = f"{snap.t:g}"
+            centres, dens, tail_mass[label] = kde_curve(snap)
+            _write_dat(out / f"density_t{label}.dat", zip(centres, dens))
+        summary["density_tail_mass"] = tail_mass
     elif isinstance(result, ProbeResult):
         summary.update(
             {

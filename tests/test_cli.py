@@ -319,6 +319,14 @@ def test_removed_options_exit_3(tmp_path, capsys, cfg, key, allowed):
     assert not (tmp_path / "o").exists()
 
 
+def test_duplicate_checkpoints_exit_3(tmp_path, capsys):
+    cfg = _small_measure_cfg(checkpoints=[0.2, 0.2, 1.0, 5.0])
+    cfg_path = _write_cfg(tmp_path / "dup.json", cfg)
+    assert main(["run", cfg_path, "--out", str(tmp_path / "o")]) == 3
+    assert "'checkpoints'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_step_failure_exits_4(tmp_path, capsys):
     cfg = _small_convergence_cfg()
     cfg["problem"] = {

@@ -7,7 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import levyem.engine as engine
 import levyem.experiments as experiments
+import levyem.measures as measures
 from levyem.convergence import predicted_order
 from levyem.errors import ConfigurationError
 from levyem.experiments import (
@@ -352,6 +354,17 @@ def test_ratio_times_are_checked_before_simulating(monkeypatch):
         execute_config(cfg)
 
 
+@pytest.mark.parametrize(
+    "checkpoints", [[0.2, 1.0, 0.2, 5.0], [0.2, 1.0, 1.0 + 1e-12, 5.0]], ids=["equal", "one-step"]
+)
+def test_duplicate_checkpoints_are_rejected_before_simulating(monkeypatch, checkpoints):
+    # 1 + 1e-12 lies on the grid step of t = 1: its snapshot and density file would repeat t = 1's
+    monkeypatch.setattr(engine, "_run_chunks", _must_not_run)
+    cfg = dict(_small_measure_cfg(), checkpoints=checkpoints)
+    with pytest.raises(ConfigurationError, match="'checkpoints'.* two times on one step"):
+        execute_config(cfg)
+
+
 def test_reference_must_be_an_object():
     cfg = dict(_small_measure_cfg(), reference="final-snapshot")
     with pytest.raises(ConfigurationError, match="'reference'"):
@@ -420,6 +433,38 @@ def test_write_measure_run(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["experiment"] == "invariant-measure"
     assert "wasserstein_ratio" in summary
+    tail_mass = summary["density_tail_mass"]
+    assert list(tail_mass) == ["0.2", "1", "5"]
+    for t, snap in zip(tail_mass, result.snapshots):
+        assert tail_mass[t] == measures.density_curve(snap)[2]
+        assert _density_file_mass(out / f"density_t{t}.dat") + tail_mass[t] == pytest.approx(
+            1.0, abs=1e-12
+        )
+
+
+def _density_file_mass(path):
+    centres, dens = np.loadtxt(path, unpack=True)
+    return float(np.sum(dens) * (centres[1] - centres[0]))
+
+
+def test_density_at_the_start_holds_every_path(tmp_path):
+    # at t = 0 every path sits at x0: the density is one spike of mass 1
+    cfg = dict(_small_measure_cfg(), checkpoints=[0.0, 0.2, 1.0, 5.0])
+    out = write_run(execute_config(cfg), tmp_path / "run")
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["density_tail_mass"]["0"] == 0.0
+    assert _density_file_mass(out / "density_t0.dat") == pytest.approx(1.0, abs=1e-12)
+
+
+def test_writing_a_law_run_uses_no_kernel_density(tmp_path, monkeypatch):
+    from scipy import stats
+
+    def _refuse(*args, **kwargs):
+        raise AssertionError("gaussian_kde called")
+
+    monkeypatch.setattr(stats, "gaussian_kde", _refuse)
+    out = write_run(execute_config(_small_measure_cfg()), tmp_path / "run")
+    assert (out / "density_t5.dat").exists()
 
 
 def test_write_probe_and_sampler_runs(tmp_path):

@@ -19,7 +19,7 @@ from levyem.measures import (
     StationaryReference,
     evolve_empirical_law,
     invariant_convergence_report,
-    kde_curve,
+    density_curve,
     ks_statistic,
     _ks_fold_scorer,
     _reference_size,
@@ -348,12 +348,25 @@ def test_coupling_decay_and_envelope():
     assert decay.mean_sq_gap[-1] < 1e-3
 
 
-def test_kde_curve_normalizes():
-    values = np.random.default_rng(1).normal(size=2000)
-    grid, dens = kde_curve(EmpiricalMeasure(values=values, t=0.0))
-    assert grid.shape == dens.shape == (256,)
-    mass = np.trapezoid(dens, grid)
-    assert mass == pytest.approx(1.0, abs=0.02)
+def test_density_mass_and_tail_mass_sum_to_one_on_heavy_tails():
+    values = np.random.default_rng(1).standard_cauchy(10_001)
+    centres, dens, tail_mass = density_curve(EmpiricalMeasure(values=values, t=0.0))
+    assert centres.shape == dens.shape == (128,)
+    assert 0.0 < tail_mass <= 0.01
+    assert np.sum(dens) * (centres[1] - centres[0]) + tail_mass == pytest.approx(1.0, abs=1e-12)
+    # the bins stay at the law's scale, not the span of the extreme draws
+    assert centres[-1] - centres[0] < 200.0 < np.ptp(values)
+
+
+def test_density_matches_the_normal_pdf_bin_by_bin():
+    n = 100_000
+    values = np.random.default_rng(2).normal(size=n)
+    centres, dens, _ = density_curve(EmpiricalMeasure(values=values, t=0.0))
+    width = centres[1] - centres[0]
+    edges = np.append(centres - width / 2, centres[-1] + width / 2)
+    p = np.diff(stats.norm.cdf(edges))
+    stderr = np.sqrt(p * (1.0 - p) / n) / width
+    assert np.all(np.abs(dens - p / width) <= 5.0 * stderr)
 
 
 # ---------------------------------------------------------------------------

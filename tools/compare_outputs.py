@@ -9,7 +9,9 @@ output array to ``OUT.npz`` and prints one line per array with its shape and
 SHA-256.  With ``--against`` (a file written earlier by this tool, e.g. from
 another checkout: ``PYTHONPATH=../other/src python tools/compare_outputs.py
 BASE.npz``), each line also gives the largest distance in units in the last
-place and the largest relative difference between the two files' arrays.
+place and the largest relative difference between the two files' arrays; an
+array only one of the files holds is listed, and the count of differing arrays
+is over the arrays both hold.
 
 The protocols are fixed (sizes and seeds never change), so two checkouts with
 the same arithmetic print the same hashes:
@@ -29,8 +31,9 @@ the same arithmetic print the same hashes:
   at t = 0.5, 1 and 2 against the analytic stable reference (1e6 draws);
 * ``law-54``: the invariant-law report of paper-5.4 at dt = 0.01, 600 paths
   at t = 1, 2 and 5 against the final snapshot, where both KS sizes are
-  equal and at most 10,000; each law also saves the ``kde_curve`` grid and
-  density of every snapshot;
+  equal and at most 10,000; each law also saves the ``density_curve``
+  centres, density and tail mass of every snapshot, when the checkout has
+  ``density_curve``;
 * ``tape-<problem>``: the ``make_tape`` rows of 300 paths over 128 steps of
   2^-6 per built-in problem, drawn as one chunk and as chunks of 64 paths;
 * ``tape-tempered-64-pieces``: the same for paper-5.4 with tempering 34.5,
@@ -76,7 +79,10 @@ from levyem import (
     strong_error_run,
 )
 from levyem.experiments import run_invariant_measure, run_sampler_validation
-from levyem.measures import kde_curve
+try:
+    from levyem.measures import density_curve
+except ImportError:  # a checkout from before the histogram density
+    density_curve = None
 from levyem.model import zero_state_bounds
 from levyem.noise import PathStreams, sample_levy_increments
 
@@ -140,8 +146,11 @@ def _law(name, checkpoints, n_paths, reference):
         "w1": [r.wasserstein for r in rows],
         "w_stderr": [r.w_stderr for r in rows],
     }
-    for snap in run.snapshots:
-        out[f"kde-t={snap.t:g}"] = kde_curve(snap)
+    if density_curve is not None:
+        for snap in run.snapshots:
+            centres, density, tail_mass = density_curve(snap)
+            out[f"density-t={snap.t:g}"] = [centres, density]
+            out[f"density-tail-t={snap.t:g}"] = tail_mass
     return out
 
 
@@ -240,22 +249,28 @@ def main(argv=None) -> int:
     arrays = run_protocols()
     np.savez(args.out, **arrays)
     base = dict(np.load(args.against)) if args.against else None
-    moved = 0
+    moved = shared = 0
     for key, a in arrays.items():
         line = f"{key:32s} {str(a.shape):9s} {sha256(a)}"
         if base is not None:
             b = base.get(key)
-            if b is None or b.shape != a.shape:
-                line += "  missing or reshaped in the base file"
-                moved += 1
-            elif sha256(a) == sha256(b):
-                line += "  identical"
+            if b is None:
+                line += "  not in the base file"
             else:
-                line += f"  max_ulp={max_ulp(a, b)} max_rel={max_rel(a, b):.3e}"
-                moved += 1
+                shared += 1
+                if b.shape != a.shape:
+                    line += f"  reshaped from {b.shape} in the base file"
+                    moved += 1
+                elif sha256(a) == sha256(b):
+                    line += "  identical"
+                else:
+                    line += f"  max_ulp={max_ulp(a, b)} max_rel={max_rel(a, b):.3e}"
+                    moved += 1
         print(line)
     if base is not None:
-        print(f"{moved} of {len(arrays)} arrays differ from {args.against}")
+        for key in sorted(set(base) - set(arrays)):
+            print(f"{key:32s} only in the base file")
+        print(f"{moved} of {shared} shared arrays differ from {args.against}")
     return 0
 
 
