@@ -13,7 +13,7 @@ Brownian component and min(gamma1, 1/gamma0) without one
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,8 +56,6 @@ class ErrorRow:
 class ErrorTable:
     rows: list[ErrorRow]
     reference_dt: float
-    problem: str = ""
-    master_seed: int = 0
 
     def __post_init__(self):
         dts = [r.dt for r in self.rows]
@@ -106,7 +104,7 @@ def strong_error_table(
         mse = float(np.mean(sq))
         stderr = float(np.std(sq, ddof=1) / np.sqrt(sq.size)) if sq.size > 1 else 0.0
         rows.append(ErrorRow(dt=float(d), mse=mse, stderr=stderr, n_paths=int(sq.size)))
-    return ErrorTable(rows=rows, reference_dt=reference_dt, problem=problem.name, master_seed=seed)
+    return ErrorTable(rows=rows, reference_dt=reference_dt)
 
 
 def fit_order(table: ErrorTable) -> OrderFit:

@@ -221,7 +221,7 @@ def _chunk_ranges(n_paths: int, n_steps: int, streams: int, budget_bytes: int):
 # kernels: one chunk's tape each
 
 
-def _ensemble_kernel(problem, tape, n_paths, n_steps, diag, x0, record_steps):
+def _ensemble_kernel(problem, tape, n_paths, n_steps, diag, record_steps):
     """Terminal values, and the states at ``record_steps`` keyed by step."""
     record = {}
 
@@ -229,7 +229,7 @@ def _ensemble_kernel(problem, tape, n_paths, n_steps, diag, x0, record_steps):
         if i in record_steps:
             record[i] = y.copy()
 
-    y0 = np.full(n_paths, x0)
+    y0 = np.full(n_paths, problem.x0)
     terminal = _evolve(problem, tape.fine_dt, n_steps, y0, tape.brownian, tape.levy, diag, on_step)
     return terminal, record
 
@@ -325,11 +325,7 @@ def _run_chunks(problem, kernel, args, n_paths, dt, n_steps, seed, workers, budg
 
 @dataclass
 class EnsembleResult:
-    problem: str
-    dt: float
-    n_steps: int
     n_paths: int
-    master_seed: int
     terminal: np.ndarray
     checkpoints: dict[float, np.ndarray] = field(default_factory=dict)
     diagnostics: StepDiagnostics = field(default_factory=StepDiagnostics)
@@ -351,10 +347,6 @@ class MomentCurve:
 
 @dataclass
 class StrongErrorRun:
-    problem: str
-    reference_dt: float
-    n_paths: int
-    master_seed: int
     errors: dict[float, np.ndarray]
     diagnostics: StepDiagnostics
 
@@ -369,7 +361,6 @@ def simulate_ensemble(
     n_paths: int,
     master_seed: int,
     checkpoints=(),
-    x0: float | None = None,
     workers: int = 1,
     chunk_budget_bytes: int = _DEFAULT_CHUNK_BUDGET,
 ) -> EnsembleResult:
@@ -380,18 +371,13 @@ def simulate_ensemble(
         raise ConfigurationError(
             f"field 'checkpoints': {list(checkpoints)} puts two times on one step of dt = {dt:g}"
         )
-    x0 = float(problem.x0 if x0 is None else x0)
-    args = (x0, frozenset(steps.values()))
+    args = (frozenset(steps.values()),)
     outs, diag = _run_chunks(
         problem, _ensemble_kernel, args, n_paths, dt, n_steps, master_seed, workers,
         chunk_budget_bytes,
     )
     return EnsembleResult(
-        problem=problem.name,
-        dt=dt,
-        n_steps=n_steps,
         n_paths=n_paths,
-        master_seed=master_seed,
         terminal=np.concatenate([terminal for terminal, _ in outs]),
         checkpoints={t: np.concatenate([rec[s] for _, rec in outs]) for t, s in steps.items()},
         diagnostics=diag,
@@ -469,10 +455,6 @@ def strong_error_run(
         chunk_budget_bytes,
     )
     return StrongErrorRun(
-        problem=problem.name,
-        reference_dt=reference_dt,
-        n_paths=n_paths,
-        master_seed=master_seed,
         errors={d: np.concatenate([errs[j] for errs in outs]) for j, d in enumerate(dts)},
         diagnostics=diag,
     )

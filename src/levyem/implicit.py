@@ -12,11 +12,10 @@ root exists, is unique, and satisfies the a-priori bound
     |Y| <= (|c| + dt * |f(t, 0)|) / (1 - dt * max(L, 0)).
 
 The residual and its derivative come from one factory,
-``residual_function(problem, t, dt)``.  For a grammar problem,
-``y - dt * f(t, y)`` is a polynomial in y whose coefficients are computed
-once per solve from ``problem.drift_polynomial``, and r and r' are evaluated
-together by Horner's rule; a problem defined with bare callables evaluates
-``drift`` and ``drift_jacobian`` (or a central difference of the drift).
+``residual_function(problem, t, dt)``: ``y - dt * f(t, y)`` is a polynomial
+in y whose coefficients are computed once per solve from
+``problem.drift_polynomial``, and r and r' are evaluated together by
+Horner's rule.
 
 Damped Newton runs from ``Y = c`` over the whole batch with a mask of live
 (not yet accepted) elements: each pass takes the full Newton step at full
@@ -55,7 +54,6 @@ _MAX_NEWTON_ITERS = 50
 _MAX_DAMPINGS = 30
 _MAX_BISECTIONS = 200
 _JAC_FLOOR = 1e-8
-_FD_STEP = 1e-7
 _RES_SAFETY = 32.0
 _FLOAT_MAX = np.finfo(float).max
 _FLOOR_SCALE = _RES_SAFETY * np.finfo(float).eps  # a power of two: scaling by it is exact
@@ -106,43 +104,26 @@ class StepDiagnostics:
         return self
 
 
-def _drift_at(problem: SdeProblem, t: float, y: np.ndarray) -> np.ndarray:
-    return np.asarray(problem.drift(t, y), dtype=float)
-
-
 def residual_function(problem: SdeProblem, t: float, dt: float):
     """The residual of one step as ``(y, c) -> (r, r')`` at fixed ``t`` and ``dt``.
 
-    For a grammar problem ``y - dt * f(t, y)`` is itself a polynomial in y:
-    its coefficients are computed once here, and each call evaluates r and r'
-    together in one Horner pass.  A problem defined with bare callables
-    evaluates ``drift`` and ``drift_jacobian``, or a central difference of
-    the drift when it has no Jacobian.
+    ``y - dt * f(t, y)`` is itself a polynomial in y: its coefficients are
+    computed once here, and each call evaluates r and r' together in one
+    Horner pass.
     """
     poly = problem.drift_polynomial
-    if poly is not None:
-        g = -dt * poly.coefficients(t)
-        present = list(poly.present)
-        if poly.degree < 2:  # pad, so that r' comes out as an array like r
-            g = np.concatenate([g, np.zeros(2 - poly.degree)])
-            present += [False] * (2 - poly.degree)
-        g[1] += 1.0
-        present[1] = True
-        g = g.tolist()
-
-        def residual(y, c):
-            v, dv = horner(g, present, y)
-            return v - c, dv
-
-        return residual
+    g = -dt * poly.coefficients(t)
+    present = list(poly.present)
+    if poly.degree < 2:  # pad, so that r' comes out as an array like r
+        g = np.concatenate([g, np.zeros(2 - poly.degree)])
+        present += [False] * (2 - poly.degree)
+    g[1] += 1.0
+    present[1] = True
+    g = g.tolist()
 
     def residual(y, c):
-        r = y - c - dt * _drift_at(problem, t, y)
-        if problem.drift_jacobian is not None:
-            return r, 1.0 - dt * np.asarray(problem.drift_jacobian(t, y), dtype=float)
-        h = _FD_STEP * np.maximum(1.0, np.abs(y))
-        df = (_drift_at(problem, t, y + h) - _drift_at(problem, t, y - h)) / (2.0 * h)
-        return r, 1.0 - dt * df
+        v, dv = horner(g, present, y)
+        return v - c, dv
 
     return residual
 
@@ -170,7 +151,7 @@ def _check_dt(problem: SdeProblem, dt: float) -> None:
 
 def bracket_halfwidth(problem: SdeProblem, t: float, c, dt: float):
     """Half-width A with the unique root guaranteed inside [c - A, c + A]."""
-    f0 = np.abs(_drift_at(problem, t, np.zeros(1))[0])
+    f0 = np.abs(problem.drift_polynomial.coefficients(t)[0])  # |f(t, 0)|
     denom = 1.0 - dt * max(problem.monotone_bound, 0.0)
     return 2.0 * (np.abs(c) + dt * f0 + 1.0) / denom
 

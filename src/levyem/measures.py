@@ -90,13 +90,10 @@ def _reference_size(ref_kind: str, n: int) -> int:
 
 @dataclass(frozen=True)
 class EmpiricalMeasure:
-    """A sorted scalar sample with its observation time and provenance."""
+    """A sorted scalar sample with its observation time."""
 
     values: np.ndarray
     t: float
-    problem: str = ""
-    dt: float = 0.0
-    master_seed: int = 0
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -206,16 +203,7 @@ def evolve_empirical_law(
     result = simulate_ensemble(
         problem, dt, n_paths, seed, checkpoints=checkpoints, workers=workers
     )
-    return [
-        EmpiricalMeasure(
-            values=result.checkpoints[t],
-            t=t,
-            problem=problem.name,
-            dt=dt,
-            master_seed=seed,
-        )
-        for t in checkpoints
-    ]
+    return [EmpiricalMeasure(values=result.checkpoints[t], t=t) for t in checkpoints]
 
 
 def _ks_fold_scorer(values: np.ndarray, ref_sample: np.ndarray):

@@ -1,6 +1,6 @@
-"""Problem definitions: drift/diffusion callables, declared regularity constants, probes.
+"""Problem definitions: compiled coefficients, declared regularity constants, probes.
 
-A problem bundles the coefficient functions of
+A problem bundles the coefficients of
 
     dX(t) = f(t, X(t)) dt + g(t, X(t)) dB(t) + dL(t)
 
@@ -12,6 +12,9 @@ with the constants under which the drift-implicit Euler scheme is analysed:
 * Hoelder time regularity:     |f(s,x)-f(t,x)| <= K1 (1+|x|^(sigma+1)) |s-t|^gamma1
                                |g(s,x)-g(t,x)| <= K2 (1+|x|^(sigma+1)) |s-t|^gamma2
 
+f and g are polynomials in x with time-dependent coefficients, compiled from
+the grammar of :mod:`levyem.problems`, which builds every problem.
+
 The long-time (invariant measure) analysis needs the strict dissipativity gate
 K3 < -1/2 and K4 + 2*K3 < -1; finite-horizon strong convergence does not.  The
 constants therefore carry the dissipativity pair (K3, K4) as an optional block
@@ -19,15 +22,16 @@ that is gate-checked whenever it is supplied, while every problem also carries
 a plain finite ``monotone_bound`` (any upper bound for the one-sided ratio,
 possibly positive) which is all the implicit step solver needs.
 
-The probe functions draw random (t, x, y) triples and report the worst
-empirical ratio against the claimed constant, so a wrong declaration is caught
-before any simulation is run.  For linear coefficients the ratios are exact.
+The probes draw random (t, x, y) triples once and report, per declared
+constant, the worst empirical ratio against it, so a wrong declaration is
+caught before any simulation is run.  For linear coefficients the ratios are
+exact.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -42,10 +46,6 @@ __all__ = [
     "AssumptionConstants",
     "SdeProblem",
     "ProbeReport",
-    "probe_one_sided_lipschitz",
-    "probe_polynomial_lipschitz",
-    "probe_diffusion_lipschitz",
-    "probe_time_holder",
     "run_declared_probes",
     "zero_state_bounds",
     "moment_decay_factors",
@@ -110,44 +110,46 @@ class AssumptionConstants:
 class SdeProblem:
     """One scalar SDE together with its noise description and declared constants.
 
-    The state is scalar and ``x0`` is a plain float.  ``drift``, ``diffusion``
-    and ``drift_jacobian`` take ``(t, x)`` and must broadcast over 1-d arrays
-    of states and of times, which is what enables whole-ensemble implicit
-    stepping.  ``diffusion`` is None when there is no Brownian term;
-    ``drift_jacobian`` (the derivative of the drift in x) is optional, and a
-    central difference stands in for it when it is None.
+    Problems are built by :func:`levyem.problems.problem_from_config`.  The
+    state is scalar and ``x0`` is a plain float.  ``drift_polynomial`` and
+    ``diffusion_polynomial`` are the compiled coefficients; the implicit
+    solver evaluates the drift's directly.  ``diffusion_polynomial`` is None
+    when there is no Brownian term.
 
-    ``drift_polynomial`` is the drift's compiled polynomial in x, set by
-    :func:`levyem.problems.problem_from_config` (``drift`` and
-    ``drift_jacobian`` are its views there); the implicit solver evaluates it
-    directly.  It is None for a problem defined with bare callables.
+    ``drift``, ``drift_jacobian`` and ``diffusion`` are views of them: plain
+    attributes, set here, that take ``(t, x)`` and broadcast over arrays of
+    states and of times (``diffusion`` is None without a Brownian term).
 
     ``noise`` drives the jumps with symmetric alpha-stable or tempered stable
     increments, or with none.  :func:`run_declared_probes` checks
-    ``constants`` against ``drift`` and ``diffusion`` with all four probes.
+    ``constants`` against ``drift`` and ``diffusion``.
     """
 
     name: str
-    drift: Callable
+    drift_polynomial: CompiledPolynomial
     x0: float
     horizon: float
     noise: NoiseSpec
     constants: AssumptionConstants
     monotone_bound: float
-    diffusion: Callable | None = None
-    drift_jacobian: Callable | None = None
-    drift_polynomial: "CompiledPolynomial | None" = None
-    source: dict | None = None  # config the problem was built from, if any
+    diffusion_polynomial: CompiledPolynomial | None
+    source: dict  # the config the problem was built from
+    drift: Callable = field(init=False, repr=False)
+    drift_jacobian: Callable = field(init=False, repr=False)
+    diffusion: Callable | None = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.horizon <= 0:
             raise ConfigurationError("horizon must be > 0")
         if not math.isfinite(self.monotone_bound):
             raise ConfigurationError("monotone_bound must be finite")
-        if self.diffusion is not None and self.noise.brownian_dim == 0:
+        if self.diffusion_polynomial is not None and self.noise.brownian_dim == 0:
             raise ConfigurationError("diffusion given but brownian_dim == 0")
-        if self.diffusion is None and self.noise.brownian_dim > 0:
+        if self.diffusion_polynomial is None and self.noise.brownian_dim > 0:
             raise ConfigurationError("brownian_dim > 0 but no diffusion")
+        self.drift = self.drift_polynomial.value
+        self.drift_jacobian = self.drift_polynomial.derivative
+        self.diffusion = None if self.diffusion_polynomial is None else self.diffusion_polynomial.value
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +171,30 @@ class ProbeReport:
         return self.violations == 0
 
 
-def _probe_draws(problem: SdeProblem, n_pairs: int, radius: float, seed: int):
+def run_declared_probes(
+    problem: SdeProblem, n_pairs: int = 10_000, radius: float = 5.0, seed: int = 0
+) -> list[ProbeReport]:
+    """Worst empirical ratios against the declared constants, from one draw.
+
+    One draw of ``n_pairs`` triples (t, x, y), with t uniform on the horizon
+    and x, y uniform on [-radius, radius], serves four probes, reported in
+    this order:
+
+    * ``one_sided``: <x-y, f(t,x)-f(t,y)> / |x-y|^2 against K3 (or the
+      monotone bound when K3 is not declared);
+    * ``polynomial``: |f(t,x)-f(t,y)|^2 / ((1+|x|^sigma+|y|^sigma) |x-y|^2)
+      against H;
+    * ``diffusion``: |g(t,x)-g(t,y)|^2 / |x-y|^2 against K4 (or 1);
+      identically 0 without diffusion;
+    * ``time_holder``: the Hoelder-in-time ratios of the drift (against K1,
+      exponent gamma1) and the diffusion (K2, gamma2) between t and a second
+      time s, drawn after the triples from the same stream.
+    """
+    if n_pairs < 1:
+        raise ConfigurationError(f"field 'n_pairs': need at least one pair, got {n_pairs}")
+    if not 0.0 < radius < math.inf:
+        raise ConfigurationError(f"field 'radius': need a finite radius > 0, got {radius}")
+    c = problem.constants
     rng = PathStreams(seed, [0], AUX_STREAM)[0]
     t = rng.uniform(0.0, problem.horizon, n_pairs)
     x = rng.uniform(-radius, radius, n_pairs)
@@ -179,132 +204,49 @@ def _probe_draws(problem: SdeProblem, n_pairs: int, radius: float, seed: int):
     while bad.any():
         y[bad] = rng.uniform(-radius, radius, int(bad.sum()))
         bad = np.abs(x - y) < 1e-8
-    return rng, t, x, y
-
-
-def _eval_pairs(func: Callable, t: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """func(t_i, x_i) for every pair, as a float array."""
-    return np.asarray(func(t, x), dtype=float)
-
-
-def probe_one_sided_lipschitz(
-    problem: SdeProblem, n_pairs: int = 10_000, radius: float = 5.0, seed: int = 0
-) -> ProbeReport:
-    """Worst ratio <x-y, f(t,x)-f(t,y)> / |x-y|^2 against K3 (or the monotone bound)."""
-    claim = problem.constants.K3 if problem.constants.K3 is not None else problem.monotone_bound
-    _, t, x, y = _probe_draws(problem, n_pairs, radius, seed)
-    df = _eval_pairs(problem.drift, t, x) - _eval_pairs(problem.drift, t, y)
-    diff = x - y
-    ratio = diff * df / (diff * diff)
-    return ProbeReport(
-        probe="one_sided",
-        problem=problem.name,
-        claimed={"bound": claim},
-        n_pairs=n_pairs,
-        radius=radius,
-        max_ratio=float(ratio.max()),
-        violations=int((ratio > claim + 1e-9).sum()),
-    )
-
-
-def probe_polynomial_lipschitz(
-    problem: SdeProblem, n_pairs: int = 10_000, radius: float = 5.0, seed: int = 0
-) -> ProbeReport:
-    """Worst ratio |df|^2 / ((1+|x|^sigma+|y|^sigma) |x-y|^2) against H."""
-    c = problem.constants
-    _, t, x, y = _probe_draws(problem, n_pairs, radius, seed)
-    df = _eval_pairs(problem.drift, t, x) - _eval_pairs(problem.drift, t, y)
-    num = df * df
-    den = (1.0 + np.abs(x) ** c.sigma + np.abs(y) ** c.sigma) * ((x - y) * (x - y))
-    ratio = num / den
-    return ProbeReport(
-        probe="polynomial",
-        problem=problem.name,
-        claimed={"H": c.H, "sigma": c.sigma},
-        n_pairs=n_pairs,
-        radius=radius,
-        max_ratio=float(ratio.max()),
-        violations=int((ratio > c.H + 1e-9).sum()),
-    )
-
-
-def probe_diffusion_lipschitz(
-    problem: SdeProblem, n_pairs: int = 10_000, radius: float = 5.0, seed: int = 0
-) -> ProbeReport:
-    """Worst ratio |dg|^2 / |x-y|^2 against K4; identically 0 without diffusion."""
-    c = problem.constants
-    claim = c.K4 if c.K4 is not None else 1.0
-    if problem.diffusion is None:
-        return ProbeReport(
-            probe="diffusion",
-            problem=problem.name,
-            claimed={"K4": claim},
-            n_pairs=n_pairs,
-            radius=radius,
-            max_ratio=0.0,
-            violations=0,
-        )
-    _, t, x, y = _probe_draws(problem, n_pairs, radius, seed)
-    dg = _eval_pairs(problem.diffusion, t, x) - _eval_pairs(problem.diffusion, t, y)
-    ratio = dg * dg / ((x - y) * (x - y))
-    return ProbeReport(
-        probe="diffusion",
-        problem=problem.name,
-        claimed={"K4": claim},
-        n_pairs=n_pairs,
-        radius=radius,
-        max_ratio=float(ratio.max()),
-        violations=int((ratio > claim + 1e-9).sum()),
-    )
-
-
-def probe_time_holder(
-    problem: SdeProblem, n_pairs: int = 10_000, radius: float = 5.0, seed: int = 0
-) -> ProbeReport:
-    """Worst Hoelder-in-time ratios of drift (gamma1) and diffusion (gamma2)."""
-    c = problem.constants
-    rng, t, x, _ = _probe_draws(problem, n_pairs, radius, seed)
     s = rng.uniform(0.0, problem.horizon, n_pairs)
     near = np.abs(t - s) < 1e-12
     while near.any():
         s[near] = rng.uniform(0.0, problem.horizon, int(near.sum()))
         near = np.abs(t - s) < 1e-12
+
+    def report(probe, claimed, checks):
+        """One probe's report over its (ratios, bound) checks."""
+        return ProbeReport(
+            probe=probe,
+            problem=problem.name,
+            claimed=claimed,
+            n_pairs=n_pairs,
+            radius=radius,
+            max_ratio=max((float(ratio.max()) for ratio, _ in checks), default=0.0),
+            violations=sum(int((ratio > bound + 1e-9).sum()) for ratio, bound in checks),
+        )
+
+    diff = x - y
+    fx = problem.drift(t, x)
+    df = fx - problem.drift(t, y)
+    one_sided = problem.monotone_bound if c.K3 is None else c.K3
+    k4 = 1.0 if c.K4 is None else c.K4
     weight = 1.0 + np.abs(x) ** (c.sigma + 1.0)
-    df = _eval_pairs(problem.drift, t, x) - _eval_pairs(problem.drift, s, x)
-    ratio_f = np.abs(df) / (weight * np.abs(t - s) ** c.gamma1)
-    max_ratio = float(ratio_f.max())
-    violations = int((ratio_f > c.K1 + 1e-9).sum())
+    holder = [(np.abs(fx - problem.drift(s, x)) / (weight * np.abs(t - s) ** c.gamma1), c.K1)]
+    lipschitz = []
     if problem.diffusion is not None:
-        dg = _eval_pairs(problem.diffusion, t, x) - _eval_pairs(problem.diffusion, s, x)
-        ratio_g = np.abs(dg) / (weight * np.abs(t - s) ** c.gamma2)
-        max_ratio = max(max_ratio, float(ratio_g.max()))
-        violations += int((ratio_g > c.K2 + 1e-9).sum())
-    return ProbeReport(
-        probe="time_holder",
-        problem=problem.name,
-        claimed={"K1": c.K1, "K2": c.K2, "gamma1": c.gamma1, "gamma2": c.gamma2},
-        n_pairs=n_pairs,
-        radius=radius,
-        max_ratio=max_ratio,
-        violations=violations,
-    )
-
-
-def run_declared_probes(
-    problem: SdeProblem, n_pairs: int = 10_000, radius: float = 5.0, seed: int = 0
-) -> list[ProbeReport]:
-    """All four probes: one-sided, polynomial, diffusion and time-Hoelder, in that order."""
-    if n_pairs < 1:
-        raise ConfigurationError(f"field 'n_pairs': need at least one pair, got {n_pairs}")
-    if not 0.0 < radius < math.inf:
-        raise ConfigurationError(f"field 'radius': need a finite radius > 0, got {radius}")
-    probes = (
-        probe_one_sided_lipschitz,
-        probe_polynomial_lipschitz,
-        probe_diffusion_lipschitz,
-        probe_time_holder,
-    )
-    return [probe(problem, n_pairs, radius, seed) for probe in probes]
+        gx = problem.diffusion(t, x)
+        dg = gx - problem.diffusion(t, y)
+        lipschitz.append((dg * dg / (diff * diff), k4))
+        dg_time = gx - problem.diffusion(s, x)
+        holder.append((np.abs(dg_time) / (weight * np.abs(t - s) ** c.gamma2), c.K2))
+    growth = (1.0 + np.abs(x) ** c.sigma + np.abs(y) ** c.sigma) * (diff * diff)
+    return [
+        report("one_sided", {"bound": one_sided}, [(diff * df / (diff * diff), one_sided)]),
+        report("polynomial", {"H": c.H, "sigma": c.sigma}, [(df * df / growth, c.H)]),
+        report("diffusion", {"K4": k4}, lipschitz),
+        report(
+            "time_holder",
+            {"K1": c.K1, "K2": c.K2, "gamma1": c.gamma1, "gamma2": c.gamma2},
+            holder,
+        ),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -315,11 +257,8 @@ def zero_state_bounds(problem: SdeProblem) -> tuple[float, float]:
     """(m1, m2) = (sup_t 0.5*|f(t,0)|^2, sup_t |g(t,0)|^2) over a uniform t-grid."""
     ts = np.linspace(0.0, problem.horizon, _ZERO_STATE_GRID)
     zero = np.zeros_like(ts)
-    f_sq = np.broadcast_to(_eval_pairs(problem.drift, ts, zero), ts.shape) ** 2
-    if problem.diffusion is not None:
-        g_sq = np.broadcast_to(_eval_pairs(problem.diffusion, ts, zero), ts.shape) ** 2
-    else:
-        g_sq = np.zeros_like(ts)
+    f_sq = problem.drift(ts, zero) ** 2
+    g_sq = zero if problem.diffusion is None else problem.diffusion(ts, zero) ** 2
     return 0.5 * float(f_sq.max()), float(g_sq.max())
 
 

@@ -14,10 +14,12 @@ Hoelder-in-time prefactors, which is exactly the shape of every built-in model.
 :func:`compile_terms` turns a term list into a :class:`CompiledPolynomial`,
 ``sum_k a_k(t) x**k``: ``coefficients(t)`` evaluates each distinct window
 factor once and sums the terms of each power of x, and ``value`` and
-``derivative`` evaluate the polynomial by Horner's rule.  A grammar problem's
-``drift``, ``drift_jacobian`` and ``diffusion`` are these views, and its
-``drift_polynomial`` is the drift's compiled polynomial, which the implicit
-solver evaluates directly.
+``derivative`` evaluate the polynomial by Horner's rule.
+:func:`problem_from_config` is the one constructor of an
+:class:`~levyem.model.SdeProblem`: it hands the problem its compiled drift and
+diffusion.  The problem's ``drift``, ``drift_jacobian`` and ``diffusion`` are
+their ``value`` and ``derivative`` views, and the implicit solver evaluates
+the drift's polynomial directly.
 
 Built-in problems (keys of :data:`BUILTIN_PROBLEMS`):
 
@@ -225,15 +227,11 @@ def problem_from_config(config: dict) -> SdeProblem:
     name = config.get("name", "custom")
     if not isinstance(name, str):
         raise ConfigurationError(f"name must be a string, got {name!r}")
-    drift = compile_terms(config["drift"], "drift")
     diffusion_terms = config.get("diffusion") or []
-    diffusion = compile_terms(diffusion_terms, "diffusion").value if diffusion_terms else None
     return SdeProblem(
         name=name,
-        drift=drift.value,
-        drift_jacobian=drift.derivative,
-        drift_polynomial=drift,
-        diffusion=diffusion,
+        drift_polynomial=compile_terms(config["drift"], "drift"),
+        diffusion_polynomial=compile_terms(diffusion_terms, "diffusion") if diffusion_terms else None,
         x0=_real(config["x0"], "x0"),
         horizon=_real(config["horizon"], "horizon"),
         noise=_parse_noise(config["noise"]),

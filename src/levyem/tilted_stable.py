@@ -35,7 +35,6 @@ from .errors import ConfigurationError
 
 __all__ = [
     "AcceptanceStats",
-    "sample_tilted_stable",
     "tilted_stable_blocks",
 ]
 
@@ -88,29 +87,6 @@ def _kanter(u: np.ndarray, e: np.ndarray, rho: float) -> np.ndarray:
     return (_kanter_factor(u, rho) / e) ** ((1.0 - rho) / rho)
 
 
-def sample_tilted_stable(
-    rho: float,
-    tilt: float,
-    horizon: float,
-    size: int,
-    rng: np.random.Generator,
-    stats: AcceptanceStats | None = None,
-) -> np.ndarray:
-    """Draw ``size`` independent tilted-subordinator increments over ``horizon``.
-
-    The one-row case of :func:`tilted_stable_blocks`.
-
-    Parameters
-    ----------
-    rho : stability index in (0, 1).
-    tilt : exponential damping rate, > 0.
-    horizon : time-window length, > 0.
-    stats : optional AcceptanceStats updated in place with rejection bookkeeping.
-    """
-    ((_, _, values),) = tilted_stable_blocks(rho, tilt, horizon, size, [rng], stats)
-    return values[0]
-
-
 def tilted_stable_blocks(
     rho: float,
     tilt: float,
@@ -121,13 +97,12 @@ def tilted_stable_blocks(
 ) -> Iterator[tuple[int, int, np.ndarray]]:
     """``size`` tilted-subordinator increments from each stream, block by block.
 
-    ``streams[r]`` returns the generator of row r (a list of generators, or a
-    :class:`levyem.noise.PathStreams`); each row's draws come from its own
-    stream in the order a one-row call would make them.  Returns an iterator
-    of ``(lo, hi, values)``, ``values`` being the ``(hi - lo, size)`` draws of
-    rows lo..hi-1; a block holds at most BLOCK_CELLS rejection cells (or one
-    row) and is drawn when the iterator reaches it, so consuming one block
-    at a time bounds the memory.  The arguments are checked, and the pieces
+    ``streams`` is a :class:`levyem.noise.PathStreams`; each row's draws
+    come from its own stream in the order a one-row call would make them.
+    Returns an iterator of ``(lo, hi, values)``, ``values`` being the
+    ``(hi - lo, size)`` draws of rows lo..hi-1; a block holds at most
+    BLOCK_CELLS rejection cells (or one row) and is drawn when the iterator
+    reaches it, so consuming one block at a time bounds the memory.  The arguments are checked, and the pieces
     counted against _MAX_PARTITION, before the iterator is returned.
     """
     if not 0.0 < rho < 1.0:

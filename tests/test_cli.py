@@ -221,6 +221,13 @@ def test_tempering_past_the_piece_cap_exits_3(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+def _package_env():
+    """The environment, with the package under test importable, installed or not."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(levyem.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    ))
+
+
 @pytest.mark.parametrize(
     "key, value",
     [("n_pairs", 0), ("n_pairs", -5), ("radius", 0), ("radius", -1)],
@@ -229,12 +236,9 @@ def test_tempering_past_the_piece_cap_exits_3(tmp_path, capsys):
 def test_bad_probe_block_exits_3(tmp_path, key, value):
     # a subprocess with a timeout, so that a probe stuck redrawing fails the test
     cfg_path = _write_cfg(tmp_path / "probe.json", dict(_PROBE_CFG, **{key: value}))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(Path(levyem.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
-    ))
     proc = subprocess.run(
         [sys.executable, "-m", "levyem.cli", "run", cfg_path, "--out", str(tmp_path / "o")],
-        capture_output=True, text=True, timeout=60, env=env,
+        capture_output=True, text=True, timeout=60, env=_package_env(),
     )
     assert proc.returncode == 3, proc.stderr
     assert f"'{key}'" in proc.stderr
@@ -368,6 +372,7 @@ def test_console_script_list():
         capture_output=True,
         text=True,
         timeout=120,
+        env=_package_env(),
     )
     assert proc.returncode == 0
     assert "paper-5.4" in proc.stdout

@@ -1,5 +1,6 @@
 """Ensemble evolution: exact oracles, tape aggregation, determinism."""
 
+import dataclasses
 import math
 from concurrent.futures import ProcessPoolExecutor
 
@@ -16,26 +17,23 @@ from levyem.engine import (
     strong_error_run,
 )
 from levyem.errors import ConfigurationError, StepFailureError
-from levyem.model import AssumptionConstants, SdeProblem
-from levyem.noise import NoiseSpec
-from levyem.problems import builtin_problem
+from levyem.problems import builtin_problem, problem_from_config
+
+_CONSTANTS = {"H": 4.0, "sigma": 1.0, "q": 4.0, "M": 1.0, "K1": 1.0, "K2": 1.0,
+              "gamma1": 0.5, "gamma2": 0.5, "K4": 0.5}
 
 
 def _deterministic_problem(rate=2.0, x0=10.0, horizon=4.0):
-    constants = AssumptionConstants(
-        H=4.0, sigma=1.0, q=4.0, M=1.0, K1=1.0, K2=1.0, gamma1=0.5, gamma2=0.5,
-        K3=-rate, K4=0.5,
-    )
-    return SdeProblem(
-        name="decay",
-        drift=lambda t, x: -rate * x,
-        drift_jacobian=lambda t, x: np.full_like(x, -rate),
-        x0=x0,
-        horizon=horizon,
-        noise=NoiseSpec(kind="none", brownian_dim=0),
-        constants=constants,
-        monotone_bound=-rate,
-    )
+    """dX = -rate X dt without noise."""
+    return problem_from_config({
+        "name": "decay",
+        "drift": [{"coeff": -rate, "x_power": 1}],
+        "x0": x0,
+        "horizon": horizon,
+        "noise": {"kind": "none", "brownian_dim": 0},
+        "constants": {**_CONSTANTS, "K3": -rate},
+        "monotone_bound": -rate,
+    })
 
 
 def test_steps_for_horizon():
@@ -229,36 +227,25 @@ def test_coupling_curve_is_the_mean_squared_gap_of_two_ensembles():
     n_steps = steps_for_horizon(problem.horizon, dt)
     curve = coupling_curve(problem, (xa, xb), dt, n_steps, 32, master_seed=21)
     times = [0.05, 0.5, 2.0]
-    a = simulate_ensemble(problem, dt, 32, master_seed=21, checkpoints=times, x0=xa)
-    b = simulate_ensemble(problem, dt, 32, master_seed=21, checkpoints=times, x0=xb)
+    a = simulate_ensemble(dataclasses.replace(problem, x0=xa), dt, 32, 21, checkpoints=times)
+    b = simulate_ensemble(dataclasses.replace(problem, x0=xb), dt, 32, 21, checkpoints=times)
     for t in times:
         gap_sq = (a.checkpoints[t] - b.checkpoints[t]) ** 2
         np.testing.assert_allclose(curve.mean[round(t / dt)], gap_sq.mean(), rtol=1e-12)
 
 
-def _trap_problem(t_fail, threshold):
-    """dX = -X dt + dB from 0, whose drift is NaN above ``threshold`` at t_fail."""
-    constants = AssumptionConstants(
-        H=4.0, sigma=1.0, q=4.0, M=1.0, K1=1.0, K2=1.0, gamma1=0.5, gamma2=0.5,
-        K3=-1.0, K4=0.5,
-    )
-
-    def drift(t, x):
-        if abs(t - t_fail) < 1e-9:
-            return np.where(x > threshold, np.nan, -x)
-        return -x
-
-    return SdeProblem(
-        name="trap",
-        drift=drift,
-        drift_jacobian=lambda t, x: np.full_like(x, -1.0),
-        diffusion=lambda t, x: np.ones_like(x),
-        x0=0.0,
-        horizon=1.0,
-        noise=NoiseSpec(kind="none", brownian_dim=1),
-        constants=constants,
-        monotone_bound=-1.0,
-    )
+def _ou_brownian():
+    """dX = -X dt + dB from 0."""
+    return problem_from_config({
+        "name": "ou-brownian",
+        "drift": [{"coeff": -1.0, "x_power": 1}],
+        "diffusion": [{"coeff": 1.0}],
+        "x0": 0.0,
+        "horizon": 1.0,
+        "noise": {"kind": "none", "brownian_dim": 1},
+        "constants": {**_CONSTANTS, "K3": -1.0},
+        "monotone_bound": -1.0,
+    })
 
 
 @pytest.mark.parametrize(
@@ -266,30 +253,38 @@ def _trap_problem(t_fail, threshold):
     [(None, 1), ((0.0, 3.0), 1), (None, 2), ((0.0, 3.0), 2)],
     ids=["ensemble", "coupling", "ensemble-pool", "coupling-pool"],
 )
-def test_step_failure_names_path_step_and_time(starts, workers):
-    # The explicit parts of step k follow from a clean run; the trap is set so
-    # that only the largest of them has its root inside the NaN region, which
-    # sends that element to the bracketed solve, and that solve fails.
+def test_step_failure_names_path_step_and_time(starts, workers, monkeypatch):
+    # The explicit parts of step k follow from a clean run.  The solver is
+    # trapped to fail at step k on the first element of its batch above a
+    # threshold that only the largest of them exceeds; forked workers inherit
+    # the trap.  The engine must name that element's path, step and start.
     dt, k, n_paths, seed, budget = 0.05, 5, 24, 5, 1 << 10  # chunks of 6 paths
-    clean = _trap_problem(-1.0, np.inf)
-    before = simulate_ensemble(clean, dt, n_paths, seed, checkpoints=[(k - 1) * dt])
-    tape = make_tape(clean, dt, steps_for_horizon(clean.horizon, dt), np.arange(n_paths), seed)
+    problem = _ou_brownian()
+    before = simulate_ensemble(problem, dt, n_paths, seed, checkpoints=[(k - 1) * dt])
+    tape = make_tape(problem, dt, steps_for_horizon(problem.horizon, dt), np.arange(n_paths), seed)
     c = before.checkpoints[(k - 1) * dt] + tape.brownian[:, k - 1]
     if starts is not None:  # the gap of a pair under linear drift and shared noise
         c = np.concatenate([c, c + (starts[1] - starts[0]) / (1.0 + dt) ** (k - 1)])
     order = np.argsort(c)
-    top, second = c[order[-1]], c[order[-2]]
-    assert second < top / (1.0 + dt)
+    threshold = 0.5 * (c[order[-2]] + c[order[-1]])
     start, path = divmod(int(order[-1]), n_paths)
     assert path >= 6, "the trapped path should lie past the first chunk"
 
-    trap = _trap_problem(k * dt, 0.5 * (second + top / (1.0 + dt)))
+    solve = engine.solve_implicit_steps
+
+    def trapped(problem, t, c, dt, diagnostics=None):
+        above = np.flatnonzero(c > threshold)
+        if abs(t - k * dt) < 1e-9 and above.size:
+            raise StepFailureError("trapped", diagnostics={"t": t, "index": int(above[0])})
+        return solve(problem, t, c, dt, diagnostics)
+
+    monkeypatch.setattr(engine, "solve_implicit_steps", trapped)
     with pytest.raises(StepFailureError) as info:
         if starts is None:
-            simulate_ensemble(trap, dt, n_paths, seed, workers=workers, chunk_budget_bytes=budget)
+            simulate_ensemble(problem, dt, n_paths, seed, workers=workers, chunk_budget_bytes=budget)
         else:
             coupling_curve(
-                trap, starts, dt, 20, n_paths, seed, workers=workers, chunk_budget_bytes=budget
+                problem, starts, dt, 20, n_paths, seed, workers=workers, chunk_budget_bytes=budget
             )
     where = info.value.diagnostics
     assert where["path"] == path
@@ -301,9 +296,9 @@ def test_step_failure_names_path_step_and_time(starts, workers):
         assert where["start"] == start == 1
 
 
-def test_bare_callable_problem_runs_on_the_pool():
-    # forked workers inherit the problem, so one without a config runs there too
-    problem = _trap_problem(-1.0, np.inf)
+def test_inline_config_problem_runs_on_the_pool():
+    # forked workers inherit the problem, so one outside the catalog runs there too
+    problem = _ou_brownian()
     one = simulate_ensemble(problem, 0.05, 24, 5, checkpoints=[0.5], chunk_budget_bytes=1 << 10)
     two = simulate_ensemble(
         problem, 0.05, 24, 5, checkpoints=[0.5], workers=2, chunk_budget_bytes=1 << 10
@@ -380,7 +375,7 @@ def test_path_count_below_one_is_rejected(run, n_paths):
 def test_x0_override():
     problem = builtin_problem("paper-5.3")
     n_steps = steps_for_horizon(problem.horizon, 0.01)
-    result = simulate_ensemble(problem, 0.01, 4, master_seed=2, x0=0.0)
+    result = simulate_ensemble(dataclasses.replace(problem, x0=0.0), 0.01, 4, master_seed=2)
     tape = make_tape(problem, 0.01, n_steps, np.arange(4), master_seed=2)
     y = np.zeros(4)
     for i in range(n_steps):

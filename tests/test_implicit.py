@@ -15,9 +15,7 @@ from levyem.implicit import (
     solve_implicit_step,
     solve_implicit_steps,
 )
-from levyem.model import AssumptionConstants, SdeProblem
-from levyem.noise import NoiseSpec
-from levyem.problems import builtin_problem
+from levyem.problems import builtin_problem, problem_from_config
 
 ORACLE_PROBLEMS = ["paper-5.1a", "paper-5.1c", "paper-5.2", "paper-5.4"]
 
@@ -71,33 +69,13 @@ def test_batch_equals_scalar(large):
         assert r[0] <= 0.0 <= r[1]
 
 
-def _arctan_problem(with_jacobian):
-    # r' = 1 + 100/(1 + y^2) at dt = 1 is steep near 0 and flat far out, so
-    # full Newton steps from y = c overshoot and need several halvings
-    constants = AssumptionConstants(
-        H=1e4, sigma=2.0, q=10.0, M=1.0, K1=1.0, K2=1.0, gamma1=0.5, gamma2=0.5
-    )
-    return SdeProblem(
-        name="arctan",
-        drift=lambda t, x: -100.0 * np.arctan(x),
-        drift_jacobian=(lambda t, x: -100.0 / (1.0 + x * x)) if with_jacobian else None,
-        x0=0.0,
-        horizon=1.0,
-        noise=NoiseSpec(kind="none", brownian_dim=0),
-        constants=constants,
-        monotone_bound=0.0,
-    )
-
-
 @pytest.mark.parametrize(
     "problem, t, dt, damped",
     [
-        (_arctan_problem(True), 0.0, 1.0, np.linspace(-150.0, 150.0, 61)),
-        (_arctan_problem(False), 0.0, 1.0, np.linspace(-150.0, 150.0, 61)),
         # the window term makes full steps fail for c near -0.5 (one halving each)
         (builtin_problem("paper-5.1a"), 0.5, 1.0, np.linspace(-0.54, -0.425, 24)),
     ],
-    ids=["bare-callable", "central-difference", "grammar"],
+    ids=["grammar"],
 )
 def test_batch_equals_scalar_through_damping(problem, t, dt, damped):
     rng = np.random.default_rng(8)
@@ -157,18 +135,16 @@ def test_solvability_unbounded_for_dissipative_drift():
 
 
 def test_rootless_equation_fails_loudly():
-    constants = AssumptionConstants(
-        H=1e9, sigma=3.0, q=10.0, M=1e9, K1=1.0, K2=1.0, gamma1=0.5, gamma2=0.5
-    )
-    problem = SdeProblem(
-        name="no-root",
-        drift=lambda t, x: x ** 2,
-        x0=1000.0,
-        horizon=1.0,
-        noise=NoiseSpec(kind="none", brownian_dim=0),
-        constants=constants,
-        monotone_bound=0.0,  # wrong on purpose: x^2 is not monotone
-    )
+    problem = problem_from_config({
+        "name": "no-root",
+        "drift": [{"coeff": 1.0, "x_power": 2}],
+        "x0": 1000.0,
+        "horizon": 1.0,
+        "noise": {"kind": "none", "brownian_dim": 0},
+        "constants": {"H": 1e9, "sigma": 3.0, "q": 10.0, "M": 1e9, "K1": 1.0, "K2": 1.0,
+                      "gamma1": 0.5, "gamma2": 0.5},
+        "monotone_bound": 0.0,  # wrong on purpose: x^2 is not monotone
+    })
     with pytest.raises(StepFailureError):
         solve_implicit_step(problem, 0.0, 1000.0, 0.01)
 

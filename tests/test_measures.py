@@ -1,5 +1,6 @@
 """Distances, references, and long-time distribution reports."""
 
+import dataclasses
 import itertools
 import os
 import subprocess
@@ -27,7 +28,6 @@ from levyem.measures import (
     two_initial_value_coupling,
     wasserstein_k,
 )
-from levyem.model import AssumptionConstants, SdeProblem
 from levyem.noise import NoiseSpec, PathStreams, sample_alpha_stable
 from levyem.problems import builtin_problem
 
@@ -282,19 +282,9 @@ def test_empirical_measure_validation():
 
 
 def _zero_noise_decay():
-    constants = AssumptionConstants(
-        H=4.0, sigma=1.0, q=4.0, M=1.0, K1=1.0, K2=1.0, gamma1=0.5, gamma2=0.5,
-        K3=-2.0, K4=0.5,
-    )
-    return SdeProblem(
-        name="decay",
-        drift=lambda t, x: -2.0 * x,
-        x0=10.0,
-        horizon=8.0,
-        noise=NoiseSpec(kind="none", brownian_dim=0),
-        constants=constants,
-        monotone_bound=-2.0,
-    )
+    """paper-5.3 without its jumps, dX = -2X dt from 10, up to t = 8."""
+    problem = builtin_problem("paper-5.3")
+    return dataclasses.replace(problem, horizon=8.0, noise=NoiseSpec(kind="none", brownian_dim=0))
 
 
 def test_zero_noise_snapshots_are_point_masses():

@@ -139,17 +139,7 @@ class TestDerivedFactors:
 
 class TestProblemShape:
     def test_diffusion_brownian_consistency(self):
-        from levyem.model import SdeProblem
-        from levyem.noise import NoiseSpec
-
-        constants = AssumptionConstants(**GOOD)
-        with pytest.raises(ConfigurationError):
-            SdeProblem(
-                name="bad",
-                drift=lambda t, x: -x,
-                x0=1.0,
-                horizon=1.0,
-                noise=NoiseSpec(kind="none", brownian_dim=1),
-                constants=constants,
-                monotone_bound=-1.0,
-            )
+        cfg = dict(builtin_problem("paper-5.3").source)
+        cfg["noise"] = {**cfg["noise"], "brownian_dim": 1}  # and still no diffusion
+        with pytest.raises(ConfigurationError, match="no diffusion"):
+            problem_from_config(cfg)

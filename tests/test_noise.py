@@ -9,7 +9,6 @@ from scipy import stats
 
 from levyem.engine import make_tape
 from levyem.errors import ConfigurationError
-from levyem.model import AssumptionConstants, SdeProblem
 from levyem.problems import builtin_problem
 from levyem.noise import (
     NoiseSpec,
@@ -36,22 +35,8 @@ def _reference_rng(seed, path, stream):
 
 
 def _brownian_problem():
-    """dX = -X dt + dB: a tape of Brownian rows only."""
-    constants = AssumptionConstants(
-        H=4.0, sigma=1.0, q=4.0, M=1.0, K1=1.0, K2=1.0, gamma1=0.5, gamma2=0.5,
-        K3=-1.0, K4=0.5,
-    )
-    return SdeProblem(
-        name="ou-brownian",
-        drift=lambda t, x: -x,
-        drift_jacobian=lambda t, x: np.full_like(x, -1.0),
-        diffusion=lambda t, x: np.ones_like(x),
-        x0=0.0,
-        horizon=1.0,
-        noise=BM_SPEC,
-        constants=constants,
-        monotone_bound=-1.0,
-    )
+    """paper-5.4 without its jumps: a tape of Brownian rows only."""
+    return dataclasses.replace(builtin_problem("paper-5.4"), noise=BM_SPEC)
 
 
 # ---------------------------------------------------------------------------

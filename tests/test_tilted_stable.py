@@ -10,7 +10,14 @@ import pytest
 
 from levyem.errors import ConfigurationError
 from levyem.noise import PathStreams, sample_tempered_stable
-from levyem.tilted_stable import AcceptanceStats, sample_tilted_stable
+from levyem.tilted_stable import AcceptanceStats, tilted_stable_blocks
+
+
+def _draw(rho, tilt, horizon, size, seed, stats=None):
+    """``size`` increments from the one-path stream ``(seed, 0, "levy")``."""
+    blocks = tilted_stable_blocks(rho, tilt, horizon, size, PathStreams(seed, [0], "levy"), stats)
+    ((_, _, values),) = blocks
+    return values[0]
 
 
 def _laplace_gap_z(draw, s, target):
@@ -33,8 +40,7 @@ def _laplace_gap_z(draw, s, target):
     ids=["0.5-1.0", "2.0-0.25", "1.0-3.0", "rho-0.4", "rho-0.9"],
 )
 def test_tilted_laplace_transform(rho, tilt, horizon):
-    rng = np.random.default_rng(7)
-    draw = sample_tilted_stable(rho, tilt, horizon, 150_000, rng)
+    draw = _draw(rho, tilt, horizon, 150_000, 7)
     assert np.all(draw > 0)
     for s in (0.5, 1.0, 2.0):
         target = np.exp(-horizon * ((s + tilt) ** rho - tilt ** rho))
@@ -45,8 +51,7 @@ def test_tilted_laplace_transform(rho, tilt, horizon):
 def test_tilted_mean_and_variance_oracle():
     # E T = h*rho*theta**(rho-1), Var T = h*rho*(1-rho)*theta**(rho-2)
     rho, tilt, horizon = 0.65, 2.0, 1.5
-    rng = np.random.default_rng(11)
-    draw = sample_tilted_stable(rho, tilt, horizon, 400_000, rng)
+    draw = _draw(rho, tilt, horizon, 400_000, 11)
     mean_target = horizon * rho * tilt ** (rho - 1.0)
     var_target = horizon * rho * (1.0 - rho) * tilt ** (rho - 2.0)
     se_mean = draw.std(ddof=1) / np.sqrt(draw.size)
@@ -56,7 +61,7 @@ def test_tilted_mean_and_variance_oracle():
 
 def test_acceptance_stats_recorded():
     stats = AcceptanceStats()
-    sample_tilted_stable(0.65, 1.0, 1.0, 5_000, np.random.default_rng(1), stats=stats)
+    _draw(0.65, 1.0, 1.0, 5_000, 1, stats=stats)
     assert stats.proposed >= stats.accepted == 5_000
     assert 0.0 < stats.ratio <= 1.0
 
@@ -66,29 +71,28 @@ def test_acceptance_stats_recorded():
 
 
 def test_determinism():
-    a = sample_tilted_stable(0.65, 1.0, 1.0, 1_000, np.random.default_rng(99))
-    b = sample_tilted_stable(0.65, 1.0, 1.0, 1_000, np.random.default_rng(99))
+    a = _draw(0.65, 1.0, 1.0, 1_000, 99)
+    b = _draw(0.65, 1.0, 1.0, 1_000, 99)
     np.testing.assert_array_equal(a, b)
 
 
 def test_rejects_bad_parameters():
-    rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
-        sample_tilted_stable(0.0, 1.0, 1.0, 10, rng)
+        _draw(0.0, 1.0, 1.0, 10, 0)
     with pytest.raises(ValueError):
-        sample_tilted_stable(0.5, -1.0, 1.0, 10, rng)
+        _draw(0.5, -1.0, 1.0, 10, 0)
     with pytest.raises(ValueError):
-        sample_tilted_stable(0.5, 0.0, 1.0, 10, rng)
+        _draw(0.5, 0.0, 1.0, 10, 0)
     with pytest.raises(ValueError):
-        sample_tilted_stable(0.5, 1.0, 0.0, 10, rng)
-    assert sample_tilted_stable(0.5, 1.0, 1.0, 0, rng).size == 0
+        _draw(0.5, 1.0, 0.0, 10, 0)
+    assert _draw(0.5, 1.0, 1.0, 0, 0).size == 0
 
 
 def test_draws_past_the_piece_cap_are_rejected():
     # rho 0.5: tilt 64**2 over a unit window is exactly 64 pieces, 65**2 is 65
-    assert sample_tilted_stable(0.5, 64.0**2, 1.0, 10, np.random.default_rng(2)).size == 10
+    assert _draw(0.5, 64.0**2, 1.0, 10, 2).size == 10
     with pytest.raises(ConfigurationError, match="65 pieces") as raised:
-        sample_tilted_stable(0.5, 65.0**2, 1.0, 10, np.random.default_rng(2))
+        _draw(0.5, 65.0**2, 1.0, 10, 2)
     assert "tempering" in str(raised.value) and "dt" in str(raised.value)
     # tempering 1000 at dt = 1 and alpha 1.3 would need 5,063 pieces
     with pytest.raises(ConfigurationError, match="5063 pieces") as raised:
