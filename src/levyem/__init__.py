@@ -31,9 +31,8 @@ from .errors import ConfigurationError, StepFailureError
 from .experiments import catalog, entry_config, execute_config, write_run
 from .implicit import (
     StepDiagnostics,
-    implicit_residual,
+    residual_function,
     solvability_limit,
-    solve_implicit_step,
     solve_implicit_steps,
 )
 from .measures import (
@@ -91,7 +90,6 @@ __all__ = [
     "evolve_empirical_law",
     "execute_config",
     "fit_order",
-    "implicit_residual",
     "increment_characteristic_function",
     "invariant_convergence_report",
     "ks_statistic",
@@ -99,13 +97,13 @@ __all__ = [
     "ou_stationary_scale",
     "predicted_order",
     "problem_from_config",
+    "residual_function",
     "run_declared_probes",
     "sample_levy_increments",
     "second_moment_curve",
     "second_moment_envelope",
     "simulate_ensemble",
     "solvability_limit",
-    "solve_implicit_step",
     "solve_implicit_steps",
     "steps_for_horizon",
     "strong_error_run",

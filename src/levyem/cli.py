@@ -126,7 +126,8 @@ def _cmd_run(args) -> int:
     except StepFailureError as exc:
         print(f"error: simulation failed: {exc}", file=sys.stderr)
         where = exc.diagnostics or {}
-        context = [f"{key}={where[key]}" for key in ("path", "start", "step", "t") if key in where]
+        keys = ("path", "start", "step", "t", "dt")
+        context = [f"{key}={where[key]}" for key in keys if key in where]
         if context:
             print(f"  at {' '.join(context)}", file=sys.stderr)
         return 4

@@ -8,25 +8,36 @@ i.e. implicit in the drift only; diffusion and jump increments enter
 explicitly.  A horizon T is covered by N = floor(T / dt) steps.
 
 Every run draws its increments on a tape (:class:`IncrementTape`) at its
-finest step, one chunk of paths at a time from the per-path streams (row r
-is what path r's own streams give, whatever the chunk), and derives coarser
-resolutions by exact block sums, so runs at different step sizes share one
-realisation of the driving noise, which makes pathwise error against a
-fine-grid reference meaningful.
+finest step from the per-path streams, and derives coarser resolutions by
+exact block sums, so runs at different step sizes share one realisation of
+the driving noise, which makes pathwise error against a fine-grid reference
+meaningful.  A chunk of paths draws its tape in blocks of
+``_TAPE_BLOCK_STEPS`` = 1,024 fine steps, from streams that stay open from
+one block to the next (row r is what path r's own streams give, whatever
+the chunk), so memory scales with the block, not the horizon.  Brownian
+rows equal one draw of the whole horizon; the jump samplers' draws depend
+on the block length, and a run of at most one block draws exactly
+``make_tape``'s tape.  A strong run's block is the smallest multiple of
+every level's ratio that holds at least 1,024 steps, so no coarse step
+straddles two blocks.
 
 One runner, ``_run_chunks``, runs each chunk of paths through a kernel,
 inline or on a fork process pool, and merges the solver diagnostics:
 ``_ensemble_kernel`` records checkpoints and terminal values,
 ``_moment_kernel`` sums q and q^2 per step (q = Y^2, or q = (Y - Y')^2 for
 two starts run as one batch on the same tape rows), and ``_strong_kernel``
-runs the fine-grid reference, then each coarsened level.
+advances the fine-grid reference and every coarse level in lockstep over
+the fine nodes: the levels whose steps end at the same time share one
+solve call with one dt per element, which is one call per fine node.
 
 Every path owns an independent counter-based RNG stream keyed by
 (master_seed, path_index, stream), so results do not depend on how paths are
 grouped into memory chunks or distributed over worker processes.  Chunk
-boundaries are a pure function of the path count and the memory budget, and
-per-chunk results are merged in chunk order, which makes ensemble output
-byte-stable for any worker count.
+boundaries are a pure function of the path count, the block length, the
+memory budget and the worker count: a chunk's tape block fits the budget,
+and a run on ``workers`` processes has at least ``workers`` chunks when it
+has as many paths.  Per-chunk results are merged in chunk order, which makes
+ensemble output byte-stable for any worker count.
 
 Pool workers are forked: they inherit the loaded package and the run's
 problem, kernel and arguments, and each task is one chunk's path range.
@@ -35,6 +46,7 @@ Where the platform cannot fork, runs take one worker.
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import numbers
 import os
@@ -69,6 +81,7 @@ __all__ = [
 ]
 
 _DEFAULT_CHUNK_BUDGET = 2**27  # bytes of increment storage per chunk
+_TAPE_BLOCK_STEPS = 1024  # fine steps per tape block, fixed for memory
 _MAX_CHUNK_PATHS = 4096
 _GRID_RTOL = 1e-9
 _CAN_FORK = "fork" in multiprocessing.get_all_start_methods()
@@ -149,40 +162,67 @@ class IncrementTape:
         )
 
 
+def _open_streams(problem: SdeProblem, path_indices, master_seed: int):
+    """The ``(brownian, levy)`` PathStreams of ``path_indices`` (None for an absent noise)."""
+    spec = problem.noise
+    return (
+        PathStreams(master_seed, path_indices, BROWNIAN_STREAM) if spec.brownian_dim else None,
+        PathStreams(master_seed, path_indices, LEVY_STREAM) if spec.has_jumps else None,
+    )
+
+
 def make_tape(
     problem: SdeProblem,
     fine_dt: float,
     n_steps: int,
     path_indices,
     master_seed: int,
+    streams=None,
 ) -> IncrementTape:
-    """Draw per-path increments for ``path_indices`` on the fine grid.
+    """Draw ``n_steps`` per-path increments for ``path_indices`` on the fine grid.
 
     Row r holds what path ``path_indices[r]``'s own streams give, so a row
-    does not depend on the other paths of the chunk.
+    does not depend on the other paths of the chunk.  The draw continues
+    ``streams``, the ``(brownian, levy)`` PathStreams of these paths (None
+    for an absent noise) where an earlier draw left them, or else starts
+    the paths' streams afresh: then it is their first ``n_steps`` steps.
     """
-    spec = problem.noise
     path_indices = np.asarray(path_indices, dtype=int)
+    brownian_streams, levy_streams = streams or _open_streams(problem, path_indices, master_seed)
     brownian = levy = None
-    if spec.brownian_dim:
-        streams = PathStreams(master_seed, path_indices, BROWNIAN_STREAM)
+    if brownian_streams is not None:
         brownian = np.empty((path_indices.size, n_steps))
         for row in range(path_indices.size):
-            streams[row].standard_normal(out=brownian[row])
-            streams.release(row)
+            brownian_streams[row].standard_normal(out=brownian[row])
+            brownian_streams.release(row)
         brownian *= np.sqrt(fine_dt)
-    if spec.has_jumps:
-        streams = PathStreams(master_seed, path_indices, LEVY_STREAM)
-        levy = sample_levy_increments(spec, fine_dt, n_steps, streams)
+    if levy_streams is not None:
+        levy = sample_levy_increments(problem.noise, fine_dt, n_steps, levy_streams)
     return IncrementTape(fine_dt=fine_dt, n_steps=n_steps, brownian=brownian, levy=levy)
+
+
+def _tape_blocks(problem, fine_dt, n_steps, block_steps, path_indices, master_seed):
+    """The tape of ``n_steps`` steps in blocks of ``block_steps`` (the last may be shorter).
+
+    The paths' streams are kept open until the last block, so Brownian rows
+    equal one draw of the whole horizon; a run of at most ``block_steps``
+    steps draws exactly one ``make_tape``.
+    """
+    streams = _open_streams(problem, path_indices, master_seed)
+    for start in range(0, n_steps, block_steps):
+        steps = min(block_steps, n_steps - start)
+        for noise_streams in streams:
+            if noise_streams is not None:
+                noise_streams.keep_open = start + steps < n_steps
+        yield make_tape(problem, fine_dt, steps, path_indices, master_seed, streams)
 
 
 # ---------------------------------------------------------------------------
 # core evolution
 
 
-def _evolve(problem: SdeProblem, dt: float, n_steps: int, y0, brownian, levy, diag, on_step=None):
-    """March a batch of scalar paths forward, calling on_step(i, y) at each node.
+def _evolve(problem: SdeProblem, dt: float, y0, tapes, diag, on_step=None):
+    """March a batch of scalar paths over the tape blocks ``tapes``, calling on_step(i, y) per node.
 
     ``y0`` is (rows,), or (starts, rows) for starts driven by the same tape
     rows; one implicit solve covers the batch.  A StepFailureError gains the
@@ -191,37 +231,45 @@ def _evolve(problem: SdeProblem, dt: float, n_steps: int, y0, brownian, levy, di
     y = np.array(y0, dtype=float, copy=True)
     if on_step is not None:
         on_step(0, y)
-    for i in range(n_steps):
-        c = y
-        if brownian is not None:
-            c = c + problem.diffusion(i * dt, y) * brownian[:, i]
-        if levy is not None:
-            c = c + levy[:, i]
-        try:
-            y = solve_implicit_steps(problem, (i + 1) * dt, c.ravel(), dt, diagnostics=diag)
-        except StepFailureError as exc:
-            exc.diagnostics["step"] = i + 1
-            if c.ndim == 2:
-                exc.diagnostics["start"] = exc.diagnostics["index"] // c.shape[1]
-            raise
-        y = y.reshape(c.shape)
-        if on_step is not None:
-            on_step(i + 1, y)
+    i = 0
+    for tape in tapes:
+        for col in range(tape.n_steps):
+            c = y
+            if tape.brownian is not None:
+                c = c + problem.diffusion(i * dt, y) * tape.brownian[:, col]
+            if tape.levy is not None:
+                c = c + tape.levy[:, col]
+            try:
+                y = solve_implicit_steps(problem, (i + 1) * dt, c.ravel(), dt, diagnostics=diag)
+            except StepFailureError as exc:
+                exc.diagnostics["step"] = i + 1
+                if c.ndim == 2:
+                    exc.diagnostics["start"] = exc.diagnostics["index"] // c.shape[1]
+                raise
+            y = y.reshape(c.shape)
+            i += 1
+            if on_step is not None:
+                on_step(i, y)
     return y
 
 
-def _chunk_ranges(n_paths: int, n_steps: int, streams: int, budget_bytes: int):
-    """Split paths into contiguous chunks; a pure function of the sizes only."""
-    per_path = max(1, n_steps) * 8 * max(1, streams)
-    chunk = int(min(_MAX_CHUNK_PATHS, max(1, budget_bytes // per_path)))
+def _chunk_ranges(n_paths: int, block_steps: int, streams: int, budget_bytes: int, workers: int):
+    """Split paths into contiguous chunks; a pure function of the sizes only.
+
+    A chunk's tape block (``block_steps`` steps per stream and path) fits the
+    budget, and there are at least ``workers`` chunks when there are as many
+    paths.
+    """
+    per_path = block_steps * 8 * max(1, streams)
+    chunk = int(min(_MAX_CHUNK_PATHS, max(1, budget_bytes // per_path), -(-n_paths // workers)))
     return [(lo, min(lo + chunk, n_paths)) for lo in range(0, n_paths, chunk)]
 
 
 # ---------------------------------------------------------------------------
-# kernels: one chunk's tape each
+# kernels: one chunk's tape blocks each
 
 
-def _ensemble_kernel(problem, tape, n_paths, n_steps, diag, record_steps):
+def _ensemble_kernel(problem, dt, tapes, n_paths, n_steps, diag, record_steps):
     """Terminal values, and the states at ``record_steps`` keyed by step."""
     record = {}
 
@@ -230,11 +278,11 @@ def _ensemble_kernel(problem, tape, n_paths, n_steps, diag, record_steps):
             record[i] = y.copy()
 
     y0 = np.full(n_paths, problem.x0)
-    terminal = _evolve(problem, tape.fine_dt, n_steps, y0, tape.brownian, tape.levy, diag, on_step)
+    terminal = _evolve(problem, dt, y0, tapes, diag, on_step)
     return terminal, record
 
 
-def _moment_kernel(problem, tape, n_paths, n_steps, diag, starts):
+def _moment_kernel(problem, dt, tapes, n_paths, n_steps, diag, starts):
     """Per-step sums of q and q^2: q = Y^2 for one start, (Y - Y')^2 for a pair."""
     sums = np.zeros((2, n_steps + 1))
 
@@ -245,38 +293,79 @@ def _moment_kernel(problem, tape, n_paths, n_steps, diag, starts):
         sums[1, i] = (q * q).sum()
 
     y0 = np.multiply.outer(starts, np.ones(n_paths))  # (n,), or (2, n) for a pair
-    _evolve(problem, tape.fine_dt, n_steps, y0, tape.brownian, tape.levy, diag, on_step)
+    _evolve(problem, dt, y0, tapes, diag, on_step)
     return sums
 
 
-def _strong_kernel(problem, tape, n_paths, n_fine, diag, dts, ratios):
-    """Per-path |Y_dt(T) - Y_ref(T)| of each coarse level dts[j] = ratios[j] * tape.fine_dt."""
-    y0 = np.full(n_paths, problem.x0)
-    reference = _evolve(problem, tape.fine_dt, n_fine, y0, tape.brownian, tape.levy, diag)
-    errors = []
-    for d, ratio in zip(dts, ratios):
-        coarse = tape.coarsen(d)
-        terminal = _evolve(problem, d, n_fine // ratio, y0, coarse.brownian, coarse.levy, diag)
-        errors.append(np.abs(terminal - reference))
-    return errors
+def _strong_kernel(problem, fine_dt, tapes, n_paths, n_fine, diag, dts, ratios):
+    """Per-path |Y_dt(T) - Y_ref(T)| of each coarse level dts[j] = ratios[j] * fine_dt.
+
+    The fine-grid reference and every coarse level advance in lockstep over
+    the fine nodes: a level steps at node i when its ratio divides i, and
+    the levels that step at one node and whose step ends at the same float
+    time share one solve call, with one dt per element.  Each level keeps
+    its own t, dt, diffusion time and block-summed increments, so each
+    element does the arithmetic of its level run alone.  A block's length is
+    a multiple of every ratio, so no coarse step straddles two blocks.  A
+    StepFailureError gains the path's row, and its level's dt and own step.
+    """
+    level_dts = [fine_dt] + list(dts)
+    level_ratios = [1] + list(ratios)
+    y = np.full((len(level_dts), n_paths), float(problem.x0))
+    call_dt = {}  # the levels of a call -> its per-element dt
+    start = 0
+    for tape in tapes:
+        blocks = [tape] + [tape.coarsen(d) for d in dts]
+        for i in range(start + 1, start + tape.n_steps + 1):
+            calls = {}  # step-end time -> [(level, its step number)]
+            for j, ratio in enumerate(level_ratios):
+                if i % ratio == 0:
+                    calls.setdefault(i // ratio * level_dts[j], []).append((j, i // ratio))
+            for t, members in calls.items():
+                parts = []
+                for j, k in members:
+                    block, level_dt = blocks[j], level_dts[j]
+                    col = (i - start) // level_ratios[j] - 1  # step k's column in the block
+                    c = y[j]
+                    if block.brownian is not None:
+                        c = c + problem.diffusion((k - 1) * level_dt, y[j]) * block.brownian[:, col]
+                    if block.levy is not None:
+                        c = c + block.levy[:, col]
+                    parts.append(c)
+                levels = tuple(j for j, _ in members)
+                if levels not in call_dt:
+                    call_dt[levels] = np.repeat([level_dts[j] for j in levels], n_paths)
+                c = np.concatenate(parts)
+                try:
+                    out = solve_implicit_steps(problem, t, c, call_dt[levels], diagnostics=diag)
+                except StepFailureError as exc:
+                    m, row = divmod(exc.diagnostics["index"], n_paths)
+                    j, k = members[m]
+                    exc.diagnostics.update(index=row, step=k, dt=float(level_dts[j]))
+                    raise
+                for m, j in enumerate(levels):
+                    y[j] = out[m * n_paths:(m + 1) * n_paths]
+        start += tape.n_steps
+    return [np.abs(y[j] - y[0]) for j in range(1, len(level_dts))]
 
 
 # ---------------------------------------------------------------------------
 # the runner
 
 
-def _run_chunk(problem, kernel, args, dt, n_steps, lo, hi, seed):
-    """Draw the tape of paths lo..hi-1 and run ``kernel``; failures gain the path."""
+def _run_chunk(problem, kernel, args, dt, n_steps, block_steps, lo, hi, seed):
+    """Run ``kernel`` on the tape blocks of paths lo..hi-1; failures gain the path."""
     diag = StepDiagnostics()
-    tape = make_tape(problem, dt, n_steps, np.arange(lo, hi), seed)
+    paths = np.arange(lo, hi)
+    tapes = _tape_blocks(problem, dt, n_steps, block_steps, paths, seed)
     try:
-        return kernel(problem, tape, hi - lo, n_steps, diag, *args), diag
+        return kernel(problem, dt, tapes, hi - lo, n_steps, diag, *args), diag
     except StepFailureError as exc:
         exc.diagnostics["path"] = lo + exc.diagnostics["index"] % (hi - lo)
         raise
 
 
-_job = None  # a forked worker's (problem, kernel, args, dt, n_steps, seed)
+_job = None  # a forked worker's (problem, kernel, args, dt, n_steps, block_steps, seed)
 
 
 def _init_worker(*job):
@@ -285,32 +374,41 @@ def _init_worker(*job):
 
 
 def _pool_chunk(lo_hi):
-    problem, kernel, args, dt, n_steps, seed = _job
-    return _run_chunk(problem, kernel, args, dt, n_steps, *lo_hi, seed)
+    problem, kernel, args, dt, n_steps, block_steps, seed = _job
+    return _run_chunk(problem, kernel, args, dt, n_steps, block_steps, *lo_hi, seed)
 
 
-def _run_chunks(problem, kernel, args, n_paths, dt, n_steps, seed, workers, budget_bytes):
-    """Run ``kernel(problem, tape, width, n_steps, diag, *args)`` on each chunk.
+def _run_chunks(
+    problem, kernel, args, n_paths, dt, n_steps, seed, workers, budget_bytes,
+    block_steps=_TAPE_BLOCK_STEPS,
+):
+    """Run ``kernel(problem, dt, tapes, width, n_steps, diag, *args)`` on each chunk.
 
-    Tapes have ``n_steps`` steps of ``dt``.  Chunks run inline, or on a pool
-    of at most ``workers`` forked processes that inherit the problem, kernel
-    and arguments, so a task is only a chunk's path range.  Returns the
-    kernel outputs in chunk order and the merged solver diagnostics.
+    ``tapes`` yields the chunk's tape of ``n_steps`` steps of ``dt`` in
+    blocks of ``block_steps``.  Chunks run inline, or on a pool of at most
+    ``workers`` forked processes that inherit the problem, kernel and
+    arguments, so a task is only a chunk's path range.  Returns the kernel
+    outputs in chunk order and the merged solver diagnostics.
     """
     check_workers(workers)
     if n_paths < 1:
         raise ConfigurationError(f"n_paths must be >= 1, got {n_paths}")
     streams = int(problem.noise.brownian_dim > 0) + int(problem.noise.has_jumps)
-    ranges = _chunk_ranges(n_paths, n_steps, streams, budget_bytes)
+    block_steps = max(1, min(block_steps, n_steps))
+    ranges = _chunk_ranges(n_paths, block_steps, streams, budget_bytes, workers)
+    job = (problem, kernel, args, dt, n_steps, block_steps, seed)
     if workers == 1 or len(ranges) == 1:
-        done = [_run_chunk(problem, kernel, args, dt, n_steps, lo, hi, seed) for lo, hi in ranges]
+        done = [
+            _run_chunk(problem, kernel, args, dt, n_steps, block_steps, lo, hi, seed)
+            for lo, hi in ranges
+        ]
     else:
         # a fork pool starts all of its processes at the first submit
         with ProcessPoolExecutor(
             min(workers, len(ranges)),
             mp_context=multiprocessing.get_context("fork"),
             initializer=_init_worker,
-            initargs=(problem, kernel, args, dt, n_steps, seed),
+            initargs=job,
         ) as pool:
             done = list(pool.map(_pool_chunk, ranges))
     diag = StepDiagnostics()
@@ -449,10 +547,11 @@ def strong_error_run(
         raise ConfigurationError("need at least one coarse dt")
     n_fine = steps_for_horizon(problem.horizon, reference_dt)
     ratios = [_grid_ratio(d, reference_dt, n_fine) for d in dts]
-    args = (dts, ratios)
+    period = math.lcm(*ratios)  # blocks hold whole steps of every level
+    block_steps = period * -(-_TAPE_BLOCK_STEPS // period)
     outs, diag = _run_chunks(
-        problem, _strong_kernel, args, n_paths, reference_dt, n_fine, master_seed, workers,
-        chunk_budget_bytes,
+        problem, _strong_kernel, (dts, ratios), n_paths, reference_dt, n_fine, master_seed,
+        workers, chunk_budget_bytes, block_steps,
     )
     return StrongErrorRun(
         errors={d: np.concatenate([errs[j] for errs in outs]) for j, d in enumerate(dts)},

@@ -11,10 +11,14 @@ root exists, is unique, and satisfies the a-priori bound
 
     |Y| <= (|c| + dt * |f(t, 0)|) / (1 - dt * max(L, 0)).
 
-The residual and its derivative come from one factory,
+``dt`` is a scalar, or a 1-d array with one step size per element of the
+batch, so levels of a coupled run that step at the same time share one
+solve.  The solver spreads a scalar over the batch and works on per-element
+step sizes only; each element's arithmetic is the same whatever the other
+elements' dt.  The residual and its derivative come from one factory,
 ``residual_function(problem, t, dt)``: ``y - dt * f(t, y)`` is a polynomial
-in y whose coefficients are computed once per solve from
-``problem.drift_polynomial``, and r and r' are evaluated together by
+in y whose coefficients (one set per element) are computed once per solve
+from ``problem.drift_polynomial``, and r and r' are evaluated together by
 Horner's rule.
 
 Damped Newton runs from ``Y = c`` over the whole batch with a mask of live
@@ -24,9 +28,9 @@ and retried at halved steps.  The rare elements where Newton stalls are
 bisected together, in asinh(y), on their guaranteed enclosing intervals
 until each interval is two adjacent doubles; both stages accept a root by
 the same residual test.  Newton iterations and halvings are counted per
-element, so merged diagnostics do not depend on how paths are batched.  The
-state is scalar, and ``solve_implicit_step`` is the one-state wrapper of the
-batch solver.
+element, so merged diagnostics do not depend on how paths are batched.  A
+failure's diagnostics name the element's batch index, its ``t`` and its own
+``dt`` as a float.
 """
 
 from __future__ import annotations
@@ -41,11 +45,9 @@ from .problems import horner
 
 __all__ = [
     "StepDiagnostics",
-    "implicit_residual",
     "residual_function",
     "solvability_limit",
     "bracket_halfwidth",
-    "solve_implicit_step",
     "solve_implicit_steps",
 ]
 
@@ -104,33 +106,29 @@ class StepDiagnostics:
         return self
 
 
-def residual_function(problem: SdeProblem, t: float, dt: float):
-    """The residual of one step as ``(y, c) -> (r, r')`` at fixed ``t`` and ``dt``.
+def residual_function(problem: SdeProblem, t: float, dt):
+    """The residual of one step as ``residual(y, c, at=None) -> (r, r')`` at fixed ``t``.
 
     ``y - dt * f(t, y)`` is itself a polynomial in y: its coefficients are
     computed once here, and each call evaluates r and r' together in one
-    Horner pass.
+    Horner pass.  ``dt`` is a float, or a 1-d array of per-element step
+    sizes; ``at`` picks the elements of an array ``dt`` that ``y`` and ``c``
+    hold (all of them when None).
     """
     poly = problem.drift_polynomial
-    g = -dt * poly.coefficients(t)
+    g = np.multiply.outer(poly.coefficients(t), -np.asarray(dt, dtype=float))  # -dt * a_k(t)
     present = list(poly.present)
     if poly.degree < 2:  # pad, so that r' comes out as an array like r
-        g = np.concatenate([g, np.zeros(2 - poly.degree)])
+        g = np.concatenate([g, np.zeros((2 - poly.degree,) + g.shape[1:])])
         present += [False] * (2 - poly.degree)
     g[1] += 1.0
     present[1] = True
-    g = g.tolist()
 
-    def residual(y, c):
-        v, dv = horner(g, present, y)
+    def residual(y, c, at=None):
+        v, dv = horner(g if at is None else g[:, at], present, y)
         return v - c, dv
 
     return residual
-
-
-def implicit_residual(problem: SdeProblem, t: float, y, c, dt: float):
-    """Residual r(y) = y - c - dt*f(t, y) and its derivative in y."""
-    return residual_function(problem, t, dt)(np.asarray(y, dtype=float), c)
 
 
 def solvability_limit(problem: SdeProblem) -> float:
@@ -139,25 +137,35 @@ def solvability_limit(problem: SdeProblem) -> float:
     return np.inf if bound == 0.0 else 1.0 / bound
 
 
-def _check_dt(problem: SdeProblem, dt: float) -> None:
-    if not 0.0 <= dt:
-        raise ConfigurationError(f"dt must be >= 0, got {dt}")
-    if dt * max(problem.monotone_bound, 0.0) >= 1.0:
-        raise ConfigurationError(
-            f"dt={dt} violates the solvability condition dt * {problem.monotone_bound} < 1; "
-            f"use dt < {solvability_limit(problem):g}"
-        )
+def _check_dt(problem: SdeProblem, dt: np.ndarray, c: np.ndarray) -> None:
+    """Reject a dt not shaped like ``c``, or an element of it that is negative or unsolvable."""
+    if dt.shape != c.shape:
+        raise ConfigurationError(f"dt must be a scalar or shaped like c {c.shape}, got {dt.shape}")
+    bound = max(problem.monotone_bound, 0.0)
+    if not dt.size or (dt.min() >= 0.0 and dt.max() * bound < 1.0):  # NaN fails both
+        return
+    k = int(np.flatnonzero(~(dt >= 0.0) | (dt * bound >= 1.0))[0])
+    value = float(dt[k])
+    if not 0.0 <= value:
+        raise ConfigurationError(f"dt[{k}] must be >= 0, got {value}")
+    raise ConfigurationError(
+        f"dt[{k}]={value} violates the solvability condition dt * {problem.monotone_bound} < 1; "
+        f"use dt < {solvability_limit(problem):g}"
+    )
 
 
-def bracket_halfwidth(problem: SdeProblem, t: float, c, dt: float):
-    """Half-width A with the unique root guaranteed inside [c - A, c + A]."""
+def bracket_halfwidth(problem: SdeProblem, t: float, c, dt):
+    """Half-width A with the unique root guaranteed inside [c - A, c + A].
+
+    ``c`` and ``dt`` are scalars or arrays that broadcast together.
+    """
     f0 = np.abs(problem.drift_polynomial.coefficients(t)[0])  # |f(t, 0)|
     denom = 1.0 - dt * max(problem.monotone_bound, 0.0)
     return 2.0 * (np.abs(c) + dt * f0 + 1.0) / denom
 
 
 def _bracketed_solve(residual, problem, t, c, dt, index):
-    """Roots and residuals for the stragglers ``c`` (batch indices ``index``).
+    """Roots and residuals for the stragglers ``c`` (batch indices ``index``, step sizes ``dt``).
 
     All stragglers are bisected together on their guaranteed brackets in
     asinh(y), which halves the span in orders of magnitude: a large explicit
@@ -170,7 +178,7 @@ def _bracketed_solve(residual, problem, t, c, dt, index):
     half = bracket_halfwidth(problem, t, c, dt)
     lo = np.maximum(c - half, -_FLOAT_MAX)
     hi = np.minimum(c + half, _FLOAT_MAX)
-    r_lo, r_hi = residual(lo, c)[0], residual(hi, c)[0]
+    r_lo, r_hi = residual(lo, c, index)[0], residual(hi, c, index)[0]
     no_sign_change = (r_lo > 0.0) | (r_hi < 0.0)  # impossible when dt * L < 1
     _fail_where(no_sign_change, "could not bracket the implicit step root", t, c, dt, index,
                 lo=lo, hi=hi)
@@ -181,13 +189,13 @@ def _bracketed_solve(residual, problem, t, c, dt, index):
         a, b, ra = lo[live], hi[live], r_lo[live]
         mid = np.sinh(0.5 * (np.arcsinh(a) + np.arcsinh(b)))
         mid = np.where((a < mid) & (mid < b), mid, 0.5 * a + 0.5 * b)
-        r_mid = residual(mid, c[live])[0]
+        r_mid = residual(mid, c[live], index[live])[0]
         up = (r_mid < 0.0) | (np.isnan(r_mid) & ~np.isfinite(ra))
         lo[live[up]], r_lo[live[up]] = mid[up], r_mid[up]
         hi[live[~up]], r_hi[live[~up]] = mid[~up], r_mid[~up]
     nearer_lo = np.nan_to_num(np.abs(r_lo), nan=np.inf) <= np.nan_to_num(np.abs(r_hi), nan=np.inf)
     y = np.where(nearer_lo, lo, hi)
-    r, jac = residual(y, c)
+    r, jac = residual(y, c, index)
     _fail_where(~_accepted(y, r, np.abs(c), jac),
                 "implicit step residual above tolerance after bisection",
                 t, c, dt, index, y=y, residual=r)
@@ -207,7 +215,7 @@ def _damp(residual, y, r, jac, step, c, pending, diag):
         diag.damping_halvings += pending.size
         lam *= 0.5
         cand = y[pending] - lam * step[pending]
-        rc, jc = residual(cand, c[pending])
+        rc, jc = residual(cand, c[pending], pending)
         ok = np.abs(rc) < np.abs(r[pending])
         hit = pending[ok]
         y[hit], r[hit], jac[hit] = cand[ok], rc[ok], jc[ok]
@@ -219,14 +227,15 @@ def _damp(residual, y, r, jac, step, c, pending, diag):
 
 
 def _fail_where(bad, message, t, c, dt, index, **values):
-    """Raise for the first straggler marked ``bad``, naming its batch index and time."""
+    """Raise for the first straggler marked ``bad``, naming its batch index, time and dt."""
     if not bad.any():
         return
     k = int(np.flatnonzero(bad)[0])
     details = {name: float(v[k]) for name, v in values.items()}
     raise StepFailureError(
         f"{message} at t={t}: " + ", ".join(f"{n}={v:.6g}" for n, v in details.items()),
-        diagnostics={"t": t, "index": int(index[k]), "c": float(c[k]), "dt": dt} | details,
+        diagnostics={"t": t, "index": int(index[k]), "c": float(c[k]), "dt": float(dt[k])}
+        | details,
     )
 
 
@@ -234,30 +243,34 @@ def solve_implicit_steps(
     problem: SdeProblem,
     t: float,
     c,
-    dt: float,
+    dt,
     diagnostics: StepDiagnostics | None = None,
 ):
     """Solve Y = c + dt*f(t, Y) for a batch of scalar explicit parts ``c``.
 
     ``c`` is a 1-d array with one entry per path; the solve is vectorised
-    across the batch.  Returns the array of roots.  Raises StepFailureError
-    for a non-finite ``c`` and for any element whose residual cannot be
-    brought within tolerance; a NaN residual or an overflowed floor never
-    counts as converged.
+    across the batch.  ``dt`` is a scalar, or a 1-d array shaped like ``c``
+    with each element's own step size.  Returns the array of roots.  Raises
+    StepFailureError for a non-finite ``c`` and for any element whose
+    residual cannot be brought within tolerance; a NaN residual or an
+    overflowed floor never counts as converged.
     """
-    _check_dt(problem, dt)
     c = np.asarray(c, dtype=float)
     if c.ndim != 1:
         raise ConfigurationError(f"batch explicit part must be 1-d, got shape {c.shape}")
+    dt = np.asarray(dt, dtype=float)
+    if dt.ndim == 0:
+        dt = np.full(c.shape, dt)
+    _check_dt(problem, dt, c)
     if not np.isfinite(c).all():
         bad = int(np.flatnonzero(~np.isfinite(c))[0])
         raise StepFailureError(
             f"non-finite explicit part c[{bad}] = {c[bad]} at t={t}",
-            diagnostics={"t": t, "index": bad, "c": float(c[bad]), "dt": dt},
+            diagnostics={"t": t, "index": bad, "c": float(c[bad]), "dt": float(dt[bad])},
         )
     diag = StepDiagnostics(solves=c.size)
     y = c.copy()
-    if dt == 0.0 or c.size == 0:
+    if not dt.any():  # also an empty batch
         if diagnostics is not None:
             diagnostics.merge(diag)
         return y
@@ -286,22 +299,10 @@ def solve_implicit_steps(
     stragglers = np.flatnonzero(~accepted)
     if stragglers.size:
         y[stragglers], r[stragglers] = _bracketed_solve(
-            residual, problem, t, c[stragglers], dt, stragglers
+            residual, problem, t, c[stragglers], dt[stragglers], stragglers
         )
         diag.bracketed_elements = stragglers.size
     diag.worst_residual = float(np.abs(r).max())
     if diagnostics is not None:
         diagnostics.merge(diag)
     return y
-
-
-def solve_implicit_step(
-    problem: SdeProblem,
-    t: float,
-    c: float,
-    dt: float,
-    diagnostics: StepDiagnostics | None = None,
-) -> float:
-    """Solve Y = c + dt*f(t, Y) for one scalar explicit part ``c``."""
-    c = np.asarray(c, dtype=float).reshape(1)
-    return float(solve_implicit_steps(problem, t, c, dt, diagnostics)[0])

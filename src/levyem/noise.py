@@ -11,8 +11,8 @@ stream on one shared generator.  The samplers take a ``PathStreams`` and
 return one row per path, working through the rows in blocks and drawing
 each row's variates from its own stream, so a row does not depend on the
 other paths of the call: :func:`levyem.engine.make_tape` draws a chunk's
-tape this way, and a one-path draw is ``PathStreams(seed, [p], stream)``
-and row 0.
+tape this way, block by block with the streams kept open, and a one-path
+draw is ``PathStreams(seed, [p], stream)`` and row 0.
 
 Conventions
 -----------
@@ -135,7 +135,9 @@ class PathStreams:
     until the next ``streams[...]``.  Row r therefore yields exactly what
     path ``paths[r]``'s own stream yields, without a generator per path.
     Only suspended rows keep a saved position: a row that is drawn from no
-    more is ``release``d.
+    more is ``release``d.  While ``keep_open`` is set, a release keeps the
+    row's position instead, so a later call continues every row where this
+    one left it: a tape is drawn in blocks this way.
     """
 
     def __init__(self, master_seed: int, paths, stream: str):
@@ -152,6 +154,7 @@ class PathStreams:
         self._fresh = self._bitgen.state  # counter 0, empty buffer; only the key changes
         self._saved = {}
         self._row = 0 if paths.size else None
+        self.keep_open = False
 
     def __len__(self) -> int:
         return len(self._keys)
@@ -168,7 +171,9 @@ class PathStreams:
         return self._generator
 
     def release(self, row: int) -> None:
-        """Forget row's position: it is drawn from no more."""
+        """Forget row's position: it is drawn from no more (kept while ``keep_open``)."""
+        if self.keep_open:
+            return
         if row == self._row:
             self._row = None
         else:

@@ -32,7 +32,7 @@ from scipy import stats
 from conftest import record_verdict
 from levyem.engine import make_tape, simulate_ensemble
 from levyem.experiments import format_band
-from levyem.implicit import implicit_residual, solve_implicit_step
+from levyem.implicit import residual_function, solve_implicit_steps
 from levyem.measures import (
     EmpiricalMeasure,
     StationaryReference,
@@ -168,9 +168,9 @@ def test_criterion_08_implicit_step_oracle(problem_54):
             else:
                 hi = mid
         oracle = 0.5 * (lo + hi)
-        y = solve_implicit_step(problem_54, t, c, dt)
+        y = float(solve_implicit_steps(problem_54, t, np.array([c]), dt)[0])
         worst_gap = max(worst_gap, abs(y - oracle))
-        r, _ = implicit_residual(problem_54, t, np.array([y]), np.array([c]), dt)
+        r, _ = residual_function(problem_54, t, dt)(np.array([y]), np.array([c]))
         worst_res = max(worst_res, abs(float(r[0])))
     ok = worst_gap <= 1e-10 and worst_res <= 1e-12
     record_verdict(

@@ -17,6 +17,8 @@ from levyem.engine import (
     strong_error_run,
 )
 from levyem.errors import ConfigurationError, StepFailureError
+from levyem.implicit import StepDiagnostics
+from levyem.noise import PathStreams, sample_levy_increments
 from levyem.problems import builtin_problem, problem_from_config
 
 _CONSTANTS = {"H": 4.0, "sigma": 1.0, "q": 4.0, "M": 1.0, "K1": 1.0, "K2": 1.0,
@@ -296,6 +298,154 @@ def test_step_failure_names_path_step_and_time(starts, workers, monkeypatch):
         assert where["start"] == start == 1
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_merged_call_failure_names_the_coarse_level(workers, monkeypatch):
+    # At fine node 12 of a 2^-5 reference, the levels of dt 2^-4 and 2^-3
+    # step too, at the same time 0.375, and share one solve call.  A clean
+    # run records the explicit parts of the 2^-3 level's step 3 there; the
+    # solver is then trapped on the largest of them, which lies past the
+    # first chunk.  The engine must name that path, the level's own dt and
+    # its own step, not the reference's.
+    ref, dts, t, step, level_dt = 2.0 ** -5, [2.0 ** -4, 2.0 ** -3], 0.375, 3, 2.0 ** -3
+    n_paths, seed, budget = 24, 5, 6 * 32 * 8  # chunks of 6 paths
+    problem = _ou_brownian()
+    solve = engine.solve_implicit_steps
+    seen = []
+
+    def recording(problem, t_node, c, dt, diagnostics=None):
+        if np.ndim(dt) and t_node == t:
+            seen.append(c[dt == level_dt])
+        return solve(problem, t_node, c, dt, diagnostics=diagnostics)
+
+    monkeypatch.setattr(engine, "solve_implicit_steps", recording)
+    strong_error_run(problem, dts, ref, n_paths, seed, chunk_budget_bytes=budget)
+    c = np.concatenate(seen)  # one call per chunk, in chunk order
+    assert c.size == n_paths
+    order = np.argsort(c)
+    threshold = 0.5 * (c[order[-2]] + c[order[-1]])
+    path = int(order[-1])
+    assert path >= 6, "the trapped path should lie past the first chunk"
+
+    def trapped(problem, t_node, c, dt, diagnostics=None):
+        above = np.flatnonzero((np.asarray(dt) == level_dt) & (c > threshold))
+        if t_node == t and above.size:
+            raise StepFailureError("trapped", diagnostics={"t": t_node, "index": int(above[0])})
+        return solve(problem, t_node, c, dt, diagnostics=diagnostics)
+
+    monkeypatch.setattr(engine, "solve_implicit_steps", trapped)
+    with pytest.raises(StepFailureError) as info:
+        strong_error_run(
+            problem, dts, ref, n_paths, seed, workers=workers, chunk_budget_bytes=budget
+        )
+    where = info.value.diagnostics
+    assert where["path"] == path
+    assert where["step"] == step
+    assert where["dt"] == level_dt and type(where["dt"]) is float
+    assert where["t"] == t
+
+
+@pytest.mark.parametrize("n_steps", [1000, 1024])
+def test_run_within_one_block_uses_the_whole_horizon_tape(n_steps):
+    # at most one block of steps: the run draws exactly make_tape's tape
+    problem = builtin_problem("paper-5.1a")  # Brownian and tempered jumps
+    dt, paths, seed = 1.0 / n_steps, np.arange(5), 31
+    blocks = list(engine._tape_blocks(problem, dt, n_steps, 1024, paths, seed))
+    whole = make_tape(problem, dt, n_steps, paths, seed)
+    assert len(blocks) == 1
+    np.testing.assert_array_equal(blocks[0].brownian, whole.brownian)
+    np.testing.assert_array_equal(blocks[0].levy, whole.levy)
+    expect = engine._evolve(problem, dt, np.full(5, problem.x0), [whole], StepDiagnostics())
+    run = simulate_ensemble(problem, dt, 5, seed)
+    np.testing.assert_array_equal(run.terminal, expect)
+
+
+@pytest.mark.parametrize("n_steps", [1, 1023, 1025, 3000])
+def test_brownian_rows_drawn_by_block_equal_one_draw(n_steps):
+    # the rows' streams stay open between blocks, so a Brownian row is one
+    # continuous draw at any length
+    problem = _ou_brownian()
+    paths = [0, 5, 9]
+    blocks = list(engine._tape_blocks(problem, 0.001, n_steps, 1024, paths, 8))
+    assert [b.n_steps for b in blocks][:-1] == [1024] * (len(blocks) - 1)
+    whole = make_tape(problem, 0.001, n_steps, paths, 8)
+    drawn = np.concatenate([b.brownian for b in blocks], axis=1)
+    np.testing.assert_array_equal(drawn, whole.brownian)
+
+
+def test_jump_rows_continue_their_streams_from_block_to_block():
+    problem = builtin_problem("paper-5.4")  # tempered jumps
+    paths, seed, dt = [2, 7], 4, 0.01
+    blocks = list(engine._tape_blocks(problem, dt, 1500, 1024, paths, seed))
+    streams = PathStreams(seed, paths, "levy")
+    streams.keep_open = True
+    for block, n in zip(blocks, (1024, 476)):
+        np.testing.assert_array_equal(block.levy, sample_levy_increments(problem.noise, dt, n, streams))
+
+
+def test_strong_run_over_blocks_does_not_depend_on_chunks_or_workers(monkeypatch):
+    # a 2^-12 reference spans 4 tape blocks; the errors and the merged
+    # diagnostics are the same on 1 and 3 chunks and on 2 workers
+    problem = builtin_problem("paper-5.1a")
+    ranges = []
+    chunk_ranges = engine._chunk_ranges
+    def recording(*args):
+        ranges.append(chunk_ranges(*args))
+        return ranges[-1]
+
+    monkeypatch.setattr(engine, "_chunk_ranges", recording)
+    runs = [
+        strong_error_run(problem, [2.0 ** -9, 2.0 ** -8], 2.0 ** -12, 12, 3, **kw)
+        for kw in ({}, {"chunk_budget_bytes": 4 * 1024 * 16}, {"workers": 2})
+    ]
+    assert [len(r) for r in ranges] == [1, 3, 2]
+    for run in runs[1:]:
+        assert run.diagnostics == runs[0].diagnostics
+        for d in runs[0].errors:
+            np.testing.assert_array_equal(run.errors[d], runs[0].errors[d])
+
+
+@pytest.mark.parametrize(
+    "reference_dt, dts, block_steps",
+    [
+        (2.0 ** -12, [2.0 ** -9, 2.0 ** -8], [1024] * 4),
+        (1.0 / 3072, [1.0 / 1024, 1.0 / 768], [1032, 1032, 1008]),  # multiples of lcm(3, 4)
+    ],
+    ids=["ratios-8-16", "ratios-3-4"],
+)
+def test_lockstep_levels_equal_levels_run_alone(reference_dt, dts, block_steps, monkeypatch):
+    # Over several tape blocks, each level of the lockstep kernel must do
+    # exactly the arithmetic of its own run over the coarsened blocks: the
+    # errors and the merged solver diagnostics are bit-identical.
+    problem = builtin_problem("paper-5.1a")  # x-dependent diffusion and tempered jumps
+    drawn = []
+    tape_blocks = engine._tape_blocks
+
+    def recording(*args):
+        drawn.append(list(tape_blocks(*args)))
+        return iter(drawn[-1])
+
+    monkeypatch.setattr(engine, "_tape_blocks", recording)
+    run = strong_error_run(problem, dts, reference_dt, 6, 17)
+    [blocks] = drawn
+    assert [b.n_steps for b in blocks] == block_steps
+    y0 = np.full(6, problem.x0)
+    diag = StepDiagnostics()
+    reference = engine._evolve(problem, reference_dt, y0, blocks, diag)
+    for d in dts:
+        alone = engine._evolve(problem, d, y0, [b.coarsen(d) for b in blocks], diag)
+        np.testing.assert_array_equal(run.errors[d], np.abs(alone - reference))
+    assert run.diagnostics == diag
+
+
+def test_chunks_are_sized_by_the_block_and_the_workers():
+    # 1,000 paths of a 2^-15 reference, 2 streams: the whole horizon would
+    # take 512 MiB; a 1,024-step block takes 16 MiB, one chunk
+    assert engine._chunk_ranges(1000, 1024, 2, 2**27, 1) == [(0, 1000)]
+    assert engine._chunk_ranges(1000, 1024, 2, 2**27, 2) == [(0, 500), (500, 1000)]
+    assert len(engine._chunk_ranges(1000, 1024, 2, 2**27, 3)) == 3
+    assert engine._chunk_ranges(2, 1024, 2, 2**27, 8) == [(0, 1), (1, 2)]
+
+
 def test_inline_config_problem_runs_on_the_pool():
     # forked workers inherit the problem, so one outside the catalog runs there too
     problem = _ou_brownian()
@@ -324,10 +474,10 @@ def test_pool_has_no_more_processes_than_chunks(monkeypatch):
 
     monkeypatch.setattr(engine, "ProcessPoolExecutor", Recording)
     problem = builtin_problem("paper-5.4")
-    # 200 steps x 2 streams x 8 B a path: chunks of 8 paths, 3 of them
-    run = simulate_ensemble(problem, 0.05, 24, 3, workers=8, chunk_budget_bytes=8 * 3200)
+    # a run gets a chunk per worker, but 3 paths make only 3 chunks of one path
+    run = simulate_ensemble(problem, 0.05, 3, 3, workers=8)
     assert sizes == [3]
-    ref = simulate_ensemble(problem, 0.05, 24, 3, chunk_budget_bytes=8 * 3200)
+    ref = simulate_ensemble(problem, 0.05, 3, 3)
     np.testing.assert_array_equal(run.terminal, ref.terminal)
 
 

@@ -10,14 +10,22 @@ from levyem.implicit import (
     StepDiagnostics,
     _residual_floor,
     bracket_halfwidth,
-    implicit_residual,
+    residual_function,
     solvability_limit,
-    solve_implicit_step,
     solve_implicit_steps,
 )
-from levyem.problems import builtin_problem, problem_from_config
+from levyem.problems import builtin_problem, builtin_problem_names, problem_from_config
 
 ORACLE_PROBLEMS = ["paper-5.1a", "paper-5.1c", "paper-5.2", "paper-5.4"]
+
+
+def _solve_one(problem, t, c, dt, diagnostics=None):
+    """The root for one explicit part, from a batch of one."""
+    return float(solve_implicit_steps(problem, t, np.array([c], dtype=float), dt, diagnostics)[0])
+
+
+def _residual(problem, t, y, c, dt):
+    return residual_function(problem, t, dt)(np.asarray(y, dtype=float), c)
 
 
 def _oracle_root(problem, t, c, dt):
@@ -37,12 +45,12 @@ def test_solver_matches_brent_oracle(name):
         t = rng.uniform(0.0, problem.horizon)
         c = rng.normal(0.0, 3.0)
         dt = rng.uniform(1e-4, min(0.05, 0.5 * limit))
-        y = solve_implicit_step(problem, t, c, dt)
+        y = _solve_one(problem, t, c, dt)
         y_star = _oracle_root(problem, t, c, dt)
         assert abs(y - y_star) <= 1e-10 * max(1.0, abs(y_star)), (
             f"{name}: t={t:.4f} c={c:.4f} dt={dt:.6f}: {y} vs {y_star}"
         )
-        r, _ = implicit_residual(problem, t, np.array([y]), np.array([c]), dt)
+        r, _ = _residual(problem, t, np.array([y]), np.array([c]), dt)
         assert abs(r[0]) <= 1e-12
 
 
@@ -61,11 +69,11 @@ def test_batch_equals_scalar(large):
     diag = StepDiagnostics()
     with np.errstate(over="ignore", invalid="ignore"):
         batch = solve_implicit_steps(problem, t, c, dt, diagnostics=diag)
-        one_by_one = np.array([solve_implicit_step(problem, t, ci, dt) for ci in c])
+        one_by_one = np.array([_solve_one(problem, t, ci, dt) for ci in c])
     np.testing.assert_array_equal(batch, one_by_one)
     assert diag.bracketed_elements == len(large)
     for y, ci in zip(batch[np.isin(c, large)], large):  # the root lies within one ulp of y
-        r, _ = implicit_residual(problem, t, np.nextafter([y, y], [-np.inf, np.inf]), ci, dt)
+        r, _ = _residual(problem, t, np.nextafter([y, y], [-np.inf, np.inf]), ci, dt)
         assert r[0] <= 0.0 <= r[1]
 
 
@@ -84,18 +92,70 @@ def test_batch_equals_scalar_through_damping(problem, t, dt, damped):
     diag = StepDiagnostics()
     batch = solve_implicit_steps(problem, t, c, dt, diagnostics=diag)
     singles = [StepDiagnostics() for _ in c]
-    one_by_one = np.array([solve_implicit_step(problem, t, ci, dt, d) for ci, d in zip(c, singles)])
+    one_by_one = np.array([_solve_one(problem, t, ci, dt, d) for ci, d in zip(c, singles)])
     np.testing.assert_array_equal(batch, one_by_one)
     assert diag.damping_halvings == sum(d.damping_halvings for d in singles) > 0
     assert diag.newton_iterations == sum(d.newton_iterations for d in singles)
     assert diag.bracketed_elements == 0
 
 
+@pytest.mark.parametrize("name", builtin_problem_names())
+def test_array_dt_equals_scalar_solves(name):
+    # One batch with a dt per element: every element must do exactly the
+    # arithmetic of its own scalar-dt solve, through damping (the window term
+    # of the quintic drifts near c = -0.5 at a large dt) and through the
+    # bracketed stage (huge explicit parts of a nonlinear drift).
+    problem = builtin_problem(name)
+    t = 0.5 * problem.horizon
+    rng = np.random.default_rng(3)
+    dts = np.array([2.0 ** -10, 0.01, min(1.0, 0.7 * solvability_limit(problem))])
+    damped, huge = np.linspace(-0.54, -0.425, 24), [1e30, -1e60, 1e100]
+    c = np.concatenate([rng.normal(0.0, 2.0, 60), damped, huge])
+    dt = dts[rng.integers(0, dts.size, c.size)]
+    dt[60:84] = dts[-1]
+    diag = StepDiagnostics()
+    singles = [StepDiagnostics() for _ in c]
+    with np.errstate(over="ignore", invalid="ignore"):
+        batch = solve_implicit_steps(problem, t, c, dt, diagnostics=diag)
+        one_by_one = np.array(
+            [_solve_one(problem, t, ci, float(di), d) for ci, di, d in zip(c, dt, singles)]
+        )
+    np.testing.assert_array_equal(batch, one_by_one)
+    for counter in ("solves", "newton_iterations", "damping_halvings", "bracketed_elements"):
+        assert getattr(diag, counter) == sum(getattr(d, counter) for d in singles), counter
+    assert diag.worst_residual == max(d.worst_residual for d in singles)
+    degree = problem.drift_polynomial.degree  # a linear drift is solved by one Newton step
+    assert diag.bracketed_elements == (3 if degree > 1 else 0)
+    assert (diag.damping_halvings > 0) == (degree == 5)
+
+
+def test_array_dt_is_checked_per_element():
+    problem = builtin_problem("paper-5.1a")
+    c = np.array([0.5, 1.0, 2.0])
+    at_limit = np.array([0.01, 1.0 / 0.7, 0.01])  # the second element's dt * 0.7 reaches 1
+    with pytest.raises(ConfigurationError, match=r"dt\[1\]"):
+        solve_implicit_steps(problem, 0.5, c, at_limit)
+    with pytest.raises(ConfigurationError, match="dt"):
+        solve_implicit_steps(problem, 0.5, c, np.array([0.01, -0.01, 0.01]))
+    for shape in [(2,), (4,), (3, 1)]:
+        with pytest.raises(ConfigurationError, match="shaped like c"):
+            solve_implicit_steps(problem, 0.5, c, np.full(shape, 0.01))
+
+
+def test_failure_names_the_element_dt():
+    problem = builtin_problem("paper-5.4")
+    c = np.array([1.0, np.nan])
+    with pytest.raises(StepFailureError) as info:
+        solve_implicit_steps(problem, 0.25, c, np.array([0.01, 0.02]))
+    assert info.value.diagnostics["dt"] == 0.02
+    assert type(info.value.diagnostics["dt"]) is float
+
+
 def test_linear_drift_closed_form():
     # f = -2x: y = c / (1 + 2 dt), one Newton step suffices
     problem = builtin_problem("paper-5.3")
     c, dt = 7.0, 0.01
-    y = solve_implicit_step(problem, 0.5, c, dt)
+    y = _solve_one(problem, 0.5, c, dt)
     assert y == pytest.approx(c / 1.02, rel=1e-14)
 
 
@@ -105,7 +165,7 @@ def test_residuals_small_across_batch():
     c = rng.normal(0.0, 4.0, 512)
     diag = StepDiagnostics()
     y = solve_implicit_steps(problem, 0.9, c, 2.0 ** -9, diagnostics=diag)
-    r, _ = implicit_residual(problem, 0.9, y, c, 2.0 ** -9)
+    r, _ = _residual(problem, 0.9, y, c, 2.0 ** -9)
     assert np.max(np.abs(r)) <= 1e-12
     assert diag.solves == 512
     assert diag.worst_residual <= 1e-12
@@ -116,7 +176,7 @@ def test_extreme_state_accepted_at_machine_floor():
     # solver must still accept the double-precision root.
     problem = builtin_problem("paper-5.1a")
     c, dt = 1.0e6, 2.0 ** -9
-    y = solve_implicit_step(problem, 0.5, c, dt)
+    y = _solve_one(problem, 0.5, c, dt)
     y_star = _oracle_root(problem, 0.5, c, dt)
     assert abs(y - y_star) <= 1e-10 * max(1.0, abs(y_star))
 
@@ -126,7 +186,7 @@ def test_solvability_gate():
     limit = solvability_limit(problem)
     assert limit == pytest.approx(1.0 / 0.7)
     with pytest.raises(ConfigurationError):
-        solve_implicit_step(problem, 0.5, 1.0, 1.5 * limit)
+        _solve_one(problem, 0.5, 1.0, 1.5 * limit)
 
 
 def test_solvability_unbounded_for_dissipative_drift():
@@ -146,7 +206,7 @@ def test_rootless_equation_fails_loudly():
         "monotone_bound": 0.0,  # wrong on purpose: x^2 is not monotone
     })
     with pytest.raises(StepFailureError):
-        solve_implicit_step(problem, 0.0, 1000.0, 0.01)
+        _solve_one(problem, 0.0, 1000.0, 0.01)
 
 
 def test_bracket_contains_root():
@@ -172,7 +232,7 @@ def test_non_finite_explicit_part_raises(bad):
 
 
 def _assert_root_within_tolerance(problem, t, c, dt, y):
-    r, jac = implicit_residual(problem, t, np.array([y]), c, dt)
+    r, jac = _residual(problem, t, np.array([y]), c, dt)
     accept = max(_ABS_TOL, float(_residual_floor(y, abs(c), jac[0])))
     assert abs(float(r[0])) <= accept < np.inf
 

@@ -109,6 +109,16 @@ def test_path_streams_resume_each_row():
         PathStreams(3, [-1], "levy")
 
 
+def test_path_streams_kept_open_continue_released_rows():
+    streams = PathStreams(3, [5, 9], "levy")
+    streams.keep_open = True
+    a, b = _reference_rng(3, 5, "levy"), _reference_rng(3, 9, "levy")
+    for _ in range(2):  # the second pass continues each released row
+        for row, rng in (0, a), (1, b):
+            np.testing.assert_array_equal(streams[row].random(7), rng.random(7))
+            streams.release(row)
+
+
 _TAPE_SPECS = {
     "stable-1": NoiseSpec(kind="alpha_stable", alpha=1.0, scale=1.5, brownian_dim=0, gamma0=1.4,
                           gamma_inf=1.2),
