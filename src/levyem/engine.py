@@ -34,9 +34,10 @@ Every path owns an independent counter-based RNG stream keyed by
 (master_seed, path_index, stream), so results do not depend on how paths are
 grouped into memory chunks or distributed over worker processes.  Chunk
 boundaries are a pure function of the path count, the block length, the
-memory budget and the worker count: a chunk's tape block fits the budget,
-and a run on ``workers`` processes has at least ``workers`` chunks when it
-has as many paths.  Per-chunk results are merged in chunk order, which makes
+memory budget and the worker count: the chunk count is the smallest multiple
+of ``workers`` at which a chunk's tape block fits the budget (at most one
+chunk per path), and the paths are split evenly, so chunk sizes differ by at
+most one.  Per-chunk results are merged in chunk order, which makes
 ensemble output byte-stable for any worker count.
 
 Pool workers are forked: they inherit the loaded package and the run's
@@ -82,7 +83,6 @@ __all__ = [
 
 _DEFAULT_CHUNK_BUDGET = 2**27  # bytes of increment storage per chunk
 _TAPE_BLOCK_STEPS = 1024  # fine steps per tape block, fixed for memory
-_MAX_CHUNK_PATHS = 4096
 _GRID_RTOL = 1e-9
 _CAN_FORK = "fork" in multiprocessing.get_all_start_methods()
 
@@ -256,13 +256,16 @@ def _evolve(problem: SdeProblem, dt: float, y0, tapes, diag, on_step=None):
 def _chunk_ranges(n_paths: int, block_steps: int, streams: int, budget_bytes: int, workers: int):
     """Split paths into contiguous chunks; a pure function of the sizes only.
 
-    A chunk's tape block (``block_steps`` steps per stream and path) fits the
-    budget, and there are at least ``workers`` chunks when there are as many
-    paths.
+    The chunk count is the smallest multiple of ``workers`` at which a
+    chunk's tape block (``block_steps`` steps per stream and path) fits the
+    budget, and at most one chunk per path; the paths are split evenly, so
+    chunk sizes differ by at most one and every worker gets the same work.
     """
     per_path = block_steps * 8 * max(1, streams)
-    chunk = int(min(_MAX_CHUNK_PATHS, max(1, budget_bytes // per_path), -(-n_paths // workers)))
-    return [(lo, min(lo + chunk, n_paths)) for lo in range(0, n_paths, chunk)]
+    needed = -(-n_paths // max(1, budget_bytes // per_path))
+    count = min(n_paths, -(-needed // workers) * workers)
+    bounds = [i * n_paths // count for i in range(count + 1)]
+    return list(zip(bounds[:-1], bounds[1:]))
 
 
 # ---------------------------------------------------------------------------

@@ -21,10 +21,15 @@ range, which is returned with them.  Clipping at order statistics keeps the
 bins at the law's own scale however heavy its tails; a kernel estimate on the
 full span would spread its grid and bandwidth over the few extreme paths.
 
-scipy is loaded only by the analysis: ``stats`` (scipy.stats) is imported on
-its first use, for the KS p-value of each snapshot, so that ``import levyem``,
-pool workers and convergence runs load numpy alone.  The bootstrap folds of the
-KS statistic are scored here without scipy.
+The KS test of two samples of one size n <= 10,000, which is every test
+against an empirical snapshot, is computed here: the statistic by the
+bootstrap folds' scorer and the exact two-sided p-value by Hodges' recursion
+(Arkiv för Matematik 3, 1958), as scipy's ``ks_2samp(method="auto")`` computes
+both, float for float.  scipy serves only the other size pairs, whose
+p-values are asymptotic (``kstwo.sf``): ``stats`` (scipy.stats) is imported on
+its first use, for an analytic reference or an exact p-value outside [0, 1],
+so that ``import levyem``, pool workers, convergence runs and law runs
+against a snapshot load numpy alone.
 """
 
 from __future__ import annotations
@@ -181,9 +186,41 @@ def wasserstein_k(a, b, k: float = 1.0) -> float:
     return float(np.mean(np.abs(xs - ys) ** k))
 
 
+def _prob_outside_square(n: int, h: int) -> float:
+    """Pr(D_{n,n} >= h/n): the exact two-sided p-value of two samples of size n.
+
+    Ported from scipy's ``scipy.stats._stats_py._compute_prob_outside_square``
+    (BSD-3-Clause, Copyright (c) 2001-2002 Enthought, Inc. and 2003 SciPy
+    Developers), which follows Hodges (1958).  The alternating sum
+    2 * (C(2n, n-h) - C(2n, n-2h) + ...) / C(2n, n) is evaluated term over
+    term as 2 * A0 * (1 - A1 * (1 - A2 * ...)), Horner-like, which avoids its
+    cancellation.  ``n // h`` is scipy's ``int(np.floor(n / h))``.
+    """
+    prob = 0.0
+    k = n // h
+    while k >= 0:
+        term = 1.0
+        for j in range(h):
+            term = (n - k * h - j) * term / (n + k * h + j + 1)
+        prob = term * (1.0 - prob)
+        k -= 1
+    return 2 * prob
+
+
 def ks_statistic(a: EmpiricalMeasure, ref: StationaryReference) -> tuple[float, float]:
-    """Two-sample KS distance and p-value of the snapshot against the reference."""
+    """Two-sample KS distance and p-value of the snapshot against the reference.
+
+    Equal sizes up to ``_KS_EXACT_MAX_N`` are scored here, other sizes by
+    scipy's ``ks_2samp``; both give scipy's ``method="auto"`` floats.
+    """
     ref_sample = ref.sample(_reference_size(ref.kind, a.n))
+    n = a.n
+    if ref_sample.size == n <= _KS_EXACT_MAX_N:
+        d = _ks_fold_scorer(a.values, ref_sample)(np.ones(n, dtype=np.int64))
+        h = round(d * n)
+        p = _prob_outside_square(n, h) if h else 1.0
+        if 0.0 <= p <= 1.0:  # outside, scipy's auto mode falls back to kstwo.sf
+            return d, p
     result = _stats().ks_2samp(a.values, ref_sample, method="auto")
     return float(result.statistic), float(result.pvalue)
 

@@ -444,6 +444,33 @@ def test_chunks_are_sized_by_the_block_and_the_workers():
     assert engine._chunk_ranges(1000, 1024, 2, 2**27, 2) == [(0, 500), (500, 1000)]
     assert len(engine._chunk_ranges(1000, 1024, 2, 2**27, 3)) == 3
     assert engine._chunk_ranges(2, 1024, 2, 2**27, 8) == [(0, 1), (1, 2)]
+    # law-54's shape (200 steps, 2 streams) and a smaller run: one even chunk a worker
+    assert engine._chunk_ranges(10_000, 200, 2, 2**27, 2) == [(0, 5000), (5000, 10_000)]
+    assert engine._chunk_ranges(4200, 1024, 2, 2**27, 2) == [(0, 2100), (2100, 4200)]
+    # a budget of 4,096 paths a chunk: 3 chunks would fit, 4 share 2 workers evenly
+    assert engine._chunk_ranges(10_000, 1024, 2, 4096 * 16384, 2) == [
+        (0, 2500), (2500, 5000), (5000, 7500), (7500, 10_000)
+    ]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 8])
+def test_chunks_are_even_and_fit_the_budget(workers):
+    rng = np.random.default_rng(workers)
+    for n_paths, block_steps, streams in zip(
+        rng.integers(1, 50_000, 40), rng.integers(1, 1025, 40), rng.integers(0, 3, 40)
+    ):
+        budget = int(rng.integers(1, 2**24))
+        ranges = engine._chunk_ranges(int(n_paths), int(block_steps), int(streams), budget, workers)
+        sizes = [hi - lo for lo, hi in ranges]
+        per_path = block_steps * 8 * max(1, streams)
+        assert ranges[0][0] == 0 and ranges[-1][1] == n_paths
+        assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
+        assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
+        assert len(ranges) % workers == 0 or len(ranges) == n_paths
+        assert max(sizes) * per_path <= budget or max(sizes) == 1
+        # one chunk a worker fewer would not fit the budget
+        if len(ranges) > workers and len(ranges) < n_paths:
+            assert -(-n_paths // (len(ranges) - workers)) * per_path > budget
 
 
 def test_inline_config_problem_runs_on_the_pool():

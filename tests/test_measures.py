@@ -2,11 +2,14 @@
 
 import dataclasses
 import itertools
+import math
 import os
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ import levyem
 from levyem.errors import ConfigurationError
 from levyem.measures import (
     _BOOTSTRAP_FOLDS,
+    _KS_EXACT_MAX_N,
     EmpiricalMeasure,
     StationaryReference,
     evolve_empirical_law,
@@ -23,6 +27,7 @@ from levyem.measures import (
     density_curve,
     ks_statistic,
     _ks_fold_scorer,
+    _prob_outside_square,
     _reference_size,
     ou_stationary_scale,
     two_initial_value_coupling,
@@ -169,6 +174,58 @@ def test_ks_rank_invariance():
         )
         d_t, _ = ks_statistic(EmpiricalMeasure(values=transform(a), t=1.0), ref_t)
         assert d_t == pytest.approx(d0, abs=1e-15)
+
+
+def _equal_size_pair(case, n):
+    rng = np.random.default_rng(n)
+    a = rng.standard_cauchy(n)
+    if case == "shifted":
+        return a, rng.standard_cauchy(n) + 0.5
+    if case == "ties":
+        return np.round(a, 0), np.round(rng.standard_cauchy(n) * 1.1 + 0.2, 0)
+    if case == "identical":  # D = 0, h = 0
+        return a, a.copy()
+    if case == "interleaved":  # D = 1/n, h = 1: scipy's recursion can exceed 1 here
+        return np.arange(n, dtype=float), np.arange(n) + 0.5
+    assert case == "disjoint"  # D = 1; the p-value underflows to 0 for large n
+    return a, a + np.ptp(a) + 1.0
+
+
+@pytest.mark.parametrize("case", ["shifted", "ties", "identical", "interleaved", "disjoint"])
+@pytest.mark.parametrize("n", [2, 3, 7, 100, 2500, 10_000, 10_001])
+def test_ks_statistic_equals_scipy_auto(case, n, monkeypatch):
+    # Equal sizes up to 10,000 are computed in the package, other sizes and an
+    # exact p-value outside [0, 1] by scipy: the floats are scipy's either way.
+    a, b = _equal_size_pair(case, n)
+    snap = EmpiricalMeasure(values=a, t=1.0)
+    ref = StationaryReference(kind="empirical_snapshot", snapshot=EmpiricalMeasure(values=b, t=2.0))
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return stats.ks_2samp(*args, **kwargs)
+
+    monkeypatch.setattr(levyem.measures, "stats", SimpleNamespace(ks_2samp=counting))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        expect = stats.ks_2samp(a, b, method="auto")
+        got = ks_statistic(snap, ref)
+    fell_back = any("Exact calculation unsuccessful" in str(w.message) for w in caught)
+    assert got == (float(expect.statistic), float(expect.pvalue))
+    assert len(calls) == (1 if n > _KS_EXACT_MAX_N or fell_back else 0)
+    if case == "identical":
+        assert got == (0.0, 1.0)
+    if case == "disjoint":
+        assert got[0] == 1.0
+        if n >= 2500:
+            assert got[1] == 0.0
+
+
+def test_exact_p_value_recursion_against_closed_forms():
+    # Pr(D_{n,n} >= 1) = 2 / C(2n, n); h = 1 is certain
+    for n in (2, 3, 7, 30):
+        assert _prob_outside_square(n, n) == pytest.approx(2.0 / math.comb(2 * n, n), rel=1e-12)
+        assert _prob_outside_square(n, 1) == pytest.approx(1.0, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -365,9 +422,11 @@ def test_density_matches_the_normal_pdf_bin_by_bin():
 
 def test_simulation_path_does_not_import_scipy(tmp_path):
     # A scipy that refuses to import comes first on the path, so an import
-    # anywhere on the simulation path fails the run.  Forked pool workers
-    # inherit the parent's modules, so this guards the parent's path.  The
-    # analysis then loads the real scipy.stats as measures.stats.
+    # anywhere on the simulation path, or in the analysis of a law run
+    # against its final snapshot, fails the run.  Forked pool workers inherit
+    # the parent's modules, so this guards the parent's path.  A law run
+    # against the analytic reference then loads the real scipy.stats as
+    # measures.stats, for its asymptotic KS p-values.
     blocker = tmp_path / "blocker"
     (blocker / "scipy").mkdir(parents=True)
     (blocker / "scipy" / "__init__.py").write_text(
@@ -375,20 +434,43 @@ def test_simulation_path_does_not_import_scipy(tmp_path):
     )
     script = textwrap.dedent(
         f"""
+        import json
         import sys
+        from pathlib import Path
 
         import levyem
         from levyem import builtin_problem, simulate_ensemble, strong_error_run
+        from levyem.cli import main
+        from levyem.experiments import entry_config, execute_config, write_run
+
+        def loaded():
+            return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
         problem = builtin_problem("paper-5.4")
         strong_error_run(problem, [2.0 ** -3, 2.0 ** -4], 2.0 ** -5, 8, 3)
         # 200 steps x 2 streams x 8 B a path: chunks of 4 paths
         run = simulate_ensemble(problem, 0.05, 8, 3, workers=2, chunk_budget_bytes=4 * 3200)
         assert run.terminal.shape == (8,)
-        loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-        assert not loaded, loaded
+        assert not loaded(), loaded()
+
+        tmp = Path({str(tmp_path)!r})
+        law = entry_config("paper-5.4")
+        law.update(n_paths=400, checkpoints=[0.04, 0.2, 1.0, 2.0], ratio_times=[0.2, 1.0])
+        result = execute_config(law, workers=2)
+        write_run(result, tmp / "law-54")
+        assert result.reference["kind"] == "final-snapshot"
+        assert not loaded(), loaded()
+
+        config = tmp / "law-54.json"
+        config.write_text(json.dumps(law))
+        assert main(["run", str(config), "--workers", "2", "--out", str(tmp / "cli")]) == 0
+        assert not loaded(), loaded()
 
         sys.path.remove({str(blocker)!r})
+        analytic = entry_config("paper-5.3")
+        analytic.update(n_paths=200, checkpoints=[0.1, 0.5])
+        assert execute_config(analytic).reference["kind"] == "analytic-stable"
+        assert "scipy.stats" in sys.modules and "stats" in vars(levyem.measures), loaded()
         import scipy.stats
 
         assert levyem.measures.stats is scipy.stats
