@@ -178,11 +178,16 @@ def wasserstein_k(a, b, k: float = 1.0) -> float:
 
     Accepts EmpiricalMeasure or raw 1-d samples of the same size.
     """
-    if not 0.0 < k <= 1.0:
-        raise ConfigurationError(f"k must lie in (0,1], got {k}")
     xs, ys = _as_sorted_values(a), _as_sorted_values(b)
     if xs.size != ys.size:
         raise ConfigurationError(f"wasserstein_k needs equal sizes, got {xs.size} and {ys.size}")
+    return _sorted_wasserstein(xs, ys, k)
+
+
+def _sorted_wasserstein(xs: np.ndarray, ys: np.ndarray, k: float) -> float:
+    """``wasserstein_k`` of two sorted samples of one size, which it does not sort again."""
+    if not 0.0 < k <= 1.0:
+        raise ConfigurationError(f"k must lie in (0,1], got {k}")
     return float(np.mean(np.abs(xs - ys) ** k))
 
 
@@ -195,6 +200,11 @@ def _prob_outside_square(n: int, h: int) -> float:
     2 * (C(2n, n-h) - C(2n, n-2h) + ...) / C(2n, n) is evaluated term over
     term as 2 * A0 * (1 - A1 * (1 - A2 * ...)), Horner-like, which avoids its
     cancellation.  ``n // h`` is scipy's ``int(np.floor(n / h))``.
+
+    A term leaves its ``j`` loop once it is +-0, which every later factor
+    keeps: only the sign of that zero could differ, and it cannot reach the
+    result, since ``0 * (1 - prob)`` only passes a +-0 on to the next term's
+    ``1 - prob`` and the last term (k = 0) has positive factors alone (h <= n).
     """
     prob = 0.0
     k = n // h
@@ -202,6 +212,8 @@ def _prob_outside_square(n: int, h: int) -> float:
         term = 1.0
         for j in range(h):
             term = (n - k * h - j) * term / (n + k * h + j + 1)
+            if term == 0.0:
+                break
         prob = term * (1.0 - prob)
         k -= 1
     return 2 * prob
@@ -214,14 +226,19 @@ def ks_statistic(a: EmpiricalMeasure, ref: StationaryReference) -> tuple[float, 
     scipy's ``ks_2samp``; both give scipy's ``method="auto"`` floats.
     """
     ref_sample = ref.sample(_reference_size(ref.kind, a.n))
-    n = a.n
+    return _ks_test(a.values, ref_sample, _ks_fold_scorer(a.values, ref_sample))
+
+
+def _ks_test(values: np.ndarray, ref_sample: np.ndarray, scorer) -> tuple[float, float]:
+    """``ks_statistic`` of two sorted samples, given their ``_ks_fold_scorer``."""
+    n = values.size
     if ref_sample.size == n <= _KS_EXACT_MAX_N:
-        d = _ks_fold_scorer(a.values, ref_sample)(np.ones(n, dtype=np.int64))
+        d = scorer(np.ones(n, dtype=np.int64))
         h = round(d * n)
         p = _prob_outside_square(n, h) if h else 1.0
         if 0.0 <= p <= 1.0:  # outside, scipy's auto mode falls back to kstwo.sf
             return d, p
-    result = _stats().ks_2samp(a.values, ref_sample, method="auto")
+    result = _stats().ks_2samp(values, ref_sample, method="auto")
     return float(result.statistic), float(result.pvalue)
 
 
@@ -330,18 +347,17 @@ def invariant_convergence_report(
     snapshots = sorted(snapshots, key=lambda m: m.t)
     rows = []
     for i, snap in enumerate(snapshots):
-        ks, p = ks_statistic(snap, ref)
-        ref_for_w = ref.sample(snap.n)
-        ref_measure = EmpiricalMeasure(values=ref_for_w, t=snap.t)
-        w = wasserstein_k(snap, ref_measure, k)
-        ks_se = _bootstrap_stderr(
-            snap.values,
-            _ks_fold_scorer(snap.values, ref.sample(_reference_size(ref.kind, snap.n))),
-            bootstrap_seed + 2 * i,
-        )
+        # every sample here is sorted: a snapshot, a reference sample and a
+        # fold's np.repeat of the snapshot
+        ks_ref = ref.sample(_reference_size(ref.kind, snap.n))
+        ks_scorer = _ks_fold_scorer(snap.values, ks_ref)
+        ks, p = _ks_test(snap.values, ks_ref, ks_scorer)
+        w_ref = ref.sample(snap.n)
+        w = _sorted_wasserstein(snap.values, w_ref, k)
+        ks_se = _bootstrap_stderr(snap.values, ks_scorer, bootstrap_seed + 2 * i)
         w_se = _bootstrap_stderr(
             snap.values,
-            lambda counts: wasserstein_k(np.repeat(snap.values, counts), ref_measure, k),
+            lambda counts: _sorted_wasserstein(np.repeat(snap.values, counts), w_ref, k),
             bootstrap_seed + 2 * i + 1,
         )
         rows.append(

@@ -6,13 +6,16 @@ address: :class:`PathStreams` ``(master_seed, paths, stream)`` holds the
 counter-based Philox streams of the given paths, one per path, keyed by
 ``(master_seed, path_index, stream)``, so every path owns a reproducible,
 independent substream regardless of chunking or worker scheduling.  It
-derives the keys of all its paths in one array pass and resumes each path's
-stream on one shared generator.  The samplers take a ``PathStreams`` and
-return one row per path, working through the rows in blocks and drawing
-each row's variates from its own stream, so a row does not depend on the
-other paths of the call: :func:`levyem.engine.make_tape` draws a chunk's
-tape this way, block by block with the streams kept open, and a one-path
-draw is ``PathStreams(seed, [p], stream)`` and row 0.
+derives the keys of all its paths in one array pass.  A row being drawn
+holds a generator from a small pool, which keeps the row's position, so the
+samplers' rejection rounds return to a row without saving or loading a
+state; only rows beyond the pool are suspended to a saved Philox state.
+The samplers take a ``PathStreams`` and return one row per path, working
+through the rows in blocks and drawing each row's variates from its own
+stream, so a row does not depend on the other paths of the call:
+:func:`levyem.engine.make_tape` draws a chunk's tape this way, block by
+block with the streams kept open, and a one-path draw is
+``PathStreams(seed, [p], stream)`` and row 0.
 
 Conventions
 -----------
@@ -31,6 +34,7 @@ Conventions
 from __future__ import annotations
 
 import operator
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +62,10 @@ LEVY_STREAM = "levy"
 AUX_STREAM = "aux"
 _STREAM_CODES = {BROWNIAN_STREAM: 0, LEVY_STREAM: 1, AUX_STREAM: 2}
 _MAX_PATH_INDEX = 2**32 - 1  # one 32-bit spawn-key word per path
+# The most rows of one PathStreams that hold a generator at once.  A tempered
+# tape block of 128 steps or more has at most 64 rows, so its rejection rounds
+# revisit rows without saving a state.
+_LIVE_ROWS = 64
 
 
 # numpy's SeedSequence hash constants (NEP 19; numpy/random/bit_generator.pyx)
@@ -127,17 +135,23 @@ def _philox_keys(master_seed: int, paths, stream: str):
 
 
 class PathStreams:
-    """The streams ``(master_seed, p, stream)`` of the paths p in ``paths``, on one generator.
+    """The streams ``(master_seed, p, stream)`` of the paths p in ``paths``, on pooled generators.
 
     ``stream`` is one of BROWNIAN_STREAM, LEVY_STREAM and AUX_STREAM.
-    ``streams[r]`` saves the position of the row in use, loads row r's (a
-    fresh stream on first use) and returns the shared generator; it is valid
-    until the next ``streams[...]``.  Row r therefore yields exactly what
-    path ``paths[r]``'s own stream yields, without a generator per path.
-    Only suspended rows keep a saved position: a row that is drawn from no
-    more is ``release``d.  While ``keep_open`` is set, a release keeps the
-    row's position instead, so a later call continues every row where this
-    one left it: a tape is drawn in blocks this way.
+    ``streams[r]`` returns row r's generator, which yields exactly what path
+    ``paths[r]``'s own stream yields.  A row being drawn is live: it holds a
+    generator of a pool of at most ``_LIVE_ROWS``, which carries its
+    position, so returning to a live row reads and writes no state.  On
+    first use a row takes a pooled generator and loads its key (a fresh
+    stream) or its saved position.  Only when every pooled generator is in
+    use is the least recently used live row suspended: its position is
+    saved and its generator passes to the new row.  A row's generator is
+    therefore valid while the row is live, that is until it is released or
+    ``_LIVE_ROWS`` other rows have been used after it.  A row that is drawn
+    from no more is ``release``d and its generator returns to the pool.
+    While ``keep_open`` is set, a release keeps the row's position instead,
+    so a later call continues every row where this one left it: a tape is
+    drawn in blocks this way.
     """
 
     def __init__(self, master_seed: int, paths, stream: str):
@@ -149,35 +163,52 @@ class PathStreams:
         if paths.size and not 0 <= paths.min() <= paths.max() <= _MAX_PATH_INDEX:
             raise ConfigurationError("path indices must lie in [0, 2**32)")
         self._keys = _philox_keys(master_seed, paths.astype(np.uint64), stream)
-        self._bitgen = np.random.Philox(key=self._keys[0] if paths.size else 0)
-        self._generator = np.random.Generator(self._bitgen)
-        self._fresh = self._bitgen.state  # counter 0, empty buffer; only the key changes
+        generator = np.random.Generator(np.random.Philox(key=0))
+        self._fresh = generator.bit_generator.state  # counter 0, empty buffer; only the key changes
+        # as lists, which the state setter reads faster than arrays
+        self._fresh["state"]["counter"] = self._fresh["state"]["counter"].tolist()
+        self._fresh["buffer"] = self._fresh["buffer"].tolist()
+        self._idle = [generator]
+        self._live = OrderedDict()  # row -> generator, least recently used first
         self._saved = {}
-        self._row = 0 if paths.size else None
         self.keep_open = False
 
     def __len__(self) -> int:
         return len(self._keys)
 
     def __getitem__(self, row: int) -> np.random.Generator:
-        if row != self._row:
-            if self._row is not None:
-                self._saved[self._row] = self._bitgen.state
-            state = self._saved.pop(row, None)
-            if state is None:
-                state = {**self._fresh, "state": {**self._fresh["state"], "key": self._keys[row]}}
-            self._bitgen.state = state
-            self._row = row
-        return self._generator
+        generator = self._live.get(row)
+        if generator is None:
+            return self._open(row)
+        self._live.move_to_end(row)
+        return generator
+
+    def _open(self, row: int) -> np.random.Generator:
+        """Give row a pooled generator at the row's position."""
+        if self._idle:
+            generator = self._idle.pop()
+        elif len(self._live) < _LIVE_ROWS:
+            generator = np.random.Generator(np.random.Philox(key=0))
+        else:
+            suspended, generator = self._live.popitem(last=False)
+            self._saved[suspended] = generator.bit_generator.state
+        state = self._saved.pop(row, None)
+        if state is None:
+            state = self._fresh
+            state["state"]["key"] = self._keys[row]
+        generator.bit_generator.state = state
+        self._live[row] = generator
+        return generator
 
     def release(self, row: int) -> None:
         """Forget row's position: it is drawn from no more (kept while ``keep_open``)."""
         if self.keep_open:
             return
-        if row == self._row:
-            self._row = None
-        else:
+        generator = self._live.pop(row, None)
+        if generator is None:
             self._saved.pop(row, None)
+        else:
+            self._idle.append(generator)
 
 
 def make_rng(master_seed: int, path_index: int, stream: str) -> np.random.Generator:

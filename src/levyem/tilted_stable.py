@@ -147,10 +147,11 @@ def _divide_and_conquer(rho, tilt, horizon, pieces, size, streams, stats):
             for i, k in enumerate(counts):
                 if k:
                     rng = streams[lo + i]
-                    u[at:at + k] = rng.uniform(0.0, np.pi, k)
+                    rng.random(out=u[at:at + k])
                     rng.standard_exponential(out=e[at:at + k])
                     rng.random(out=v[at:at + k])
                     at += k
+            u *= np.pi  # the floats of rng.uniform(0, pi): 0 + pi * d
             draw = piece_scale * _kanter(u, e, rho)
             stats.proposed += pending.size
             keep = v < np.exp(-tilt * draw)

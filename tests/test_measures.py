@@ -29,6 +29,7 @@ from levyem.measures import (
     _ks_fold_scorer,
     _prob_outside_square,
     _reference_size,
+    _sorted_wasserstein,
     ou_stationary_scale,
     two_initial_value_coupling,
     wasserstein_k,
@@ -228,6 +229,30 @@ def test_exact_p_value_recursion_against_closed_forms():
         assert _prob_outside_square(n, 1) == pytest.approx(1.0, rel=1e-12)
 
 
+def _prob_outside_square_full_loop(n, h):
+    """``_prob_outside_square`` without its early exit: every factor of every term."""
+    prob = 0.0
+    for k in range(n // h, -1, -1):
+        term = 1.0
+        for j in range(h):
+            term = (n - k * h - j) * term / (n + k * h + j + 1)
+        prob = term * (1.0 - prob)
+    return 2 * prob
+
+
+def test_exact_p_value_early_exit_equals_the_full_loop():
+    # h = round(d n) <= n.  Every pair has an exact zero factor (j = n mod h
+    # at k = n // h); the large sizes also have terms that underflow to 0
+    # before it.
+    pairs = [(n, h) for n in range(1, 81) for h in range(1, n + 1)]
+    pairs += [(n, h) for n in (100, 997, 2500, 10_000)
+              for h in (1, 2, 3, 5, 10, 37, 99, n // 2, n - 1, n)]
+    assert len(pairs) >= 3000
+    for n, h in pairs:
+        got, full = _prob_outside_square(n, h), _prob_outside_square_full_loop(n, h)
+        assert repr(got) == repr(full), (n, h)
+
+
 # ---------------------------------------------------------------------------
 # Bootstrap folds
 
@@ -293,6 +318,33 @@ def test_report_stderrs_equal_resampled_scipy_folds(kind):
         )
         assert row.ks_stderr == ks_se
         assert row.w_stderr == w_se
+
+
+def test_sorted_wasserstein_equals_wasserstein_k_on_resamples():
+    rng = np.random.default_rng(4)
+    values = np.sort(rng.standard_cauchy(3000))
+    ref = np.sort(rng.standard_normal(3000) * 2.0)
+    for k in (1.0, 0.5, 0.25):
+        for _ in range(10):
+            resample = np.repeat(values, np.bincount(rng.integers(0, 3000, 3000), minlength=3000))
+            got = _sorted_wasserstein(resample, ref, k)
+            assert repr(got) == repr(wasserstein_k(rng.permutation(resample), ref[::-1], k))
+
+
+def test_report_scores_each_snapshot_once(monkeypatch):
+    snaps = [EmpiricalMeasure(values=np.random.default_rng(j).standard_normal(500), t=float(j))
+             for j in (1, 2, 3)]
+    ref = StationaryReference(kind="empirical_snapshot", snapshot=snaps[-1])
+    built = []
+
+    def counting(values, ref_sample):
+        built.append(values.size)
+        return _ks_fold_scorer(values, ref_sample)
+
+    monkeypatch.setattr(levyem.measures, "_ks_fold_scorer", counting)
+    report = invariant_convergence_report(snaps, ref)
+    assert built == [500, 500, 500]
+    assert [(r.ks, r.p_value) for r in report.rows] == [ks_statistic(s, ref) for s in snaps]
 
 
 def test_reference_validation():

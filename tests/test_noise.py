@@ -11,6 +11,7 @@ from levyem.engine import make_tape
 from levyem.errors import ConfigurationError
 from levyem.problems import builtin_problem
 from levyem.noise import (
+    _LIVE_ROWS,
     NoiseSpec,
     PathStreams,
     _philox_keys,
@@ -117,6 +118,48 @@ def test_path_streams_kept_open_continue_released_rows():
         for row, rng in (0, a), (1, b):
             np.testing.assert_array_equal(streams[row].random(7), rng.random(7))
             streams.release(row)
+
+
+def test_path_streams_suspend_rows_beyond_the_pool():
+    # interleaved draws over more rows than hold a generator at once
+    paths = np.arange(2 * _LIVE_ROWS + 7) * 3 + 1
+    streams = PathStreams(11, paths, "levy")
+    refs = [_reference_rng(11, int(p), "levy") for p in paths]
+    rng = np.random.default_rng(0)
+    for row in rng.integers(0, paths.size, 2000):
+        n = int(rng.integers(1, 5))
+        np.testing.assert_array_equal(streams[row].random(n), refs[row].random(n))
+        if rng.random() < 0.05:
+            streams.release(row)
+            refs[row] = _reference_rng(11, int(paths[row]), "levy")  # a released row restarts
+    for row in range(paths.size):  # in order: with more rows than the pool, most resume
+        np.testing.assert_array_equal(
+            streams[row].standard_normal(3), refs[row].standard_normal(3)
+        )
+
+
+def test_path_streams_kept_open_beyond_the_pool():
+    paths = np.arange(_LIVE_ROWS + 20)
+    streams = PathStreams(3, paths, "brownian")
+    streams.keep_open = True
+    refs = [_reference_rng(3, int(p), "brownian") for p in paths]
+    for _ in range(2):  # the second pass continues each row, most of them suspended
+        for row in range(paths.size):
+            np.testing.assert_array_equal(
+                streams[row].standard_normal(5), refs[row].standard_normal(5)
+            )
+            streams.release(row)
+
+
+def test_path_streams_hold_two_rows_at_once():
+    streams = PathStreams(3, [5, 9], "levy")
+    a, b = _reference_rng(3, 5, "levy"), _reference_rng(3, 9, "levy")
+    first, second = streams[0], streams[1]
+    assert first is not second
+    for _ in range(3):
+        np.testing.assert_array_equal(first.random(4), a.random(4))
+        np.testing.assert_array_equal(second.standard_exponential(4), b.standard_exponential(4))
+    assert streams[0] is first and streams[1] is second
 
 
 _TAPE_SPECS = {

@@ -39,6 +39,13 @@ the same arithmetic print the same hashes:
 * ``tape-tempered-64-pieces``: the same for paper-5.4 with tempering 34.5,
   over 8 steps of 1, where each jump increment takes 64 sampler pieces, the
   most a draw may take;
+* ``tape-54-one-block``: the same for paper-5.4 over 4 steps of 0.01, where
+  the sampler draws all 300 jump rows in one block: more rows than
+  ``PathStreams`` holds generators, so rows are suspended and resumed
+  within a block;
+* ``ensemble-54-two-blocks``: paper-5.4 at dt = 0.005, 300 paths in one
+  chunk, whose 2,000 steps are drawn in two tape blocks with every row's
+  streams kept open in between; terminal values and the t = 5 checkpoint;
 * ``sampler-<problem>``: for paper-5.3 and paper-5.4, the jump increments
   ``run_sampler_validation`` draws (n = 20,000 at t = 0.25, 0.5, 1 and 2;
   the tempered sampler splits t = 2 into two pieces) and the z-scores it
@@ -115,6 +122,12 @@ def _ensemble(workers=1):
         "t=5": run.checkpoints[5.0],
         "diagnostics": _diag(run.diagnostics),
     }
+
+
+def _two_blocks():
+    run = simulate_ensemble(builtin_problem("paper-5.4"), 0.005, 300, SEED, checkpoints=[5.0])
+    return {"terminal": run.terminal, "t=5": run.checkpoints[5.0],
+            "diagnostics": _diag(run.diagnostics)}
 
 
 def _coupling():
@@ -205,6 +218,8 @@ def run_protocols() -> dict[str, np.ndarray]:
     paper54 = builtin_problem("paper-5.4")
     steep = dataclasses.replace(paper54, noise=dataclasses.replace(paper54.noise, tempering=34.5))
     protocols["tape-tempered-64-pieces"] = lambda: _tape(steep, 1.0, 8)
+    protocols["tape-54-one-block"] = lambda: _tape(paper54, 0.01, 4)
+    protocols["ensemble-54-two-blocks"] = _two_blocks
     for name in ("paper-5.3", "paper-5.4"):
         protocols[f"sampler-{name}"] = lambda name=name: _sampler(name)
     for name in builtin_problem_names():
