@@ -31,6 +31,16 @@ the same residual test.  Newton iterations and halvings are counted per
 element, so merged diagnostics do not depend on how paths are batched.  A
 failure's diagnostics name the element's batch index, its ``t`` and its own
 ``dt`` as a float.
+
+Each pass writes into arrays allocated once per call: the residual and
+Jacobian at the iterate and at the candidate, the step, the ``|.|`` arrays
+and the masks (Horner updates its outputs in place, with the same
+roundings).  The residual test bounds every element's floor by one scalar
+from the batch maxima of |y|, |c| and |r'|; when that is within the absolute
+tolerance, as it is for ordinary states, the test is ``|r| <= 1e-12`` alone,
+and only otherwise is the floor computed per element.  The ``|r'|`` of the
+test guards the next Newton step's division.  Every root and every counter
+is what the per-element arithmetic gives.
 """
 
 from __future__ import annotations
@@ -58,7 +68,9 @@ _MAX_BISECTIONS = 200
 _JAC_FLOOR = 1e-8
 _RES_SAFETY = 32.0
 _FLOAT_MAX = np.finfo(float).max
-_FLOOR_SCALE = _RES_SAFETY * np.finfo(float).eps  # a power of two: scaling by it is exact
+# a power of two, so scaling by it is exact; a Python float, so that the batch
+# bound's inf * 0 is a NaN without a numpy warning
+_FLOOR_SCALE = float(_RES_SAFETY * np.finfo(float).eps)
 
 
 def _residual_floor(y, abs_c, jac):
@@ -76,10 +88,25 @@ def _residual_floor(y, abs_c, jac):
     return _FLOOR_SCALE * (1.0 + abs_y + abs_c) + (_FLOOR_SCALE * np.abs(jac)) * abs_y
 
 
-def _accepted(y, r, abs_c, jac):
-    """Residual test; a NaN residual or an overflowed (inf) floor never passes."""
-    tol = np.maximum(_ABS_TOL, _residual_floor(y, abs_c, jac))
-    return (np.abs(r) <= tol) & (tol < np.inf)
+def _accepted(y, r, jac, abs_c, c_max, abs_y=None, abs_jac=None, abs_r=None, out=None):
+    """Residual test; a NaN residual or an overflowed (inf) floor never passes.
+
+    ``c_max`` is ``abs_c.max()``.  The floor is first bounded over the batch
+    from the largest |y|, |c| and |r'|: rounding is monotone, so the bound is
+    at least every element's floor, and when it is within ``_ABS_TOL`` (a NaN
+    or inf maximum never is) every tolerance is ``_ABS_TOL`` and the test is
+    ``|r| <= _ABS_TOL`` exactly.  Otherwise each element's floor is computed.
+    ``|y|``, ``|r'|``, ``|r|`` and the result are written into the arrays
+    given for them (new arrays when None), so the caller can reuse them.
+    """
+    abs_y = np.abs(y, out=abs_y)
+    abs_jac = np.abs(jac, out=abs_jac)
+    abs_r = np.abs(r, out=abs_r)
+    y_max, jac_max = float(abs_y.max()), float(abs_jac.max())
+    if _FLOOR_SCALE * (1.0 + y_max + c_max) + (_FLOOR_SCALE * jac_max) * y_max <= _ABS_TOL:
+        return np.less_equal(abs_r, _ABS_TOL, out=out)
+    tol = np.maximum(_ABS_TOL, _residual_floor(abs_y, abs_c, abs_jac))
+    return np.logical_and(abs_r <= tol, tol < np.inf, out=out)
 
 
 @dataclass
@@ -113,7 +140,8 @@ def residual_function(problem: SdeProblem, t: float, dt):
     computed once here, and each call evaluates r and r' together in one
     Horner pass.  ``dt`` is a float, or a 1-d array of per-element step
     sizes; ``at`` picks the elements of an array ``dt`` that ``y`` and ``c``
-    hold (all of them when None).
+    hold (all of them when None).  ``out``, a pair of arrays shaped like
+    ``y``, receives r and r' (see :func:`~levyem.problems.horner`).
     """
     poly = problem.drift_polynomial
     g = np.multiply.outer(poly.coefficients(t), -np.asarray(dt, dtype=float))  # -dt * a_k(t)
@@ -124,9 +152,10 @@ def residual_function(problem: SdeProblem, t: float, dt):
     g[1] += 1.0
     present[1] = True
 
-    def residual(y, c, at=None):
-        v, dv = horner(g if at is None else g[:, at], present, y)
-        return v - c, dv
+    def residual(y, c, at=None, out=None):
+        v, dv = horner(g if at is None else g[:, at], present, y, out)
+        v -= c
+        return v, dv
 
     return residual
 
@@ -138,16 +167,23 @@ def solvability_limit(problem: SdeProblem) -> float:
 
 
 def _check_dt(problem: SdeProblem, dt: np.ndarray, c: np.ndarray) -> None:
-    """Reject a dt not shaped like ``c``, or an element of it that is negative or unsolvable."""
+    """Reject a dt not shaped like ``c``, or an element that is negative, infinite or unsolvable."""
     if dt.shape != c.shape:
         raise ConfigurationError(f"dt must be a scalar or shaped like c {c.shape}, got {dt.shape}")
     bound = max(problem.monotone_bound, 0.0)
-    if not dt.size or (dt.min() >= 0.0 and dt.max() * bound < 1.0):  # NaN fails both
+    if not dt.size:
         return
-    k = int(np.flatnonzero(~(dt >= 0.0) | (dt * bound >= 1.0))[0])
+    top = dt.max()
+    if dt.min() >= 0.0 and top < np.inf and top * bound < 1.0:  # NaN fails each
+        return
+    ok = (dt >= 0.0) & (dt < np.inf)
+    ok[ok] = dt[ok] * bound < 1.0  # finite here, so inf * 0 cannot make a NaN
+    k = int(np.flatnonzero(~ok)[0])
     value = float(dt[k])
     if not 0.0 <= value:
         raise ConfigurationError(f"dt[{k}] must be >= 0, got {value}")
+    if value == np.inf:
+        raise ConfigurationError(f"dt[{k}] must be finite, got {value}")
     raise ConfigurationError(
         f"dt[{k}]={value} violates the solvability condition dt * {problem.monotone_bound} < 1; "
         f"use dt < {solvability_limit(problem):g}"
@@ -196,7 +232,8 @@ def _bracketed_solve(residual, problem, t, c, dt, index):
     nearer_lo = np.nan_to_num(np.abs(r_lo), nan=np.inf) <= np.nan_to_num(np.abs(r_hi), nan=np.inf)
     y = np.where(nearer_lo, lo, hi)
     r, jac = residual(y, c, index)
-    _fail_where(~_accepted(y, r, np.abs(c), jac),
+    abs_c = np.abs(c)
+    _fail_where(~_accepted(y, r, jac, abs_c, float(abs_c.max())),
                 "implicit step residual above tolerance after bisection",
                 t, c, dt, index, y=y, residual=r)
     return y, r
@@ -262,7 +299,9 @@ def solve_implicit_steps(
     if dt.ndim == 0:
         dt = np.full(c.shape, dt)
     _check_dt(problem, dt, c)
-    if not np.isfinite(c).all():
+    abs_c = np.abs(c)
+    c_max = float(abs_c.max(initial=0.0))
+    if not c_max < np.inf:  # NaN fails too
         bad = int(np.flatnonzero(~np.isfinite(c))[0])
         raise StepFailureError(
             f"non-finite explicit part c[{bad}] = {c[bad]} at t={t}",
@@ -275,26 +314,38 @@ def solve_implicit_steps(
             diagnostics.merge(diag)
         return y
     residual = residual_function(problem, t, dt)
-    abs_c = np.abs(c)
-    r, jac = residual(y, c)
-    accepted = _accepted(y, r, abs_c, jac)
-    live = ~accepted
+    n = c.size
+    # every pass writes into these: the residual and Jacobian at y, the
+    # candidate y - step with its own, and the |.| arrays of the residual test
+    # (one array each: one block for all of them passes the C allocator's
+    # mmap threshold on wide batches, and freeing it raises the threshold for
+    # trimming the heap, so the process keeps more memory)
+    r, jac, step, cand, rc, jc, abs_y, abs_jac, abs_r, abs_rc = (np.empty(n) for _ in range(10))
+    accepted, live, ok = (np.empty(n, dtype=bool) for _ in range(3))
+    test = dict(abs_y=abs_y, abs_jac=abs_jac, abs_r=abs_r, out=accepted)
+    residual(y, c, out=(r, jac))
+    _accepted(y, r, jac, abs_c, c_max, **test)
+    np.logical_not(accepted, out=live)
     for _ in range(_MAX_NEWTON_ITERS):
         n_live = int(np.count_nonzero(live))
         if n_live == 0:
             break
         diag.newton_iterations += n_live
-        step = r / np.where(np.abs(jac) >= _JAC_FLOOR, jac, 1.0)  # the Newton step is -step
-        cand = y - step
-        rc, jc = residual(cand, c)
-        ok = live & (np.abs(rc) < np.abs(r))  # a NaN or infinite residual never improves
+        if abs_jac.min() >= _JAC_FLOOR:  # NaN fails this
+            np.divide(r, jac, out=step)  # the Newton step is -step
+        else:
+            np.divide(r, np.where(abs_jac >= _JAC_FLOOR, jac, 1.0), out=step)
+        np.subtract(y, step, out=cand)
+        residual(cand, c, out=(rc, jc))
+        np.less(np.abs(rc, out=abs_rc), abs_r, out=ok)  # a NaN or infinite residual never improves
+        ok &= live
         np.copyto(y, cand, where=ok)
         np.copyto(r, rc, where=ok)
         np.copyto(jac, jc, where=ok)
-        pending = np.nonzero(live ^ ok)[0]
-        if pending.size:
+        if np.count_nonzero(ok) < n_live:
+            pending = np.flatnonzero(live ^ ok)
             live[_damp(residual, y, r, jac, step, c, pending, diag)] = False
-        accepted = _accepted(y, r, abs_c, jac)
+        _accepted(y, r, jac, abs_c, c_max, **test)
         live &= ~accepted
     stragglers = np.flatnonzero(~accepted)
     if stragglers.size:

@@ -178,17 +178,36 @@ def _broadcast(v, t, x):
     return v + np.zeros(np.broadcast_shapes(np.shape(t), x.shape))
 
 
-def horner(coeffs, present, x):
+def horner(coeffs, present, x, out=None):
     """p(x) and p'(x) for p = sum_k coeffs[k] * x**k, in one Horner pass.
 
     ``present[k]`` False marks a coefficient known to be zero, whose addition
-    is skipped.  The coefficients broadcast against ``x``.
+    is skipped.  The coefficients broadcast against ``x``.  ``out`` is None,
+    or a pair of arrays of the broadcast shape that receive p and p' and are
+    returned: each pass then updates them in place, with the same roundings
+    as the allocating form.
     """
     n = len(coeffs) - 1
-    p, dp = coeffs[n], 0.0
-    for k in range(n - 1, -1, -1):
-        dp = p if k == n - 1 else dp * x + p
-        p = p * x + coeffs[k] if present[k] else p * x
+    if n == 0:
+        if out is None:
+            return coeffs[0], 0.0
+        out[0][...], out[1][...] = coeffs[0], 0.0
+        return out
+    p_out, dp_out = (None, None) if out is None else out
+    if dp_out is None:
+        dp = coeffs[n]
+    else:
+        dp = dp_out
+        dp[...] = coeffs[n]
+    p = np.multiply(coeffs[n], x, out=p_out)
+    if present[n - 1]:
+        p += coeffs[n - 1]
+    for k in range(n - 2, -1, -1):
+        dp = np.multiply(dp, x, out=dp_out)
+        dp += p
+        p *= x
+        if present[k]:
+            p += coeffs[k]
     return p, dp
 
 

@@ -1,5 +1,7 @@
 """Implicit-step root solves against an independent bisection/Brent oracle."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy import optimize
@@ -7,7 +9,14 @@ from scipy import optimize
 from levyem.errors import ConfigurationError, StepFailureError
 from levyem.implicit import (
     _ABS_TOL,
+    _FLOAT_MAX,
+    _JAC_FLOOR,
+    _MAX_BISECTIONS,
+    _MAX_DAMPINGS,
+    _MAX_NEWTON_ITERS,
     StepDiagnostics,
+    _check_dt,
+    _fail_where,
     _residual_floor,
     bracket_halfwidth,
     residual_function,
@@ -276,3 +285,182 @@ def test_explicit_part_near_float_max_is_solved(c):
     assert diag.worst_residual == pytest.approx(1.9958403e292, rel=1e-6)
     with np.errstate(over="ignore", invalid="ignore"):
         _assert_root_within_tolerance(problem, 0.5, c, 0.01, y)
+
+
+@pytest.mark.parametrize("name", ["paper-5.3", "paper-5.4", "paper-5.1a"])
+@pytest.mark.parametrize("per_element", [False, True], ids=["scalar", "per-element"])
+def test_infinite_dt_is_rejected(name, per_element):
+    # a dissipative drift has no solvability limit, so only the finiteness
+    # check stands between dt = inf and the solve
+    problem = builtin_problem(name)
+    c = np.array([1.0, 2.0])
+    dt = np.array([0.01, np.inf]) if per_element else np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigurationError, match=rf"dt\[{1 if per_element else 0}\]"):
+            solve_implicit_steps(problem, 0.5, c, dt)
+
+
+# ---------------------------------------------------------------------------
+# The masked Newton solver as it was before its passes wrote into per-call
+# buffers and before the residual test bounded the floor over the batch,
+# kept as the reference the solver must equal bit for bit.
+
+def _reference_horner(coeffs, present, x):
+    n = len(coeffs) - 1
+    p, dp = coeffs[n], 0.0
+    for k in range(n - 1, -1, -1):
+        dp = p if k == n - 1 else dp * x + p
+        p = p * x + coeffs[k] if present[k] else p * x
+    return p, dp
+
+
+def _reference_residual_function(problem, t, dt):
+    poly = problem.drift_polynomial
+    g = np.multiply.outer(poly.coefficients(t), -np.asarray(dt, dtype=float))  # -dt * a_k(t)
+    present = list(poly.present)
+    if poly.degree < 2:  # pad, so that r' comes out as an array like r
+        g = np.concatenate([g, np.zeros((2 - poly.degree,) + g.shape[1:])])
+        present += [False] * (2 - poly.degree)
+    g[1] += 1.0
+    present[1] = True
+
+    def residual(y, c, at=None):
+        v, dv = _reference_horner(g if at is None else g[:, at], present, y)
+        return v - c, dv
+
+    return residual
+
+
+def _reference_accepted(y, r, abs_c, jac):
+    tol = np.maximum(_ABS_TOL, _residual_floor(y, abs_c, jac))
+    return (np.abs(r) <= tol) & (tol < np.inf)
+
+
+def _reference_bracketed_solve(residual, problem, t, c, dt, index):
+    half = bracket_halfwidth(problem, t, c, dt)
+    lo = np.maximum(c - half, -_FLOAT_MAX)
+    hi = np.minimum(c + half, _FLOAT_MAX)
+    r_lo, r_hi = residual(lo, c, index)[0], residual(hi, c, index)[0]
+    no_sign_change = (r_lo > 0.0) | (r_hi < 0.0)  # impossible when dt * L < 1
+    _fail_where(no_sign_change, "could not bracket the implicit step root", t, c, dt, index,
+                lo=lo, hi=hi)
+    for _ in range(_MAX_BISECTIONS):
+        live = np.flatnonzero(np.nextafter(lo, np.inf) < hi)
+        if live.size == 0:
+            break
+        a, b, ra = lo[live], hi[live], r_lo[live]
+        mid = np.sinh(0.5 * (np.arcsinh(a) + np.arcsinh(b)))
+        mid = np.where((a < mid) & (mid < b), mid, 0.5 * a + 0.5 * b)
+        r_mid = residual(mid, c[live], index[live])[0]
+        up = (r_mid < 0.0) | (np.isnan(r_mid) & ~np.isfinite(ra))
+        lo[live[up]], r_lo[live[up]] = mid[up], r_mid[up]
+        hi[live[~up]], r_hi[live[~up]] = mid[~up], r_mid[~up]
+    nearer_lo = np.nan_to_num(np.abs(r_lo), nan=np.inf) <= np.nan_to_num(np.abs(r_hi), nan=np.inf)
+    y = np.where(nearer_lo, lo, hi)
+    r, jac = residual(y, c, index)
+    _fail_where(~_reference_accepted(y, r, np.abs(c), jac),
+                "implicit step residual above tolerance after bisection",
+                t, c, dt, index, y=y, residual=r)
+    return y, r
+
+
+def _reference_damp(residual, y, r, jac, step, c, pending, diag):
+    lam = 1.0
+    for _ in range(_MAX_DAMPINGS):
+        diag.damping_halvings += pending.size
+        lam *= 0.5
+        cand = y[pending] - lam * step[pending]
+        rc, jc = residual(cand, c[pending], pending)
+        ok = np.abs(rc) < np.abs(r[pending])
+        hit = pending[ok]
+        y[hit], r[hit], jac[hit] = cand[ok], rc[ok], jc[ok]
+        pending = pending[~ok]
+        if pending.size == 0:
+            return pending
+    diag.damping_halvings += pending.size
+    return pending
+
+
+def _reference_solve(problem, t, c, dt, diagnostics=None):
+    c = np.asarray(c, dtype=float)
+    dt = np.asarray(dt, dtype=float)
+    if dt.ndim == 0:
+        dt = np.full(c.shape, dt)
+    _check_dt(problem, dt, c)
+    diag = StepDiagnostics(solves=c.size)
+    y = c.copy()
+    if not dt.any():  # also an empty batch
+        if diagnostics is not None:
+            diagnostics.merge(diag)
+        return y
+    residual = _reference_residual_function(problem, t, dt)
+    abs_c = np.abs(c)
+    r, jac = residual(y, c)
+    accepted = _reference_accepted(y, r, abs_c, jac)
+    live = ~accepted
+    for _ in range(_MAX_NEWTON_ITERS):
+        n_live = int(np.count_nonzero(live))
+        if n_live == 0:
+            break
+        diag.newton_iterations += n_live
+        step = r / np.where(np.abs(jac) >= _JAC_FLOOR, jac, 1.0)  # the Newton step is -step
+        cand = y - step
+        rc, jc = residual(cand, c)
+        ok = live & (np.abs(rc) < np.abs(r))  # a NaN or infinite residual never improves
+        np.copyto(y, cand, where=ok)
+        np.copyto(r, rc, where=ok)
+        np.copyto(jac, jc, where=ok)
+        pending = np.nonzero(live ^ ok)[0]
+        if pending.size:
+            live[_reference_damp(residual, y, r, jac, step, c, pending, diag)] = False
+        accepted = _reference_accepted(y, r, abs_c, jac)
+        live &= ~accepted
+    stragglers = np.flatnonzero(~accepted)
+    if stragglers.size:
+        y[stragglers], r[stragglers] = _reference_bracketed_solve(
+            residual, problem, t, c[stragglers], dt[stragglers], stragglers
+        )
+        diag.bracketed_elements = stragglers.size
+    diag.worst_residual = float(np.abs(r).max())
+    if diagnostics is not None:
+        diagnostics.merge(diag)
+    return y
+
+
+def _oracle_batches(problem, scale, rng):
+    """Each kind of batch as ``(t, c, dt)``, with the dt that puts it to work."""
+    t = 0.5 * problem.horizon
+    c = rng.normal(0.0, scale, 512)
+    batches = {
+        "plain": (t, c, 2.0 ** -6),
+        "one-huge": (t, np.concatenate([c, [1e8]]), 2.0 ** -6),  # takes the per-element floor
+        "bracketed": (t, np.concatenate([c, [1e30, -1e60, 1e100]]), 2.0 ** -6),
+        # at t = 0 the window term of the quintic drifts makes full Newton steps
+        # fail for c in about [-0.7, -0.3] near the solvability limit
+        "damped": (0.0, np.concatenate([c, np.linspace(-0.7, -0.3, 24)]),
+                   min(1.0, 0.9 * solvability_limit(problem))),
+    }
+    if solvability_limit(problem) == np.inf:
+        # roots near 0 at a long step of a drift with f(t, 0) != 0: |c| ~ 32 f(t, 0)
+        # is what lifts the floor above the absolute tolerance
+        f0 = float(problem.drift(t, np.zeros(1))[0])
+        batches["floor-set-by-c"] = (t, c - 32.0 * f0, 32.0)
+    return batches
+
+
+@pytest.mark.parametrize("scale", [1.0, 5.0], ids=["N(0,1)", "N(0,25)"])
+@pytest.mark.parametrize("per_element", [False, True], ids=["scalar-dt", "three-level-dt"])
+@pytest.mark.parametrize("name", builtin_problem_names())
+def test_solver_equals_the_masked_reference(name, per_element, scale):
+    problem = builtin_problem(name)
+    rng = np.random.default_rng(19)
+    for kind, (t, c, dt) in _oracle_batches(problem, scale, rng).items():
+        if per_element:  # cycle over three step sizes, the batch's own the largest
+            dt = np.array([2.0 ** -10, 2.0 ** -8, dt])[np.arange(c.size) % 3]
+        ours, reference = StepDiagnostics(), StepDiagnostics()
+        with np.errstate(over="ignore", invalid="ignore"):
+            y = solve_implicit_steps(problem, t, c, dt, diagnostics=ours)
+            y_ref = _reference_solve(problem, t, c, dt, diagnostics=reference)
+        assert y.tobytes() == y_ref.tobytes(), kind
+        assert ours == reference, kind

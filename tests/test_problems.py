@@ -1,6 +1,7 @@
 """Expression-grammar parsing and the built-in problem table."""
 
 import copy
+import itertools
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from levyem.problems import (
     BUILTIN_PROBLEMS,
     builtin_problem,
     builtin_problem_names,
+    horner,
     problem_from_config,
     signed_power,
 )
@@ -103,6 +105,24 @@ def test_compiled_polynomial_matches_term_sum(name):
                 view(t, x_), _term_sum(terms, t, x_, derivative), rtol=1e-13, atol=0.0,
                 err_msg=f"{name} at t={t}",
             )
+
+
+@pytest.mark.parametrize("degree", range(6))
+@pytest.mark.parametrize("per_element", [False, True], ids=["scalar-rows", "per-element-rows"])
+def test_horner_into_arrays_equals_the_allocating_form(degree, per_element):
+    # every present pattern the grammar can produce: the leading power always
+    # has a term, except in a polynomial without any (degree 0, all absent)
+    rng = np.random.default_rng(degree)
+    x = rng.normal(0.0, 2.0, 64)
+    coeffs = rng.normal(0.0, 3.0, (degree + 1, 64) if per_element else degree + 1)
+    patterns = [rest + (True,) for rest in itertools.product([False, True], repeat=degree)]
+    for present in patterns + ([(False,)] if degree == 0 else []):
+        p, dp = horner(coeffs, present, x)
+        out = (np.full(x.shape, np.nan), np.full(x.shape, np.nan))
+        got = horner(coeffs, present, x, out)
+        assert got[0] is out[0] and got[1] is out[1]
+        assert np.broadcast_to(p, x.shape).tobytes() == out[0].tobytes(), present
+        assert np.broadcast_to(dp, x.shape).tobytes() == out[1].tobytes(), present
 
 
 def test_config_round_trip():

@@ -27,6 +27,11 @@ the same arithmetic print the same hashes:
   of 0.01 on 257 paths;
 * ``solve-<problem>``: one implicit solve of 4096 explicit parts per built-in
   problem, with a few huge ones that reach the bracketed stage;
+* ``solve-<problem>-dt-array``: two solves of 4096 explicit parts per
+  built-in problem with per-element dts cycling over 2^-10, 2^-6 and
+  min(1/4, half the solvability limit): a moderate batch (N(0, 1)), whose
+  residual test takes the batch bound, and the same batch with three huge
+  parts, which makes it compute the floor per element;
 * ``law-53``: the invariant-law report of paper-5.3 at dt = 0.01, 1000 paths
   at t = 0.5, 1 and 2 against the analytic stable reference (1e6 draws);
 * ``law-54``: the invariant-law report of paper-5.4 at dt = 0.01, 600 paths
@@ -82,6 +87,7 @@ from levyem import (
     ou_stationary_scale,
     run_declared_probes,
     simulate_ensemble,
+    solvability_limit,
     solve_implicit_steps,
     strong_error_run,
 )
@@ -147,6 +153,24 @@ def _solve(name):
     return {"roots": y, "diagnostics": _diag(diag)}
 
 
+def _solve_dt_array(name):
+    problem = builtin_problem(name)
+    rng = np.random.default_rng(SEED)
+    dts = np.array([2.0 ** -10, 2.0 ** -6, min(0.25, 0.5 * solvability_limit(problem))])
+    dt = dts[np.arange(4096) % 3]
+    moderate = rng.normal(0.0, 1.0, 4096)
+    huge = moderate.copy()
+    huge[[7, 2000, 4095]] = (1e30, -1e60, 1e100)
+    t = 0.5 * problem.horizon
+    out = {}
+    for label, c in (("moderate", moderate), ("huge", huge)):
+        diag = StepDiagnostics()
+        with np.errstate(over="ignore", invalid="ignore"):
+            out[f"{label}/roots"] = solve_implicit_steps(problem, t, c, dt, diagnostics=diag)
+        out[f"{label}/diagnostics"] = _diag(diag)
+    return out
+
+
 def _law(name, checkpoints, n_paths, reference):
     run = run_invariant_measure(
         builtin_problem(name), 0.01, checkpoints, n_paths, SEED, reference=reference
@@ -210,6 +234,7 @@ def run_protocols() -> dict[str, np.ndarray]:
     }
     for name in builtin_problem_names():
         protocols[f"solve-{name}"] = lambda name=name: _solve(name)
+        protocols[f"solve-{name}-dt-array"] = lambda name=name: _solve_dt_array(name)
     analytic = {"kind": "analytic-stable", "alpha": 1.5, "scale": ou_stationary_scale(1.5)}
     protocols["law-53"] = lambda: _law("paper-5.3", [0.5, 1.0, 2.0], 1000, analytic)
     protocols["law-54"] = lambda: _law("paper-5.4", [1.0, 2.0, 5.0], 600, {"kind": "final-snapshot"})
