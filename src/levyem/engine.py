@@ -29,6 +29,16 @@ two starts run as one batch on the same tape rows), and ``_strong_kernel``
 advances the fine-grid reference and every coarse level in lockstep over
 the fine nodes: the levels whose steps end at the same time share one
 solve call with one dt per element, which is one call per fine node.
+Which levels step at a node repeats with the lcm of the ratios, so the
+schedule is laid out once per run.  Every kernel prepares the implicit
+step of each batch layout once per chunk (:class:`~levyem.implicit.PreparedStep`:
+the step sizes checked and laid out, the Newton work arrays kept) and
+passes it to ``solve_implicit_steps`` as ``dt``; the strong kernel writes
+each level's explicit part straight into its call's array.
+
+Every run's step sizes are checked against the solvability limit of the
+implicit step before any noise is drawn or any worker forks, so an
+unsolvable dt fails at once and the error names its value.
 
 Every path owns an independent counter-based RNG stream keyed by
 (master_seed, path_index, stream), so results do not depend on how paths are
@@ -57,7 +67,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, StepFailureError
-from .implicit import StepDiagnostics, solve_implicit_steps
+from .implicit import PreparedStep, StepDiagnostics, solvability_limit, solve_implicit_steps
 from .model import SdeProblem
 from .noise import (  # make_rng is unused here: bench/tracing.py times it under this name
     BROWNIAN_STREAM,
@@ -128,6 +138,17 @@ def _grid_ratio(dt: float, base_dt: float, n_base: int) -> int:
     if n_base % ratio:
         raise ConfigurationError(f"cannot aggregate {n_base} steps into blocks of {ratio}")
     return ratio
+
+
+def _check_solvable(problem: SdeProblem, name: str, values) -> None:
+    """Reject a step size without a guaranteed implicit step, before any noise is drawn."""
+    bound = max(problem.monotone_bound, 0.0)
+    for value in values:
+        if value * bound >= 1.0:
+            raise ConfigurationError(
+                f"{name} value {value} violates the solvability condition "
+                f"dt * {problem.monotone_bound} < 1; use dt < {solvability_limit(problem):g}"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -225,10 +246,12 @@ def _evolve(problem: SdeProblem, dt: float, y0, tapes, diag, on_step=None):
     """March a batch of scalar paths over the tape blocks ``tapes``, calling on_step(i, y) per node.
 
     ``y0`` is (rows,), or (starts, rows) for starts driven by the same tape
-    rows; one implicit solve covers the batch.  A StepFailureError gains the
-    step number, and for starts also the start, in its diagnostics.
+    rows; one implicit solve covers the batch, and its step is prepared
+    once.  A StepFailureError gains the step number, and for starts also the
+    start, in its diagnostics.
     """
     y = np.array(y0, dtype=float, copy=True)
+    step = PreparedStep(problem, dt, y.ravel())
     if on_step is not None:
         on_step(0, y)
     i = 0
@@ -240,7 +263,7 @@ def _evolve(problem: SdeProblem, dt: float, y0, tapes, diag, on_step=None):
             if tape.levy is not None:
                 c = c + tape.levy[:, col]
             try:
-                y = solve_implicit_steps(problem, (i + 1) * dt, c.ravel(), dt, diagnostics=diag)
+                y = solve_implicit_steps(problem, (i + 1) * dt, c.ravel(), step, diagnostics=diag)
             except StepFailureError as exc:
                 exc.diagnostics["step"] = i + 1
                 if c.ndim == 2:
@@ -306,45 +329,56 @@ def _strong_kernel(problem, fine_dt, tapes, n_paths, n_fine, diag, dts, ratios):
     The fine-grid reference and every coarse level advance in lockstep over
     the fine nodes: a level steps at node i when its ratio divides i, and
     the levels that step at one node and whose step ends at the same float
-    time share one solve call, with one dt per element.  Each level keeps
-    its own t, dt, diffusion time and block-summed increments, so each
-    element does the arithmetic of its level run alone.  A block's length is
-    a multiple of every ratio, so no coarse step straddles two blocks.  A
-    StepFailureError gains the path's row, and its level's dt and own step.
+    time share one solve call, with one dt per element.  Which levels step
+    repeats with the lcm of the ratios, so it is laid out once per run; each
+    group of levels that shares a call has one prepared step and one array
+    of explicit parts, written in place.  Each level keeps its own t, dt,
+    diffusion time and block-summed increments, so each element does the
+    arithmetic of its level run alone.  A block's length is a multiple of
+    every ratio, so no coarse step straddles two blocks.  A StepFailureError
+    gains the path's row, and its level's dt and own step.
     """
     level_dts = [fine_dt] + list(dts)
     level_ratios = [1] + list(ratios)
+    period = math.lcm(*level_ratios)
+    stepping = [  # the levels that step at node i, at index (i - 1) % period
+        [j for j, ratio in enumerate(level_ratios) if i % ratio == 0] for i in range(1, period + 1)
+    ]
     y = np.full((len(level_dts), n_paths), float(problem.x0))
-    call_dt = {}  # the levels of a call -> its per-element dt
+    calls = {}  # the levels of a call -> its prepared step and its explicit parts
     start = 0
     for tape in tapes:
         blocks = [tape] + [tape.coarsen(d) for d in dts]
         for i in range(start + 1, start + tape.n_steps + 1):
-            calls = {}  # step-end time -> [(level, its step number)]
-            for j, ratio in enumerate(level_ratios):
-                if i % ratio == 0:
-                    calls.setdefault(i // ratio * level_dts[j], []).append((j, i // ratio))
-            for t, members in calls.items():
-                parts = []
-                for j, k in members:
-                    block, level_dt = blocks[j], level_dts[j]
+            groups = {}  # step-end time -> the levels that step to it
+            for j in stepping[(i - 1) % period]:
+                groups.setdefault(i // level_ratios[j] * level_dts[j], []).append(j)
+            for t, levels in groups.items():
+                levels = tuple(levels)
+                if levels not in calls:
+                    c = np.empty(len(levels) * n_paths)
+                    dt = np.repeat([level_dts[j] for j in levels], n_paths)
+                    calls[levels] = PreparedStep(problem, dt, c), c
+                step, c = calls[levels]
+                for m, j in enumerate(levels):
+                    block, k = blocks[j], i // level_ratios[j]  # the level's step k ends here
                     col = (i - start) // level_ratios[j] - 1  # step k's column in the block
-                    c = y[j]
+                    part = c[m * n_paths:(m + 1) * n_paths]
                     if block.brownian is not None:
-                        c = c + problem.diffusion((k - 1) * level_dt, y[j]) * block.brownian[:, col]
+                        noise = problem.diffusion((k - 1) * level_dts[j], y[j]) * block.brownian[:, col]
+                        np.add(y[j], noise, out=part)
+                    else:
+                        part[...] = y[j]
                     if block.levy is not None:
-                        c = c + block.levy[:, col]
-                    parts.append(c)
-                levels = tuple(j for j, _ in members)
-                if levels not in call_dt:
-                    call_dt[levels] = np.repeat([level_dts[j] for j in levels], n_paths)
-                c = np.concatenate(parts)
+                        part += block.levy[:, col]
                 try:
-                    out = solve_implicit_steps(problem, t, c, call_dt[levels], diagnostics=diag)
+                    out = solve_implicit_steps(problem, t, c, step, diagnostics=diag)
                 except StepFailureError as exc:
                     m, row = divmod(exc.diagnostics["index"], n_paths)
-                    j, k = members[m]
-                    exc.diagnostics.update(index=row, step=k, dt=float(level_dts[j]))
+                    j = levels[m]
+                    exc.diagnostics.update(
+                        index=row, step=i // level_ratios[j], dt=float(level_dts[j])
+                    )
                     raise
                 for m, j in enumerate(levels):
                     y[j] = out[m * n_paths:(m + 1) * n_paths]
@@ -467,6 +501,7 @@ def simulate_ensemble(
 ) -> EnsembleResult:
     """Evolve an ensemble at one step size; record terminals and checkpoints."""
     n_steps = steps_for_horizon(problem.horizon, dt)
+    _check_solvable(problem, "dt", [dt])
     steps = {float(t): checkpoint_step(t, dt, n_steps) for t in checkpoints}
     if len(set(steps.values())) < len(checkpoints):
         raise ConfigurationError(
@@ -486,6 +521,7 @@ def simulate_ensemble(
 
 
 def _moment_curve(problem, starts, dt, n_steps, n_paths, master_seed, workers, budget_bytes):
+    _check_solvable(problem, "dt", [dt])
     outs, _ = _run_chunks(
         problem, _moment_kernel, (starts,), n_paths, dt, n_steps, master_seed, workers, budget_bytes
     )
@@ -550,6 +586,7 @@ def strong_error_run(
         raise ConfigurationError("need at least one coarse dt")
     n_fine = steps_for_horizon(problem.horizon, reference_dt)
     ratios = [_grid_ratio(d, reference_dt, n_fine) for d in dts]
+    _check_solvable(problem, "dts", dts)  # the reference's dt is no larger
     period = math.lcm(*ratios)  # blocks hold whole steps of every level
     block_steps = period * -(-_TAPE_BLOCK_STEPS // period)
     outs, diag = _run_chunks(

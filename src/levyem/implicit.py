@@ -13,13 +13,17 @@ root exists, is unique, and satisfies the a-priori bound
 
 ``dt`` is a scalar, or a 1-d array with one step size per element of the
 batch, so levels of a coupled run that step at the same time share one
-solve.  The solver spreads a scalar over the batch and works on per-element
-step sizes only; each element's arithmetic is the same whatever the other
-elements' dt.  The residual and its derivative come from one factory,
-``residual_function(problem, t, dt)``: ``y - dt * f(t, y)`` is a polynomial
-in y whose coefficients (one set per element) are computed once per solve
-from ``problem.drift_polynomial``, and r and r' are evaluated together by
-Horner's rule.
+solve.  What depends only on the step sizes is prepared once, as a
+:class:`PreparedStep`: ``dt`` spread over the batch and checked, its
+negation, the padded Horner layout of the residual and the work arrays of
+the Newton passes.  The engine prepares each batch layout once per chunk
+and passes the prepared step as ``dt``; a scalar or a plain array is
+prepared on entry, so every call runs the same body, and each element's
+arithmetic is the same whatever the other elements' dt.  The residual and
+its derivative come from one factory, ``residual_function(problem, t,
+dt)``: ``y - dt * f(t, y)`` is a polynomial in y whose coefficients (one set
+per element) are computed once per solve from ``problem.drift_polynomial``,
+and r and r' are evaluated together by Horner's rule.
 
 Damped Newton runs from ``Y = c`` over the whole batch with a mask of live
 (not yet accepted) elements: each pass takes the full Newton step at full
@@ -32,15 +36,16 @@ element, so merged diagnostics do not depend on how paths are batched.  A
 failure's diagnostics name the element's batch index, its ``t`` and its own
 ``dt`` as a float.
 
-Each pass writes into arrays allocated once per call: the residual and
+Each pass writes into the prepared step's work arrays: the residual and
 Jacobian at the iterate and at the candidate, the step, the ``|.|`` arrays
 and the masks (Horner updates its outputs in place, with the same
-roundings).  The residual test bounds every element's floor by one scalar
-from the batch maxima of |y|, |c| and |r'|; when that is within the absolute
-tolerance, as it is for ordinary states, the test is ``|r| <= 1e-12`` alone,
-and only otherwise is the floor computed per element.  The ``|r'|`` of the
-test guards the next Newton step's division.  Every root and every counter
-is what the per-element arithmetic gives.
+roundings), and reduces them with the ufuncs' own ``reduce``.  The residual
+test bounds every element's floor by one scalar from the batch maxima of
+|y|, |c| and |r'|; when that is within the absolute tolerance, as it is for
+ordinary states, the test is ``|r| <= 1e-12`` alone, and only otherwise is
+the floor computed per element.  The ``|r'|`` of the test guards the next
+Newton step's division.  Every root and every counter is what the
+per-element arithmetic gives.
 """
 
 from __future__ import annotations
@@ -53,8 +58,14 @@ from .errors import ConfigurationError, StepFailureError
 from .model import SdeProblem
 from .problems import horner
 
+try:  # the C function; np.count_nonzero wraps it in Python
+    from numpy._core.multiarray import count_nonzero as _count_nonzero
+except ImportError:  # numpy < 2
+    from numpy.core.multiarray import count_nonzero as _count_nonzero
+
 __all__ = [
     "StepDiagnostics",
+    "PreparedStep",
     "residual_function",
     "solvability_limit",
     "bracket_halfwidth",
@@ -71,6 +82,7 @@ _FLOAT_MAX = np.finfo(float).max
 # a power of two, so scaling by it is exact; a Python float, so that the batch
 # bound's inf * 0 is a NaN without a numpy warning
 _FLOOR_SCALE = float(_RES_SAFETY * np.finfo(float).eps)
+_max, _min = np.maximum.reduce, np.minimum.reduce
 
 
 def _residual_floor(y, abs_c, jac):
@@ -102,7 +114,7 @@ def _accepted(y, r, jac, abs_c, c_max, abs_y=None, abs_jac=None, abs_r=None, out
     abs_y = np.abs(y, out=abs_y)
     abs_jac = np.abs(jac, out=abs_jac)
     abs_r = np.abs(r, out=abs_r)
-    y_max, jac_max = float(abs_y.max()), float(abs_jac.max())
+    y_max, jac_max = float(_max(abs_y)), float(_max(abs_jac))
     if _FLOOR_SCALE * (1.0 + y_max + c_max) + (_FLOOR_SCALE * jac_max) * y_max <= _ABS_TOL:
         return np.less_equal(abs_r, _ABS_TOL, out=out)
     tol = np.maximum(_ABS_TOL, _residual_floor(abs_y, abs_c, abs_jac))
@@ -144,13 +156,21 @@ def residual_function(problem: SdeProblem, t: float, dt):
     ``y``, receives r and r' (see :func:`~levyem.problems.horner`).
     """
     poly = problem.drift_polynomial
-    g = np.multiply.outer(poly.coefficients(t), -np.asarray(dt, dtype=float))  # -dt * a_k(t)
-    present = list(poly.present)
-    if poly.degree < 2:  # pad, so that r' comes out as an array like r
-        g = np.concatenate([g, np.zeros((2 - poly.degree,) + g.shape[1:])])
-        present += [False] * (2 - poly.degree)
-    g[1] += 1.0
+    return _residual(poly, _horner_layout(poly), t, -np.asarray(dt, dtype=float))
+
+
+def _horner_layout(poly) -> tuple:
+    """``present`` of the residual's coefficients, padded to degree 2 so that r' is an array."""
+    present = list(poly.present) + [False] * (2 - poly.degree)
     present[1] = True
+    return tuple(present)
+
+
+def _residual(poly, present, t, neg_dt):
+    g = np.multiply.outer(poly.coefficients(t), neg_dt)  # -dt * a_k(t)
+    if poly.degree < 2:  # pad to the layout, so that r' comes out as an array like r
+        g = np.concatenate([g, np.zeros((2 - poly.degree,) + g.shape[1:])])
+    g[1] += 1.0
 
     def residual(y, c, at=None, out=None):
         v, dv = horner(g if at is None else g[:, at], present, y, out)
@@ -188,6 +208,43 @@ def _check_dt(problem: SdeProblem, dt: np.ndarray, c: np.ndarray) -> None:
         f"dt[{k}]={value} violates the solvability condition dt * {problem.monotone_bound} < 1; "
         f"use dt < {solvability_limit(problem):g}"
     )
+
+
+class PreparedStep(np.ndarray):
+    """Step sizes prepared once for the solves of one batch layout.
+
+    ``PreparedStep(problem, dt, c)`` spreads ``dt`` (a scalar, or one step
+    size per element of batches shaped like ``c``; only the shape of ``c``
+    is read) over the batch and checks it, and keeps what every solve at
+    these step sizes reuses: the per-element step sizes and their
+    negations, the padded Horner layout of the residual, and the work
+    arrays of the Newton passes.  The array itself is a read-only copy of
+    ``dt``, so ``np.asarray`` of a prepared step gives its step sizes.
+    Pass it to :func:`solve_implicit_steps` as ``dt``; each solve overwrites
+    its work arrays, so it serves one call at a time.
+    """
+
+    problem = None  # arrays computed from a prepared step are not prepared
+
+    def __new__(cls, problem: SdeProblem, dt, c):
+        dt = np.array(dt, dtype=float)
+        per_element = np.full(c.shape, dt) if dt.ndim == 0 else dt
+        _check_dt(problem, per_element, c)
+        for a in (dt, per_element):
+            a.flags.writeable = False
+        self = dt.view(cls)
+        self.problem = problem
+        self.per_element = per_element
+        self.neg_dt = -per_element
+        self.moves = bool(per_element.any())  # False also for an empty batch
+        self.present = _horner_layout(problem.drift_polynomial)
+        n = per_element.size
+        # one array each: one block for all of them passes the C allocator's
+        # mmap threshold on wide batches, and freeing it raises the threshold
+        # for trimming the heap, so the process keeps more memory
+        self.work = tuple(np.empty(n) for _ in range(11))
+        self.masks = tuple(np.empty(n, dtype=bool) for _ in range(3))
+        return self
 
 
 def bracket_halfwidth(problem: SdeProblem, t: float, c, dt):
@@ -239,17 +296,18 @@ def _bracketed_solve(residual, problem, t, c, dt, index):
     return y, r
 
 
-def _damp(residual, y, r, jac, step, c, pending, diag):
+def _damp(residual, y, r, jac, step, c, pending):
     """Halve the Newton step of the ``pending`` elements until their residual decreases.
 
     The full step ``y - step`` has failed them already.  Each halving retries
     the elements still pending at ``y - lam * step``, lam = 1/2, 1/4, ...,
     and writes the ones that improve into ``y``, ``r`` and ``jac``.  Returns
-    the elements no halving improved: Newton has stagnated there.
+    the elements no halving improved (Newton has stagnated there) and the
+    number of halvings, counted per element.
     """
-    lam = 1.0
+    lam, halvings = 1.0, 0
     for _ in range(_MAX_DAMPINGS):
-        diag.damping_halvings += pending.size
+        halvings += pending.size
         lam *= 0.5
         cand = y[pending] - lam * step[pending]
         rc, jc = residual(cand, c[pending], pending)
@@ -258,9 +316,8 @@ def _damp(residual, y, r, jac, step, c, pending, diag):
         y[hit], r[hit], jac[hit] = cand[ok], rc[ok], jc[ok]
         pending = pending[~ok]
         if pending.size == 0:
-            return pending
-    diag.damping_halvings += pending.size
-    return pending
+            return pending, halvings
+    return pending, halvings + pending.size
 
 
 def _fail_where(bad, message, t, c, dt, index, **values):
@@ -286,52 +343,46 @@ def solve_implicit_steps(
     """Solve Y = c + dt*f(t, Y) for a batch of scalar explicit parts ``c``.
 
     ``c`` is a 1-d array with one entry per path; the solve is vectorised
-    across the batch.  ``dt`` is a scalar, or a 1-d array shaped like ``c``
-    with each element's own step size.  Returns the array of roots.  Raises
-    StepFailureError for a non-finite ``c`` and for any element whose
+    across the batch.  ``dt`` is a scalar, a 1-d array shaped like ``c``
+    with each element's own step size, or a :class:`PreparedStep` of
+    ``problem`` for batches shaped like ``c``.  Returns the array of roots.
+    Raises StepFailureError for a non-finite ``c`` and for any element whose
     residual cannot be brought within tolerance; a NaN residual or an
     overflowed floor never counts as converged.
     """
     c = np.asarray(c, dtype=float)
     if c.ndim != 1:
         raise ConfigurationError(f"batch explicit part must be 1-d, got shape {c.shape}")
-    dt = np.asarray(dt, dtype=float)
-    if dt.ndim == 0:
-        dt = np.full(c.shape, dt)
-    _check_dt(problem, dt, c)
-    abs_c = np.abs(c)
-    c_max = float(abs_c.max(initial=0.0))
+    if not (isinstance(dt, PreparedStep) and dt.problem is problem
+            and dt.per_element.shape == c.shape):
+        dt = PreparedStep(problem, dt, c)
+    abs_c, r, jac, step, cand, rc, jc, abs_y, abs_jac, abs_r, abs_rc = dt.work
+    accepted, live, ok = dt.masks
+    c_max = float(_max(np.abs(c, out=abs_c), initial=0.0))
     if not c_max < np.inf:  # NaN fails too
         bad = int(np.flatnonzero(~np.isfinite(c))[0])
         raise StepFailureError(
             f"non-finite explicit part c[{bad}] = {c[bad]} at t={t}",
-            diagnostics={"t": t, "index": bad, "c": float(c[bad]), "dt": float(dt[bad])},
+            diagnostics={"t": t, "index": bad, "c": float(c[bad]),
+                         "dt": float(dt.per_element[bad])},
         )
-    diag = StepDiagnostics(solves=c.size)
     y = c.copy()
-    if not dt.any():  # also an empty batch
+    if not dt.moves:  # also an empty batch
         if diagnostics is not None:
-            diagnostics.merge(diag)
+            diagnostics.solves += c.size
         return y
-    residual = residual_function(problem, t, dt)
-    n = c.size
-    # every pass writes into these: the residual and Jacobian at y, the
-    # candidate y - step with its own, and the |.| arrays of the residual test
-    # (one array each: one block for all of them passes the C allocator's
-    # mmap threshold on wide batches, and freeing it raises the threshold for
-    # trimming the heap, so the process keeps more memory)
-    r, jac, step, cand, rc, jc, abs_y, abs_jac, abs_r, abs_rc = (np.empty(n) for _ in range(10))
-    accepted, live, ok = (np.empty(n, dtype=bool) for _ in range(3))
-    test = dict(abs_y=abs_y, abs_jac=abs_jac, abs_r=abs_r, out=accepted)
+    residual = _residual(problem.drift_polynomial, dt.present, t, dt.neg_dt)
+    test = (abs_c, c_max, abs_y, abs_jac, abs_r, accepted)
     residual(y, c, out=(r, jac))
-    _accepted(y, r, jac, abs_c, c_max, **test)
+    _accepted(y, r, jac, *test)
     np.logical_not(accepted, out=live)
+    newton = halvings = 0
     for _ in range(_MAX_NEWTON_ITERS):
-        n_live = int(np.count_nonzero(live))
+        n_live = int(_count_nonzero(live))
         if n_live == 0:
             break
-        diag.newton_iterations += n_live
-        if abs_jac.min() >= _JAC_FLOOR:  # NaN fails this
+        newton += n_live
+        if _min(abs_jac) >= _JAC_FLOOR:  # NaN fails this
             np.divide(r, jac, out=step)  # the Newton step is -step
         else:
             np.divide(r, np.where(abs_jac >= _JAC_FLOOR, jac, 1.0), out=step)
@@ -339,21 +390,27 @@ def solve_implicit_steps(
         residual(cand, c, out=(rc, jc))
         np.less(np.abs(rc, out=abs_rc), abs_r, out=ok)  # a NaN or infinite residual never improves
         ok &= live
-        np.copyto(y, cand, where=ok)
-        np.copyto(r, rc, where=ok)
-        np.copyto(jac, jc, where=ok)
-        if np.count_nonzero(ok) < n_live:
-            pending = np.flatnonzero(live ^ ok)
-            live[_damp(residual, y, r, jac, step, c, pending, diag)] = False
-        _accepted(y, r, jac, abs_c, c_max, **test)
-        live &= ~accepted
-    stragglers = np.flatnonzero(~accepted)
+        np.putmask(y, ok, cand)
+        np.putmask(r, ok, rc)
+        np.putmask(jac, ok, jc)
+        if _count_nonzero(ok) < n_live:
+            pending = np.logical_xor(live, ok, out=ok).nonzero()[0]
+            stalled, more = _damp(residual, y, r, jac, step, c, pending)
+            halvings += more
+            live[stalled] = False
+        _accepted(y, r, jac, *test)
+        np.greater(live, accepted, out=live)  # live and not accepted
+    stragglers = np.logical_not(accepted, out=ok).nonzero()[0]
     if stragglers.size:
         y[stragglers], r[stragglers] = _bracketed_solve(
-            residual, problem, t, c[stragglers], dt[stragglers], stragglers
+            residual, problem, t, c[stragglers], dt.per_element[stragglers], stragglers
         )
-        diag.bracketed_elements = stragglers.size
-    diag.worst_residual = float(np.abs(r).max())
+        np.abs(r, out=abs_r)
     if diagnostics is not None:
-        diagnostics.merge(diag)
+        diagnostics.solves += c.size
+        diagnostics.newton_iterations += newton
+        diagnostics.damping_halvings += halvings
+        diagnostics.bracketed_elements += stragglers.size
+        # |r| of the last residual test, or of the bisection
+        diagnostics.worst_residual = max(diagnostics.worst_residual, float(_max(abs_r)))
     return y

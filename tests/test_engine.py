@@ -344,6 +344,33 @@ def test_merged_call_failure_names_the_coarse_level(workers, monkeypatch):
     assert where["t"] == t
 
 
+def _no_tape(*args, **kwargs):
+    raise AssertionError("a tape block was drawn before the step sizes were checked")
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize(
+    "run, match",
+    [
+        # the dt = 1 level steps first at the last fine node
+        (lambda w: strong_error_run(builtin_problem("paper-5.2"), [0.25, 0.5, 1.0], 2.0 ** -12,
+                                    4000, 1, workers=w), r"dts value 1\.0 violates"),
+        (lambda w: simulate_ensemble(builtin_problem("paper-5.1c"), 1.0, 8, 1, workers=w),
+         r"dt value 1\.0 violates"),
+        (lambda w: second_moment_curve(builtin_problem("paper-5.1a"), 1.5, 4, 8, 1, workers=w),
+         r"dt value 1\.5 violates"),
+        (lambda w: coupling_curve(builtin_problem("paper-5.1c"), (0.0, 1.0), 1.0, 4, 8, 1,
+                                  workers=w), r"dt value 1\.0 violates"),
+    ],
+    ids=["strong", "ensemble", "moment", "coupling"],
+)
+def test_unsolvable_dt_fails_before_any_tape_is_drawn(run, match, workers, monkeypatch):
+    # forked workers would inherit the trap, so a tape drawn anywhere fails the test
+    monkeypatch.setattr(engine, "_tape_blocks", _no_tape)
+    with pytest.raises(ConfigurationError, match=match):
+        run(workers)
+
+
 @pytest.mark.parametrize("n_steps", [1000, 1024])
 def test_run_within_one_block_uses_the_whole_horizon_tape(n_steps):
     # at most one block of steps: the run draws exactly make_tape's tape

@@ -14,6 +14,7 @@ from levyem.implicit import (
     _MAX_BISECTIONS,
     _MAX_DAMPINGS,
     _MAX_NEWTON_ITERS,
+    PreparedStep,
     StepDiagnostics,
     _check_dt,
     _fail_where,
@@ -299,6 +300,37 @@ def test_infinite_dt_is_rejected(name, per_element):
         warnings.simplefilter("error")
         with pytest.raises(ConfigurationError, match=rf"dt\[{1 if per_element else 0}\]"):
             solve_implicit_steps(problem, 0.5, c, dt)
+
+
+@pytest.mark.parametrize("per_element", [False, True], ids=["scalar-dt", "three-level-dt"])
+def test_a_reused_prepared_step_equals_fresh_solves(per_element):
+    # One prepared step serves a damped batch, a batch with bracketed
+    # elements, then ordinary batches; every call must give the roots and
+    # the counters of a solve that prepares its own step, whatever the
+    # previous call left in the work arrays and masks.
+    problem = builtin_problem("paper-5.1c")
+    rng = np.random.default_rng(20)
+    n = 515
+    dt = min(1.0, 0.9 * solvability_limit(problem))
+    if per_element:
+        dt = np.array([2.0 ** -10, 2.0 ** -8, dt])[np.arange(n) % 3]
+    largest = slice(2, None, 3) if per_element else slice(None)  # the elements at dt itself
+    damped = rng.normal(0.0, 1.0, n)
+    damped[largest][:24] = np.linspace(-0.7, -0.3, 24)
+    bracketed = rng.normal(0.0, 5.0, n)
+    bracketed[[2, 200, 512]] = (1e30, -1e60, 1e100)
+    calls = [(0.0, damped), (0.5, bracketed)] + [(t, rng.normal(0.0, 2.0, n)) for t in (0.25, 0.75)]
+    prepared = PreparedStep(problem, dt, np.empty(n))
+    for k, (t, c) in enumerate(calls):
+        reused, fresh = StepDiagnostics(), StepDiagnostics()
+        with np.errstate(over="ignore", invalid="ignore"):
+            y = solve_implicit_steps(problem, t, c, prepared, diagnostics=reused)
+            y_fresh = solve_implicit_steps(problem, t, c, dt, diagnostics=fresh)
+        assert y.tobytes() == y_fresh.tobytes(), k
+        assert reused == fresh, k
+        assert reused.damping_halvings > 0 or k > 0, k
+        assert reused.bracketed_elements == (3 if k == 1 else 0), k
+    np.testing.assert_array_equal(np.asarray(prepared), dt)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,9 @@ the same arithmetic print the same hashes:
   2^-5..2^-8 against a 2^-10 reference (the benchmark's workload);
 * ``strong-52``: paper-5.2 terminal strong errors, 64 paths, dts 2^-4..2^-6
   against 2^-8;
+* ``strong-51a-blocks``: paper-5.1a terminal strong errors, 64 paths, dts
+  2^-6..2^-8 against a 2^-11 reference, whose 2,048 fine steps are drawn in
+  two tape blocks, so every level's prepared step serves both;
 * ``ensemble-54``: paper-5.4 at dt = 0.01, 600 paths in three chunks,
   terminal values and the t = 1 and t = 5 checkpoints;
 * ``ensemble-54-pool``: the same run on ``workers=2``;
@@ -228,6 +231,8 @@ def run_protocols() -> dict[str, np.ndarray]:
         "strong-51a": lambda: _strong("paper-5.1a", [2.0 ** -k for k in (5, 6, 7, 8)], 2.0 ** -10,
                                       256),
         "strong-52": lambda: _strong("paper-5.2", [2.0 ** -k for k in (4, 5, 6)], 2.0 ** -8, 64),
+        "strong-51a-blocks": lambda: _strong("paper-5.1a", [2.0 ** -k for k in (6, 7, 8)],
+                                             2.0 ** -11, 64),
         "ensemble-54": _ensemble,
         "ensemble-54-pool": lambda: _ensemble(workers=2),
         "coupling-54": _coupling,
