@@ -126,7 +126,7 @@ def _cmd_run(args) -> int:
     except StepFailureError as exc:
         print(f"error: simulation failed: {exc}", file=sys.stderr)
         where = exc.diagnostics or {}
-        keys = ("path", "start", "step", "t", "dt")
+        keys = ("path", "step", "t", "dt", "lane")
         context = [f"{key}={where[key]}" for key in keys if key in where]
         if context:
             print(f"  at {' '.join(context)}", file=sys.stderr)

@@ -21,20 +21,25 @@ on the block length, and a run of at most one block draws exactly
 every level's ratio that holds at least 1,024 steps, so no coarse step
 straddles two blocks.
 
-One runner, ``_run_chunks``, runs each chunk of paths through a kernel,
-inline or on a fork process pool, and merges the solver diagnostics:
-``_ensemble_kernel`` records checkpoints and terminal values,
-``_moment_kernel`` sums q and q^2 per step (q = Y^2, or q = (Y - Y')^2 for
-two starts run as one batch on the same tape rows), and ``_strong_kernel``
-advances the fine-grid reference and every coarse level in lockstep over
-the fine nodes: the levels whose steps end at the same time share one
+One loop, ``_evolve``, advances every run over the fine nodes in lockstep,
+as lanes: a lane is a step size (an integer multiple of the tape's step)
+and a start, and every lane of a chunk rides that chunk's tape blocks.  An
+ensemble and a second-moment curve are one lane from x0; the two-start
+coupling is two lanes of the tape's step from its two starts; a strong run
+is the fine-grid reference lane plus one lane per coarse level.  At each
+fine node, the lanes whose steps end at the same float time share one
 solve call with one dt per element, which is one call per fine node.
-Which levels step at a node repeats with the lcm of the ratios, so the
-schedule is laid out once per run.  Every kernel prepares the implicit
-step of each batch layout once per chunk (:class:`~levyem.implicit.PreparedStep`:
-the step sizes checked and laid out, the Newton work arrays kept) and
-passes it to ``solve_implicit_steps`` as ``dt``; the strong kernel writes
-each level's explicit part straight into its call's array.
+Which lanes step at a node repeats with the lcm of their ratios, so the
+schedule is laid out once per chunk; each group of lanes that shares a
+call prepares its implicit step once per chunk
+(:class:`~levyem.implicit.PreparedStep`: the step sizes checked and laid
+out, the Newton work arrays kept), and the lanes write their explicit
+parts straight into its array.  A hook sees every lane's state after each
+node: the ensemble's records the checkpoints, the moment runs' sums q and
+q^2 per node (q = Y^2 for one lane, q = (Y - Y')^2 for the coupling's
+two).  A step failure names the path, the lane, and the lane's own step
+and dt.  One runner, ``_run_chunks``, evolves each chunk of paths, inline
+or on a fork process pool, and merges the solver diagnostics.
 
 Every run's step sizes are checked against the solvability limit of the
 implicit step before any noise is drawn or any worker forks, so an
@@ -51,12 +56,13 @@ most one.  Per-chunk results are merged in chunk order, which makes
 ensemble output byte-stable for any worker count.
 
 Pool workers are forked: they inherit the loaded package and the run's
-problem, kernel and arguments, and each task is one chunk's path range.
+problem, lanes and hook, and each task is one chunk's path range.
 Where the platform cannot fork, runs take one worker.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import multiprocessing
 import numbers
@@ -112,10 +118,18 @@ def check_workers(workers) -> None:
         )
 
 
+def _check_count(name: str, value, least: int) -> None:
+    """Reject a count that is not an integer >= ``least``; a bool is not a count."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ConfigurationError(f"{name} must be >= {least}, got {value}")
+
+
 def steps_for_horizon(horizon: float, dt: float) -> int:
     """N = floor(T / dt), robust to dt values that only almost divide T."""
-    if dt <= 0:
-        raise ConfigurationError(f"dt must be positive, got {dt}")
+    if not 0 < dt < math.inf:  # NaN fails too
+        raise ConfigurationError(f"dt must be positive and finite, got {dt}")
     return int(np.floor(horizon / dt + _GRID_RTOL))
 
 
@@ -239,41 +253,84 @@ def _tape_blocks(problem, fine_dt, n_steps, block_steps, path_indices, master_se
 
 
 # ---------------------------------------------------------------------------
-# core evolution
+# core evolution: one lockstep loop over lanes
 
 
-def _evolve(problem: SdeProblem, dt: float, y0, tapes, diag, on_step=None):
-    """March a batch of scalar paths over the tape blocks ``tapes``, calling on_step(i, y) per node.
+def _evolve(problem: SdeProblem, dt: float, y0, tapes, diag, on_step=None, lane_dts=None):
+    """March lanes of paths in lockstep over the tape blocks ``tapes`` of step ``dt``.
 
-    ``y0`` is (rows,), or (starts, rows) for starts driven by the same tape
-    rows; one implicit solve covers the batch, and its step is prepared
-    once.  A StepFailureError gains the step number, and for starts also the
-    start, in its diagnostics.
+    ``y0`` is (rows,) for one lane, or (lanes, rows): a lane is a step size
+    and a start per row, and every lane is driven by the same tape rows.
+    Lane j steps by ``lane_dts[j]`` (``dt`` for every lane when None), an
+    integer multiple of ``dt``, at the fine nodes i that its ratio divides,
+    on the block sums of the increments; each block's length must be a
+    multiple of every ratio.  The lanes that step at a node and whose steps
+    end at the same float time share one solve call, with one dt per
+    element (a float when they have one dt): each group of lanes has one
+    prepared step and one array of explicit parts, written in place, so
+    each element does the arithmetic of its lane run alone.  Which lanes
+    step repeats with the lcm of the ratios, so that is laid out once.
+
+    ``on_step(i, y)`` is called at node 0 and after each fine node i, with
+    every lane's latest state shaped like ``y0``; a lane's state is the
+    solver's output, so one lane costs no copy.  Returns the final states,
+    shaped like ``y0``.  A StepFailureError's diagnostics name the
+    element's row as ``index``, its ``lane``, and the lane's own ``step``
+    and ``dt``.
     """
-    y = np.array(y0, dtype=float, copy=True)
-    step = PreparedStep(problem, dt, y.ravel())
+    y0 = np.array(y0, dtype=float)
+    rows = y0.shape[-1]
+    lanes = list(y0.reshape(-1, rows))  # each lane's latest state, the solver's output
+    lane_dts = [dt] * len(lanes) if lane_dts is None else list(lane_dts)
+    ratios = [int(round(d / dt)) for d in lane_dts]
+    period = math.lcm(*ratios)
+    stepping = [  # the lanes that step at node i, at index (i - 1) % period
+        [j for j, ratio in enumerate(ratios) if i % ratio == 0] for i in range(1, period + 1)
+    ]
+    calls = {}  # the lanes of a call -> its prepared step and its explicit parts
     if on_step is not None:
-        on_step(0, y)
-    i = 0
+        on_step(0, y0)
+    start = 0
     for tape in tapes:
-        for col in range(tape.n_steps):
-            c = y
-            if tape.brownian is not None:
-                c = c + problem.diffusion(i * dt, y) * tape.brownian[:, col]
-            if tape.levy is not None:
-                c = c + tape.levy[:, col]
-            try:
-                y = solve_implicit_steps(problem, (i + 1) * dt, c.ravel(), step, diagnostics=diag)
-            except StepFailureError as exc:
-                exc.diagnostics["step"] = i + 1
-                if c.ndim == 2:
-                    exc.diagnostics["start"] = exc.diagnostics["index"] // c.shape[1]
-                raise
-            y = y.reshape(c.shape)
-            i += 1
+        blocks = [tape.coarsen(d) for d in lane_dts]
+        for i in range(start + 1, start + tape.n_steps + 1):
+            groups = {}  # step-end time -> the lanes that step to it
+            for j in stepping[(i - 1) % period]:
+                groups.setdefault(i // ratios[j] * lane_dts[j], []).append(j)
+            for t, group in groups.items():
+                group = tuple(group)
+                if group not in calls:
+                    c = np.empty(len(group) * rows)
+                    dts = [lane_dts[j] for j in group]
+                    dts = dts[0] if len(set(dts)) == 1 else np.repeat(dts, rows)
+                    calls[group] = PreparedStep(problem, dts, c), c
+                step, c = calls[group]
+                for m, j in enumerate(group):
+                    block, k = blocks[j], i // ratios[j]  # the lane's step k ends here
+                    col = (i - start) // ratios[j] - 1  # step k's column in the block
+                    part = c[m * rows:(m + 1) * rows]
+                    if block.brownian is not None:
+                        g = problem.diffusion((k - 1) * lane_dts[j], lanes[j])
+                        np.add(lanes[j], g * block.brownian[:, col], out=part)
+                    else:
+                        part[...] = lanes[j]
+                    if block.levy is not None:
+                        part += block.levy[:, col]
+                try:
+                    out = solve_implicit_steps(problem, t, c, step, diagnostics=diag)
+                except StepFailureError as exc:
+                    m, row = divmod(exc.diagnostics["index"], rows)
+                    j = group[m]
+                    exc.diagnostics.update(
+                        index=row, lane=j, step=i // ratios[j], dt=float(lane_dts[j])
+                    )
+                    raise
+                for m, j in enumerate(group):
+                    lanes[j] = out[m * rows:(m + 1) * rows]
             if on_step is not None:
-                on_step(i, y)
-    return y
+                on_step(i, lanes[0] if y0.ndim == 1 else np.array(lanes))
+        start += tape.n_steps
+    return lanes[0] if y0.ndim == 1 else np.array(lanes)
 
 
 def _chunk_ranges(n_paths: int, block_steps: int, streams: int, budget_bytes: int, workers: int):
@@ -292,24 +349,25 @@ def _chunk_ranges(n_paths: int, block_steps: int, streams: int, budget_bytes: in
 
 
 # ---------------------------------------------------------------------------
-# kernels: one chunk's tape blocks each
+# hooks: what a run keeps of each node
 
 
-def _ensemble_kernel(problem, dt, tapes, n_paths, n_steps, diag, record_steps):
-    """Terminal values, and the states at ``record_steps`` keyed by step."""
+def _checkpoint_hook(record_steps):
+    """The ensemble's hook, and the states it records at ``record_steps``, keyed by step."""
     record = {}
 
     def on_step(i, y):
         if i in record_steps:
             record[i] = y.copy()
 
-    y0 = np.full(n_paths, problem.x0)
-    terminal = _evolve(problem, dt, y0, tapes, diag, on_step)
-    return terminal, record
+    return on_step, record
 
 
-def _moment_kernel(problem, dt, tapes, n_paths, n_steps, diag, starts):
-    """Per-step sums of q and q^2: q = Y^2 for one start, (Y - Y')^2 for a pair."""
+def _square_sum_hook(n_steps):
+    """The moment runs' hook, and its per-node sums of q and q^2.
+
+    q = Y^2 for one lane, and q = (Y - Y')^2 for the two lanes of a coupling.
+    """
     sums = np.zeros((2, n_steps + 1))
 
     def on_step(i, y):
@@ -318,91 +376,28 @@ def _moment_kernel(problem, dt, tapes, n_paths, n_steps, diag, starts):
         sums[0, i] = q.sum()
         sums[1, i] = (q * q).sum()
 
-    y0 = np.multiply.outer(starts, np.ones(n_paths))  # (n,), or (2, n) for a pair
-    _evolve(problem, dt, y0, tapes, diag, on_step)
-    return sums
-
-
-def _strong_kernel(problem, fine_dt, tapes, n_paths, n_fine, diag, dts, ratios):
-    """Per-path |Y_dt(T) - Y_ref(T)| of each coarse level dts[j] = ratios[j] * fine_dt.
-
-    The fine-grid reference and every coarse level advance in lockstep over
-    the fine nodes: a level steps at node i when its ratio divides i, and
-    the levels that step at one node and whose step ends at the same float
-    time share one solve call, with one dt per element.  Which levels step
-    repeats with the lcm of the ratios, so it is laid out once per run; each
-    group of levels that shares a call has one prepared step and one array
-    of explicit parts, written in place.  Each level keeps its own t, dt,
-    diffusion time and block-summed increments, so each element does the
-    arithmetic of its level run alone.  A block's length is a multiple of
-    every ratio, so no coarse step straddles two blocks.  A StepFailureError
-    gains the path's row, and its level's dt and own step.
-    """
-    level_dts = [fine_dt] + list(dts)
-    level_ratios = [1] + list(ratios)
-    period = math.lcm(*level_ratios)
-    stepping = [  # the levels that step at node i, at index (i - 1) % period
-        [j for j, ratio in enumerate(level_ratios) if i % ratio == 0] for i in range(1, period + 1)
-    ]
-    y = np.full((len(level_dts), n_paths), float(problem.x0))
-    calls = {}  # the levels of a call -> its prepared step and its explicit parts
-    start = 0
-    for tape in tapes:
-        blocks = [tape] + [tape.coarsen(d) for d in dts]
-        for i in range(start + 1, start + tape.n_steps + 1):
-            groups = {}  # step-end time -> the levels that step to it
-            for j in stepping[(i - 1) % period]:
-                groups.setdefault(i // level_ratios[j] * level_dts[j], []).append(j)
-            for t, levels in groups.items():
-                levels = tuple(levels)
-                if levels not in calls:
-                    c = np.empty(len(levels) * n_paths)
-                    dt = np.repeat([level_dts[j] for j in levels], n_paths)
-                    calls[levels] = PreparedStep(problem, dt, c), c
-                step, c = calls[levels]
-                for m, j in enumerate(levels):
-                    block, k = blocks[j], i // level_ratios[j]  # the level's step k ends here
-                    col = (i - start) // level_ratios[j] - 1  # step k's column in the block
-                    part = c[m * n_paths:(m + 1) * n_paths]
-                    if block.brownian is not None:
-                        noise = problem.diffusion((k - 1) * level_dts[j], y[j]) * block.brownian[:, col]
-                        np.add(y[j], noise, out=part)
-                    else:
-                        part[...] = y[j]
-                    if block.levy is not None:
-                        part += block.levy[:, col]
-                try:
-                    out = solve_implicit_steps(problem, t, c, step, diagnostics=diag)
-                except StepFailureError as exc:
-                    m, row = divmod(exc.diagnostics["index"], n_paths)
-                    j = levels[m]
-                    exc.diagnostics.update(
-                        index=row, step=i // level_ratios[j], dt=float(level_dts[j])
-                    )
-                    raise
-                for m, j in enumerate(levels):
-                    y[j] = out[m * n_paths:(m + 1) * n_paths]
-        start += tape.n_steps
-    return [np.abs(y[j] - y[0]) for j in range(1, len(level_dts))]
+    return on_step, sums
 
 
 # ---------------------------------------------------------------------------
 # the runner
 
 
-def _run_chunk(problem, kernel, args, dt, n_steps, block_steps, lo, hi, seed):
-    """Run ``kernel`` on the tape blocks of paths lo..hi-1; failures gain the path."""
+def _run_chunk(problem, dt, n_steps, block_steps, seed, starts, lane_dts, hook, lo, hi):
+    """Evolve the lanes of paths lo..hi-1 on their tape blocks; failures gain the path."""
     diag = StepDiagnostics()
-    paths = np.arange(lo, hi)
-    tapes = _tape_blocks(problem, dt, n_steps, block_steps, paths, seed)
+    on_step, out = (None, None) if hook is None else hook()
+    y0 = np.multiply.outer(starts, np.ones(hi - lo))  # (rows,), or (lanes, rows)
+    tapes = _tape_blocks(problem, dt, n_steps, block_steps, np.arange(lo, hi), seed)
     try:
-        return kernel(problem, dt, tapes, hi - lo, n_steps, diag, *args), diag
+        y = _evolve(problem, dt, y0, tapes, diag, on_step, lane_dts)
     except StepFailureError as exc:
-        exc.diagnostics["path"] = lo + exc.diagnostics["index"] % (hi - lo)
+        exc.diagnostics["path"] = lo + exc.diagnostics["index"]
         raise
+    return (y, out), diag
 
 
-_job = None  # a forked worker's (problem, kernel, args, dt, n_steps, block_steps, seed)
+_job = None  # a forked worker's arguments of _run_chunk before the path range
 
 
 def _init_worker(*job):
@@ -411,34 +406,33 @@ def _init_worker(*job):
 
 
 def _pool_chunk(lo_hi):
-    problem, kernel, args, dt, n_steps, block_steps, seed = _job
-    return _run_chunk(problem, kernel, args, dt, n_steps, block_steps, *lo_hi, seed)
+    return _run_chunk(*_job, *lo_hi)
 
 
 def _run_chunks(
-    problem, kernel, args, n_paths, dt, n_steps, seed, workers, budget_bytes,
-    block_steps=_TAPE_BLOCK_STEPS,
+    problem, dt, n_steps, n_paths, seed, workers, budget_bytes, starts, lane_dts=None,
+    hook=None, block_steps=_TAPE_BLOCK_STEPS,
 ):
-    """Run ``kernel(problem, dt, tapes, width, n_steps, diag, *args)`` on each chunk.
+    """Evolve lanes from ``starts`` over ``n_steps`` steps of ``dt`` on each chunk of paths.
 
-    ``tapes`` yields the chunk's tape of ``n_steps`` steps of ``dt`` in
+    ``starts`` is the start of the one lane, or one start per lane, and
+    ``lane_dts`` the lanes' step sizes (see :func:`_evolve`).  ``hook()``
+    gives each chunk its ``(on_step, out)``.  A chunk draws its tape in
     blocks of ``block_steps``.  Chunks run inline, or on a pool of at most
-    ``workers`` forked processes that inherit the problem, kernel and
-    arguments, so a task is only a chunk's path range.  Returns the kernel
-    outputs in chunk order and the merged solver diagnostics.
+    ``workers`` forked processes that inherit the problem, the lanes and
+    the hook, so a task is only a chunk's path range.  Returns each chunk's
+    final states and ``out``, in chunk order, and the merged solver
+    diagnostics.
     """
     check_workers(workers)
-    if n_paths < 1:
-        raise ConfigurationError(f"n_paths must be >= 1, got {n_paths}")
+    _check_count("n_paths", n_paths, 1)
+    _check_count("n_steps", n_steps, 0)
     streams = int(problem.noise.brownian_dim > 0) + int(problem.noise.has_jumps)
     block_steps = max(1, min(block_steps, n_steps))
     ranges = _chunk_ranges(n_paths, block_steps, streams, budget_bytes, workers)
-    job = (problem, kernel, args, dt, n_steps, block_steps, seed)
+    job = (problem, dt, n_steps, block_steps, seed, starts, lane_dts, hook)
     if workers == 1 or len(ranges) == 1:
-        done = [
-            _run_chunk(problem, kernel, args, dt, n_steps, block_steps, lo, hi, seed)
-            for lo, hi in ranges
-        ]
+        done = [_run_chunk(*job, lo, hi) for lo, hi in ranges]
     else:
         # a fork pool starts all of its processes at the first submit
         with ProcessPoolExecutor(
@@ -507,10 +501,9 @@ def simulate_ensemble(
         raise ConfigurationError(
             f"field 'checkpoints': {list(checkpoints)} puts two times on one step of dt = {dt:g}"
         )
-    args = (frozenset(steps.values()),)
     outs, diag = _run_chunks(
-        problem, _ensemble_kernel, args, n_paths, dt, n_steps, master_seed, workers,
-        chunk_budget_bytes,
+        problem, dt, n_steps, n_paths, master_seed, workers, chunk_budget_bytes, problem.x0,
+        hook=functools.partial(_checkpoint_hook, frozenset(steps.values())),
     )
     return EnsembleResult(
         n_paths=n_paths,
@@ -523,9 +516,10 @@ def simulate_ensemble(
 def _moment_curve(problem, starts, dt, n_steps, n_paths, master_seed, workers, budget_bytes):
     _check_solvable(problem, "dt", [dt])
     outs, _ = _run_chunks(
-        problem, _moment_kernel, (starts,), n_paths, dt, n_steps, master_seed, workers, budget_bytes
+        problem, dt, n_steps, n_paths, master_seed, workers, budget_bytes, starts,
+        hook=functools.partial(_square_sum_hook, n_steps),
     )
-    sum_q, sum_q2 = sum(outs)
+    sum_q, sum_q2 = sum(sums for _, sums in outs)
     mean = sum_q / n_paths
     if n_paths > 1:
         var = np.maximum(sum_q2 / n_paths - mean * mean, 0.0) * (n_paths / (n_paths - 1))
@@ -589,11 +583,13 @@ def strong_error_run(
     _check_solvable(problem, "dts", dts)  # the reference's dt is no larger
     period = math.lcm(*ratios)  # blocks hold whole steps of every level
     block_steps = period * -(-_TAPE_BLOCK_STEPS // period)
-    outs, diag = _run_chunks(
-        problem, _strong_kernel, (dts, ratios), n_paths, reference_dt, n_fine, master_seed,
-        workers, chunk_budget_bytes, block_steps,
+    outs, diag = _run_chunks(  # lane 0 is the reference, lane j the level dts[j - 1]
+        problem, reference_dt, n_fine, n_paths, master_seed, workers, chunk_budget_bytes,
+        [problem.x0] * (len(dts) + 1), [reference_dt] + dts, block_steps=block_steps,
     )
     return StrongErrorRun(
-        errors={d: np.concatenate([errs[j] for errs in outs]) for j, d in enumerate(dts)},
+        errors={
+            d: np.concatenate([np.abs(y[j] - y[0]) for y, _ in outs]) for j, d in enumerate(dts, 1)
+        },
         diagnostics=diag,
     )

@@ -39,6 +39,7 @@ paper-5.4      cubic dissipative drift, affine Brownian noise, additive
 
 from __future__ import annotations
 
+import math
 import numbers
 
 import numpy as np
@@ -88,9 +89,12 @@ def _real(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigurationError(f"{path} must be a number, got {value!r}")
     try:
-        return float(value)
+        number = float(value)
     except OverflowError:
         raise ConfigurationError(f"{path} is too large for a float, got {value!r}") from None
+    if not math.isfinite(number):
+        raise ConfigurationError(f"{path} must be finite, got {number}")
+    return number
 
 
 def _integer(value, path: str) -> int:

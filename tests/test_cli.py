@@ -1,6 +1,7 @@
 """Command line driver: exit codes, output routing, artifact layout."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -271,7 +272,9 @@ def test_seed_above_float_precision_runs_as_given(tmp_path):
         assert summary["params"]["master_seed"] == seed
 
 
-@pytest.mark.parametrize("key, value", [("n_paths", 128.9), ("dt", "0.05"), ("master_seed", "7")])
+@pytest.mark.parametrize(
+    "key, value", [("n_paths", 128.9), ("dt", "0.05"), ("master_seed", "7"), ("dt", math.nan)]
+)
 def test_uncoercible_run_numbers_exit_3(tmp_path, capsys, key, value):
     cfg = _small_measure_cfg(**{key: value})
     cfg_path = _write_cfg(tmp_path / "strict.json", cfg)

@@ -17,7 +17,7 @@ from levyem.engine import (
     strong_error_run,
 )
 from levyem.errors import ConfigurationError, StepFailureError
-from levyem.implicit import StepDiagnostics
+from levyem.implicit import StepDiagnostics, solvability_limit
 from levyem.noise import PathStreams, sample_levy_increments
 from levyem.problems import builtin_problem, problem_from_config
 
@@ -43,6 +43,12 @@ def test_steps_for_horizon():
     assert steps_for_horizon(10.0, 0.01) == 1000
     assert steps_for_horizon(2.0000000001, 0.01) == 200
     assert steps_for_horizon(0.25, 0.1) == 2
+
+
+@pytest.mark.parametrize("dt", [0.0, -0.1, math.inf, math.nan])
+def test_steps_for_horizon_rejects_a_step_that_is_not_positive_and_finite(dt):
+    with pytest.raises(ConfigurationError, match="dt must be positive and finite"):
+        steps_for_horizon(1.0, dt)
 
 
 def test_ou_exact_recursion_oracle():
@@ -295,7 +301,7 @@ def test_step_failure_names_path_step_and_time(starts, workers, monkeypatch):
     if starts is None:
         assert "start" not in where
     else:
-        assert where["start"] == start == 1
+        assert where["lane"] == start == 1
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -464,6 +470,25 @@ def test_lockstep_levels_equal_levels_run_alone(reference_dt, dts, block_steps, 
     assert run.diagnostics == diag
 
 
+def test_two_lanes_equal_two_one_lane_runs():
+    # Two lanes of ratio 1 share each node's solve call.  Near the
+    # solvability limit of paper-5.1c the solver damps and brackets; each
+    # lane must still do exactly the arithmetic of its own run over the same
+    # blocks, and the merged counters must be the sum of the two runs'.
+    problem = builtin_problem("paper-5.1c")
+    dt, rows = 0.9 * solvability_limit(problem), 24
+    blocks = list(engine._tape_blocks(problem, dt, 8, 4, np.arange(rows), 5))
+    assert len(blocks) == 2
+    starts = [np.full(rows, problem.x0), np.full(rows, -2.0)]
+    both = StepDiagnostics()
+    y = engine._evolve(problem, dt, np.array(starts), blocks, both)
+    alone = [StepDiagnostics(), StepDiagnostics()]
+    for lane, start, diag in zip(y, starts, alone):
+        np.testing.assert_array_equal(lane, engine._evolve(problem, dt, start, blocks, diag))
+    assert both == alone[0].merge(alone[1])
+    assert both.damping_halvings > 0 and both.bracketed_elements > 0
+
+
 def test_chunks_are_sized_by_the_block_and_the_workers():
     # 1,000 paths of a 2^-15 reference, 2 streams: the whole horizon would
     # take 512 MiB; a 1,024-step block takes 16 MiB, one chunk
@@ -574,6 +599,23 @@ def test_strong_error_run_rejects_bad_grids():
 def test_path_count_below_one_is_rejected(run, n_paths):
     with pytest.raises(ConfigurationError, match=f"n_paths must be >= 1, got {n_paths}"):
         run(builtin_problem("paper-5.4"), n_paths)
+
+
+@pytest.mark.parametrize(
+    "run, match",
+    [
+        (lambda p: simulate_ensemble(p, 0.5, 2.0, 1), "n_paths must be an integer, got 2.0"),
+        (lambda p: simulate_ensemble(p, 0.5, True, 1), "n_paths must be an integer, got True"),
+        (lambda p: coupling_curve(p, (1.0, -1.0), 0.01, -1, 4, 1), "n_steps must be >= 0, got -1"),
+        (lambda p: coupling_curve(p, (1.0, -1.0), 0.01, 2.5, 4, 1),
+         "n_steps must be an integer, got 2.5"),
+        (lambda p: second_moment_curve(p, 0.01, 10, np.int64(0), 1), "n_paths must be >= 1, got 0"),
+    ],
+    ids=["float-paths", "bool-paths", "negative-steps", "float-steps", "numpy-zero-paths"],
+)
+def test_counts_that_are_not_integers_in_range_are_rejected(run, match):
+    with pytest.raises(ConfigurationError, match=match):
+        run(builtin_problem("paper-5.4"))
 
 
 def test_x0_override():

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -184,6 +185,30 @@ def test_run_block_numbers_are_strict(base, key, value):
     }[base]()
     cfg[key] = value
     with pytest.raises(ConfigurationError, match=key):
+        execute_config(cfg)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "keys, name",
+    [
+        (["dt"], "dt"),
+        (["problem", "x0"], "x0"),
+        (["problem", "horizon"], "horizon"),
+        (["problem", "drift", 0, "coeff"], "drift[0].coeff"),
+        (["problem", "noise", "scale"], "noise.scale"),
+    ],
+    ids=["dt", "x0", "horizon", "drift-coeff", "noise-scale"],
+)
+def test_non_finite_numbers_are_rejected_by_name(keys, name, value):
+    # a NaN or infinite number is named where it is read, before any run:
+    # it must not surface later as a failed step or an unhandled error
+    cfg = entry_config("paper-5.4")
+    block = cfg
+    for key in keys[:-1]:
+        block = block[key]
+    block[keys[-1]] = value
+    with pytest.raises(ConfigurationError, match=re.escape(f"{name} must be finite")):
         execute_config(cfg)
 
 

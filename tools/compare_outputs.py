@@ -28,6 +28,8 @@ the same arithmetic print the same hashes:
 * ``ensemble-54-pool``: the same run on ``workers=2``;
 * ``coupling-54``: the paper-5.4 coupling from x0 = +10 and -10 over 300 steps
   of 0.01 on 257 paths;
+* ``coupling-54-two-blocks``: the same coupling over 2,000 steps of 0.005 on
+  64 paths, whose two starts cross from one tape block to the next;
 * ``solve-<problem>``: one implicit solve of 4096 explicit parts per built-in
   problem, with a few huge ones that reach the bracketed stage;
 * ``solve-<problem>-dt-array``: two solves of 4096 explicit parts per
@@ -139,8 +141,8 @@ def _two_blocks():
             "diagnostics": _diag(run.diagnostics)}
 
 
-def _coupling():
-    curve = coupling_curve(builtin_problem("paper-5.4"), (10.0, -10.0), 0.01, 300, 257, SEED)
+def _coupling(dt=0.01, n_steps=300, n_paths=257):
+    curve = coupling_curve(builtin_problem("paper-5.4"), (10.0, -10.0), dt, n_steps, n_paths, SEED)
     return {"mean": curve.mean, "stderr": curve.stderr}
 
 
@@ -236,6 +238,7 @@ def run_protocols() -> dict[str, np.ndarray]:
         "ensemble-54": _ensemble,
         "ensemble-54-pool": lambda: _ensemble(workers=2),
         "coupling-54": _coupling,
+        "coupling-54-two-blocks": lambda: _coupling(0.005, 2000, 64),
     }
     for name in builtin_problem_names():
         protocols[f"solve-{name}"] = lambda name=name: _solve(name)
