@@ -20,16 +20,7 @@ from pathlib import Path
 
 from .engine import default_workers
 from .errors import ConfigurationError, StepFailureError
-from .experiments import (
-    ConvergenceResult,
-    MeasureResult,
-    ProbeResult,
-    SamplerResult,
-    catalog,
-    execute_config,
-    format_band,
-    write_run,
-)
+from .experiments import catalog, execute_config, write_run
 
 OUT_ENV_VAR = "LEVYEM_OUT"
 
@@ -69,41 +60,6 @@ def _resolve_out_dir(flag_value, cfg: dict, config_path: Path) -> Path:
     return Path("levyem-runs") / config_path.stem
 
 
-def _print_result(result) -> None:
-    if isinstance(result, ConvergenceResult):
-        print(f"problem: {result.problem}")
-        for row in result.table.rows:
-            print(f"  dt = {row.dt:<12g} rmse = {row.rmse:.6e}  (mse stderr {row.stderr:.2e})")
-        lo, hi = result.fit.slope_ci
-        print(f"fitted order: {result.fit.slope:.4f}  (95% CI [{lo:.4f}, {hi:.4f}], "
-              f"r^2 = {result.fit.r_squared:.4f})")
-        print(f"guaranteed order: {result.predicted:.4f}")
-        if result.band is not None:
-            verdict = "inside" if result.in_band else "OUTSIDE"
-            print(f"band {format_band(result.band)}: {verdict}")
-    elif isinstance(result, MeasureResult):
-        print(f"problem: {result.problem}  (reference: {result.reference})")
-        for row in result.report.rows:
-            print(f"  t = {row.t:<6g} KS = {row.ks:.4f} (p = {row.p_value:.3g})  "
-                  f"W{result.report.k:g} = {row.wasserstein:.4f}")
-        print(f"KS decreasing: {result.report.ks_decreasing}; "
-              f"W decreasing: {result.report.wasserstein_decreasing}")
-        if result.ratio is not None:
-            print(f"Wasserstein ratio: {result.ratio:.4f}")
-        if result.in_band is not None:
-            print(f"band verdict: {'inside' if result.in_band else 'OUTSIDE'}")
-    elif isinstance(result, ProbeResult):
-        print(f"problem: {result.problem}")
-        for probe in result.probes:
-            status = "ok" if probe.violations == 0 else f"{probe.violations} violations"
-            print(f"  probe {probe.probe:<12s} max_ratio = {probe.max_ratio:+.4f}  {status}")
-        print(f"moment conditions: {'ok' if result.moment_report.passed else 'FAILED'}")
-        print(f"all probes pass: {result.all_pass}")
-    elif isinstance(result, SamplerResult):
-        print(f"characteristic-function agreement: max |z| = {result.max_z:.2f} "
-              f"over {len(result.rows)} (t, u) pairs")
-
-
 def _cmd_run(args) -> int:
     config_path = Path(args.config)
     if not config_path.is_file():
@@ -138,7 +94,8 @@ def _cmd_run(args) -> int:
     except OSError as exc:
         print(f"error: cannot write {out_dir}: {exc}", file=sys.stderr)
         return 3
-    _print_result(result)
+    for line in result.lines():
+        print(line)
     print(f"wrote {out_dir}")
     return 0
 

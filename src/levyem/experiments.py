@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -23,7 +24,6 @@ from .convergence import ErrorTable, OrderFit, fit_order, predicted_order, stron
 from .engine import check_workers
 from .errors import ConfigurationError
 from .measures import (
-    EmpiricalMeasure,
     InvariantReport,
     StationaryReference,
     evolve_empirical_law,
@@ -226,7 +226,19 @@ def entry_config(name: str) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Runners
+# Results and runners
+
+# A result carries what its run writes and prints: ``artifacts()`` gives its
+# ``summary.json`` fields and its tables ``(file name, CSV header or None for
+# a .dat file, rows)``, and ``lines()`` the lines ``levyem run`` prints.
+
+
+def _moment_json(report) -> dict:
+    return {
+        "small_jump_ok": report.small_jump_ok,
+        "large_jump_ok": report.large_jump_ok,
+        "passed": report.passed,
+    }
 
 
 @dataclass
@@ -239,6 +251,34 @@ class ConvergenceResult:
     band: tuple | None
     in_band: bool | None
 
+    def artifacts(self):
+        rows = self.table.rows
+        return {
+            "experiment": "convergence",
+            "problem": self.problem,
+            "fitted_order": self.fit.slope,
+            "order_ci95": list(self.fit.slope_ci),
+            "r_squared": self.fit.r_squared,
+            "predicted_order": self.predicted,
+            "band": _band_to_json(self.band),
+            "in_band": self.in_band,
+        }, [
+            ("strong_errors.csv", ["dt", "n_paths", "mse", "rmse", "stderr_mse"],
+             [[r.dt, r.n_paths, r.mse, r.rmse, r.stderr] for r in rows]),
+            ("rmse_vs_dt.dat", None, [(r.dt, r.rmse) for r in rows]),
+        ]
+
+    def lines(self):
+        yield f"problem: {self.problem}"
+        for row in self.table.rows:
+            yield f"  dt = {row.dt:<12g} rmse = {row.rmse:.6e}  (mse stderr {row.stderr:.2e})"
+        lo, hi = self.fit.slope_ci
+        yield (f"fitted order: {self.fit.slope:.4f}  (95% CI [{lo:.4f}, {hi:.4f}], "
+               f"r^2 = {self.fit.r_squared:.4f})")
+        yield f"guaranteed order: {self.predicted:.4f}"
+        if self.band is not None:
+            yield f"band {format_band(self.band)}: {'inside' if self.in_band else 'OUTSIDE'}"
+
 
 @dataclass
 class MeasureResult:
@@ -249,6 +289,44 @@ class MeasureResult:
     snapshots: list
     ratio: float | None
     in_band: bool | None
+
+    def artifacts(self):
+        rows = self.report.rows
+        tables = [
+            ("distance_table.csv", ["t", "ks", "p_value", "ks_stderr", "wasserstein", "w_stderr"],
+             [[r.t, r.ks, r.p_value, r.ks_stderr, r.wasserstein, r.w_stderr] for r in rows]),
+            ("ks_vs_t.dat", None, [(r.t, r.ks) for r in rows]),
+            ("wasserstein_vs_t.dat", None, [(r.t, r.wasserstein) for r in rows]),
+        ]
+        tail_mass = {}
+        for snap in self.snapshots:
+            label = f"{snap.t:g}"
+            centres, dens, tail_mass[label] = kde_curve(snap)
+            tables.append((f"density_t{label}.dat", None, zip(centres, dens)))
+        return {
+            "experiment": "invariant-measure",
+            "problem": self.problem,
+            "reference": self.reference,
+            "ks_decreasing": self.report.ks_decreasing,
+            "wasserstein_decreasing": self.report.wasserstein_decreasing,
+            "final_p_value": self.report.final_p_value,
+            "wasserstein_ratio": self.ratio,
+            "in_band": self.in_band,
+            "density_tail_mass": tail_mass,
+        }, tables
+
+    def lines(self):
+        report = self.report
+        yield f"problem: {self.problem}  (reference: {self.reference})"
+        for row in report.rows:
+            yield (f"  t = {row.t:<6g} KS = {row.ks:.4f} (p = {row.p_value:.3g})  "
+                   f"W{report.k:g} = {row.wasserstein:.4f}")
+        yield (f"KS decreasing: {report.ks_decreasing}; "
+               f"W decreasing: {report.wasserstein_decreasing}")
+        if self.ratio is not None:
+            yield f"Wasserstein ratio: {self.ratio:.4f}"
+        if self.in_band is not None:
+            yield f"band verdict: {'inside' if self.in_band else 'OUTSIDE'}"
 
 
 @dataclass
@@ -261,6 +339,27 @@ class ProbeResult:
     decay: dict
     all_pass: bool
 
+    def artifacts(self):
+        return {
+            "experiment": "probe-assumptions",
+            "problem": self.problem,
+            "all_pass": self.all_pass,
+            "zero_state_bounds": list(self.zero_bounds),
+            "decay_factors": self.decay,
+            "moment_conditions": _moment_json(self.moment_report),
+        }, [
+            ("probes.csv", ["probe", "n_pairs", "radius", "max_ratio", "violations"],
+             [[p.probe, p.n_pairs, p.radius, p.max_ratio, p.violations] for p in self.probes]),
+        ]
+
+    def lines(self):
+        yield f"problem: {self.problem}"
+        for probe in self.probes:
+            status = "ok" if probe.violations == 0 else f"{probe.violations} violations"
+            yield f"  probe {probe.probe:<12s} max_ratio = {probe.max_ratio:+.4f}  {status}"
+        yield f"moment conditions: {'ok' if self.moment_report.passed else 'FAILED'}"
+        yield f"all probes pass: {self.all_pass}"
+
 
 @dataclass
 class SamplerResult:
@@ -268,6 +367,21 @@ class SamplerResult:
     rows: list  # dicts with t, u, |ecf-cf|, stderr, z
     moment_report: object
     max_z: float
+
+    def artifacts(self):
+        return {
+            "experiment": "sampler-validation",
+            "max_z": self.max_z,
+            "moment_conditions": _moment_json(self.moment_report),
+        }, [
+            ("ecf_table.csv", ["t", "u", "ecf_gap", "stderr", "z"],
+             [[r["t"], r["u"], r["ecf_gap"], r["stderr"], r["z"]] for r in self.rows]),
+            ("ecf_z.dat", None, [(r["u"], r["z"]) for r in self.rows]),
+        ]
+
+    def lines(self):
+        yield (f"characteristic-function agreement: max |z| = {self.max_z:.2f} "
+               f"over {len(self.rows)} (t, u) pairs")
 
 
 def run_convergence(
@@ -474,17 +588,6 @@ def run_sampler_validation(
 # ---------------------------------------------------------------------------
 # Config-driven execution (used by the command line)
 
-# The top-level keys each experiment kind reads; any other key is an error.
-# ``headline`` is informational and ``output_dir`` is read by the CLI.
-_COMMON_KEYS = {"experiment", "problem", "master_seed", "headline", "output_dir"}
-_KEYS = {
-    "convergence": _COMMON_KEYS | {"n_paths", "band", "dts", "reference_dt"},
-    "invariant-measure": _COMMON_KEYS
-    | {"n_paths", "band", "dt", "checkpoints", "reference", "k", "ratio_times"},
-    "probe-assumptions": _COMMON_KEYS | {"n_pairs", "radius"},
-    "sampler-validation": _COMMON_KEYS | {"n", "times", "u_grid"},
-}
-
 
 def _resolve_problem(ref) -> SdeProblem:
     if isinstance(ref, str):
@@ -506,72 +609,97 @@ def _reals(value, path: str) -> list[float]:
     return [_real(v, f"{path}[{i}]") for i, v in enumerate(value)]
 
 
-def execute_config(cfg: dict, n_paths=None, master_seed=None, workers=1):
-    """Validate and run one experiment config; overrides trump config values."""
-    if not isinstance(cfg, dict):
-        raise ConfigurationError("config root must be an object")
-    kind = cfg.get("experiment")
-    if kind not in _KEYS:
-        raise ConfigurationError(
-            f"field 'experiment': got {kind!r}, expected one of {', '.join(_KEYS)}"
-        )
-    unknown = sorted(set(cfg) - _KEYS[kind])
-    if unknown:
-        raise ConfigurationError(
-            f"field {unknown[0]!r} is not read by a {kind} experiment; "
-            f"allowed: {', '.join(sorted(_KEYS[kind]))}"
-        )
-    check_workers(workers)
-    band = cfg.get("band")
-    if band is not None:
-        band = _band_from_json(band)
-    paths = _integer(n_paths if n_paths is not None else cfg.get("n_paths", 1000), "n_paths")
-    seed = _integer(
-        master_seed if master_seed is not None else cfg.get("master_seed", _DEFAULT_SEED),
-        "master_seed",
-    )
+class _Kind(NamedTuple):
+    """One experiment kind: the top-level keys it reads, and its runner.
 
-    if kind == "sampler-validation":
-        problem = _resolve_problem(_need(cfg, "problem"))
-        return run_sampler_validation(
-            problem.noise,
-            n=_integer(cfg.get("n", 100_000), "n"),
-            master_seed=seed,
-            times=_reals(cfg.get("times", (0.25, 0.5, 1.0, 2.0)), "times"),
-            u_grid=_reals(cfg.get("u_grid", (0.25, 0.5, 1.0, 2.0, 4.0)), "u_grid"),
-        )
+    ``run(cfg, problem, common)`` reads the kind's own keys; ``common`` holds
+    the checked ``band``, ``n_paths``, ``master_seed`` and ``workers``.  The
+    ``run_*`` functions are looked up at call time, so patching them works.
+    """
 
-    problem = _resolve_problem(_need(cfg, "problem"))
-    if kind == "convergence":
-        return run_convergence(
+    keys: frozenset
+    run: Callable
+
+
+# ``headline`` is informational and ``output_dir`` is read by the CLI.
+_COMMON_KEYS = frozenset({"experiment", "problem", "master_seed", "headline", "output_dir"})
+
+_KINDS = {
+    "convergence": _Kind(
+        _COMMON_KEYS | {"n_paths", "band", "dts", "reference_dt"},
+        lambda cfg, problem, common: run_convergence(
             problem,
             _reals(_need(cfg, "dts"), "dts"),
             _real(_need(cfg, "reference_dt"), "reference_dt"),
-            paths,
-            seed,
-            workers=workers,
-            band=band,
-        )
-    if kind == "invariant-measure":
-        ratio_times = cfg.get("ratio_times")
-        return run_invariant_measure(
+            **common,
+        ),
+    ),
+    "invariant-measure": _Kind(
+        _COMMON_KEYS | {"n_paths", "band", "dt", "checkpoints", "reference", "k", "ratio_times"},
+        lambda cfg, problem, common: run_invariant_measure(
             problem,
             _real(_need(cfg, "dt"), "dt"),
             _reals(_need(cfg, "checkpoints"), "checkpoints"),
-            paths,
-            seed,
             reference=cfg.get("reference"),
             k=_real(cfg.get("k", 1.0), "k"),
-            ratio_times=None if ratio_times is None else _reals(ratio_times, "ratio_times"),
-            workers=workers,
-            band=band,
+            ratio_times=(None if cfg.get("ratio_times") is None
+                         else _reals(cfg["ratio_times"], "ratio_times")),
+            **common,
+        ),
+    ),
+    "probe-assumptions": _Kind(
+        _COMMON_KEYS | {"n_pairs", "radius"},
+        lambda cfg, problem, common: run_probe_assumptions(
+            problem,
+            n_pairs=_integer(cfg.get("n_pairs", 10_000), "n_pairs"),
+            radius=_real(cfg.get("radius", 5.0), "radius"),
+            seed=common["master_seed"],
+        ),
+    ),
+    "sampler-validation": _Kind(
+        _COMMON_KEYS | {"n", "times", "u_grid"},
+        lambda cfg, problem, common: run_sampler_validation(
+            problem.noise,
+            n=_integer(cfg.get("n", 100_000), "n"),
+            master_seed=common["master_seed"],
+            times=_reals(cfg.get("times", (0.25, 0.5, 1.0, 2.0)), "times"),
+            u_grid=_reals(cfg.get("u_grid", (0.25, 0.5, 1.0, 2.0, 4.0)), "u_grid"),
+        ),
+    ),
+}
+
+
+def execute_config(cfg: dict, n_paths=None, master_seed=None, workers=1):
+    """Validate and run one experiment config; overrides trump config values.
+
+    The overrides are checked as config keys: ``n_paths`` for a kind that
+    draws no paths is refused like any key the kind does not read.
+    """
+    if not isinstance(cfg, dict):
+        raise ConfigurationError("config root must be an object")
+    name = cfg.get("experiment")
+    if not isinstance(name, str) or name not in _KINDS:
+        raise ConfigurationError(
+            f"field 'experiment': got {name!r}, expected one of {', '.join(_KINDS)}"
         )
-    return run_probe_assumptions(
-        problem,
-        n_pairs=_integer(cfg.get("n_pairs", 10_000), "n_pairs"),
-        radius=_real(cfg.get("radius", 5.0), "radius"),
-        seed=seed,
-    )
+    kind = _KINDS[name]
+    overrides = {"n_paths": n_paths, "master_seed": master_seed}
+    cfg = {**cfg, **{key: v for key, v in overrides.items() if v is not None}}
+    unknown = sorted(set(cfg) - kind.keys)
+    if unknown:
+        raise ConfigurationError(
+            f"field {unknown[0]!r} is not read by a {name} experiment; "
+            f"allowed: {', '.join(sorted(kind.keys))}"
+        )
+    check_workers(workers)
+    band = cfg.get("band")
+    common = {
+        "band": None if band is None else _band_from_json(band),
+        "n_paths": _integer(cfg.get("n_paths", 1000), "n_paths"),
+        "master_seed": _integer(cfg.get("master_seed", _DEFAULT_SEED), "master_seed"),
+        "workers": workers,
+    }
+    return kind.run(cfg, _resolve_problem(_need(cfg, "problem")), common)
 
 
 # ---------------------------------------------------------------------------
@@ -590,110 +718,20 @@ def _write_dat(path: Path, pairs):
     path.write_text("\n".join(lines) + "\n")
 
 
-def _summary_base(result) -> dict:
-    return {
-        "created_utc": datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
-        "params": result.params,
-    }
-
-
 def write_run(result, out_dir) -> Path:
     """Persist one result to ``out_dir``; returns the directory path."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    summary = _summary_base(result)
-
-    if isinstance(result, ConvergenceResult):
-        summary.update(
-            {
-                "experiment": "convergence",
-                "problem": result.problem,
-                "fitted_order": result.fit.slope,
-                "order_ci95": list(result.fit.slope_ci),
-                "r_squared": result.fit.r_squared,
-                "predicted_order": result.predicted,
-                "band": _band_to_json(result.band),
-                "in_band": result.in_band,
-            }
-        )
-        _write_csv(
-            out / "strong_errors.csv",
-            ["dt", "n_paths", "mse", "rmse", "stderr_mse"],
-            [[r.dt, r.n_paths, r.mse, r.rmse, r.stderr] for r in result.table.rows],
-        )
-        _write_dat(out / "rmse_vs_dt.dat", [(r.dt, r.rmse) for r in result.table.rows])
-    elif isinstance(result, MeasureResult):
-        summary.update(
-            {
-                "experiment": "invariant-measure",
-                "problem": result.problem,
-                "reference": result.reference,
-                "ks_decreasing": result.report.ks_decreasing,
-                "wasserstein_decreasing": result.report.wasserstein_decreasing,
-                "final_p_value": result.report.final_p_value,
-                "wasserstein_ratio": result.ratio,
-                "in_band": result.in_band,
-            }
-        )
-        _write_csv(
-            out / "distance_table.csv",
-            ["t", "ks", "p_value", "ks_stderr", "wasserstein", "w_stderr"],
-            [
-                [r.t, r.ks, r.p_value, r.ks_stderr, r.wasserstein, r.w_stderr]
-                for r in result.report.rows
-            ],
-        )
-        _write_dat(out / "ks_vs_t.dat", [(r.t, r.ks) for r in result.report.rows])
-        _write_dat(
-            out / "wasserstein_vs_t.dat",
-            [(r.t, r.wasserstein) for r in result.report.rows],
-        )
-        tail_mass = {}
-        for snap in result.snapshots:
-            label = f"{snap.t:g}"
-            centres, dens, tail_mass[label] = kde_curve(snap)
-            _write_dat(out / f"density_t{label}.dat", zip(centres, dens))
-        summary["density_tail_mass"] = tail_mass
-    elif isinstance(result, ProbeResult):
-        summary.update(
-            {
-                "experiment": "probe-assumptions",
-                "problem": result.problem,
-                "all_pass": result.all_pass,
-                "zero_state_bounds": list(result.zero_bounds),
-                "decay_factors": result.decay,
-                "moment_conditions": {
-                    "small_jump_ok": result.moment_report.small_jump_ok,
-                    "large_jump_ok": result.moment_report.large_jump_ok,
-                    "passed": result.moment_report.passed,
-                },
-            }
-        )
-        _write_csv(
-            out / "probes.csv",
-            ["probe", "n_pairs", "radius", "max_ratio", "violations"],
-            [[p.probe, p.n_pairs, p.radius, p.max_ratio, p.violations] for p in result.probes],
-        )
-    elif isinstance(result, SamplerResult):
-        summary.update(
-            {
-                "experiment": "sampler-validation",
-                "max_z": result.max_z,
-                "moment_conditions": {
-                    "small_jump_ok": result.moment_report.small_jump_ok,
-                    "large_jump_ok": result.moment_report.large_jump_ok,
-                    "passed": result.moment_report.passed,
-                },
-            }
-        )
-        _write_csv(
-            out / "ecf_table.csv",
-            ["t", "u", "ecf_gap", "stderr", "z"],
-            [[r["t"], r["u"], r["ecf_gap"], r["stderr"], r["z"]] for r in result.rows],
-        )
-        _write_dat(out / "ecf_z.dat", [(r["u"], r["z"]) for r in result.rows])
-    else:
-        raise ConfigurationError(f"cannot persist result of type {type(result).__name__}")
-
+    summary = {
+        "created_utc": datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
+        "params": result.params,
+    }
+    fields, tables = result.artifacts()
+    summary.update(fields)
+    for name, header, rows in tables:
+        if header is None:
+            _write_dat(out / name, rows)
+        else:
+            _write_csv(out / name, header, rows)
     (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
     return out

@@ -141,6 +141,9 @@ class SdeProblem:
     def __post_init__(self):
         if self.horizon <= 0:
             raise ConfigurationError("horizon must be > 0")
+        for name in ("x0", "horizon"):  # the grammar names these too; API-built problems skip it
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigurationError(f"{name} must be finite, got {getattr(self, name)}")
         if not math.isfinite(self.monotone_bound):
             raise ConfigurationError("monotone_bound must be finite")
         if self.diffusion_polynomial is not None and self.noise.brownian_dim == 0:

@@ -9,14 +9,12 @@ import numpy as np
 import pytest
 
 from levyem.engine import second_moment_curve
-from levyem.experiments import entry_config, execute_config, run_convergence
+from levyem.experiments import entry_config, execute_config
 from levyem.measures import two_initial_value_coupling
 from levyem.noise import PathStreams, sample_tempered_stable
 from levyem.problems import builtin_problem
 
 CRITERION_SEED = 20240817
-CONVERGENCE_DTS = [2.0 ** -9, 2.0 ** -10, 2.0 ** -11, 2.0 ** -12]
-CONVERGENCE_REF = 2.0 ** -15
 
 # One human-readable verdict line per acceptance criterion, echoed in the
 # terminal summary so the scoreboard survives pytest's output capture.
@@ -52,34 +50,19 @@ def problem_54():
     return builtin_problem("paper-5.4")
 
 
-def _criterion_convergence(name):
-    problem = builtin_problem(name)
-    from levyem.experiments import catalog
-
-    entry = catalog()[name]
-    return run_convergence(
-        problem,
-        CONVERGENCE_DTS,
-        CONVERGENCE_REF,
-        n_paths=1000,
-        master_seed=CRITERION_SEED,
-        band=entry.band,
-    )
-
-
 @pytest.fixture(scope="session")
 def convergence_51a():
-    return _criterion_convergence("paper-5.1a")
+    return execute_config(entry_config("paper-5.1a"))
 
 
 @pytest.fixture(scope="session")
 def convergence_51c():
-    return _criterion_convergence("paper-5.1c")
+    return execute_config(entry_config("paper-5.1c"))
 
 
 @pytest.fixture(scope="session")
 def convergence_52():
-    return _criterion_convergence("paper-5.2")
+    return execute_config(entry_config("paper-5.2"))
 
 
 @pytest.fixture(scope="session")

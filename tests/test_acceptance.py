@@ -13,10 +13,11 @@ Expected board: all ten criteria pass.
   min(gamma1, 1/gamma0) without one.  The guarantee is a lower bound, so the
   band has no upper edge.  Under the exact coupling used here (coarse
   increments are block sums of the reference ones) paper-5.1a and 5.1c fit
-  about 0.58, set by the x-dependent Brownian term at the usual 1/2, and
-  paper-5.2, with additive jumps and no diffusion, fits about 1.10.  A run
-  whose coarse levels are not coupled to the reference fits a slope near 0
-  and fails.
+  0.4390 and 0.4161 at the criterion seed (both average about 0.52 over five
+  seeds: the usual 1/2, set by the x-dependent Brownian term), and
+  paper-5.2, with additive jumps and no diffusion, fits 1.0635.  A run whose
+  coarse levels are not coupled to the reference fits a slope near 0 and
+  fails.
 - Criterion 4 compares the t = 5 snapshot of paper-5.3 with the stationary
   stable law.  There the scheme's own law is within about 0.001 in KS
   distance of it, the O(dt) bias of the numerical invariant law, so the

@@ -210,6 +210,27 @@ def test_worker_count_below_one_exits_3(tmp_path, capsys, cfg, workers):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize(
+    "cfg", [_PROBE_CFG, _SAMPLER_CFG], ids=["probe-assumptions", "sampler-validation"]
+)
+def test_paths_flag_on_a_kind_that_draws_no_paths_exits_3(tmp_path, capsys, cfg):
+    # --paths is the key n_paths, which these kinds do not read: it is refused, not ignored
+    cfg_path = _write_cfg(tmp_path / "cfg.json", cfg)
+    out_dir = tmp_path / "o"
+    assert main(["run", cfg_path, "--paths", "7", "--out", str(out_dir)]) == 3
+    err = capsys.readouterr().err
+    assert f"field 'n_paths' is not read by a {cfg['experiment']} experiment; allowed: " in err
+    assert not out_dir.exists()
+
+
+def test_seed_flag_applies_to_a_probe_run(tmp_path):
+    # --seed reaches every kind; test_seed_above_float_precision_runs_as_given covers the sampler
+    cfg_path = _write_cfg(tmp_path / "probe.json", _PROBE_CFG)
+    out_dir = tmp_path / "o"
+    assert main(["run", cfg_path, "--seed", "5", "--out", str(out_dir)]) == 0
+    assert json.loads((out_dir / "summary.json").read_text())["params"]["seed"] == 5
+
+
 def test_tempering_past_the_piece_cap_exits_3(tmp_path, capsys):
     # tempering 200 at dt = 1 needs 625 sampler pieces per increment, above the cap of 64
     cfg = _small_measure_cfg(dt=1.0, checkpoints=[1.0, 2.0], ratio_times=[1.0, 2.0])

@@ -265,7 +265,7 @@ def test_step_failure_names_path_step_and_time(starts, workers, monkeypatch):
     # The explicit parts of step k follow from a clean run.  The solver is
     # trapped to fail at step k on the first element of its batch above a
     # threshold that only the largest of them exceeds; forked workers inherit
-    # the trap.  The engine must name that element's path, step and start.
+    # the trap.  The engine must name that element's path, step and lane.
     dt, k, n_paths, seed, budget = 0.05, 5, 24, 5, 1 << 10  # chunks of 6 paths
     problem = _ou_brownian()
     before = simulate_ensemble(problem, dt, n_paths, seed, checkpoints=[(k - 1) * dt])
@@ -280,11 +280,11 @@ def test_step_failure_names_path_step_and_time(starts, workers, monkeypatch):
 
     solve = engine.solve_implicit_steps
 
-    def trapped(problem, t, c, dt, diagnostics=None):
+    def trapped(problem, t, c, step, diagnostics=None):
         above = np.flatnonzero(c > threshold)
         if abs(t - k * dt) < 1e-9 and above.size:
             raise StepFailureError("trapped", diagnostics={"t": t, "index": int(above[0])})
-        return solve(problem, t, c, dt, diagnostics)
+        return solve(problem, t, c, step, diagnostics)
 
     monkeypatch.setattr(engine, "solve_implicit_steps", trapped)
     with pytest.raises(StepFailureError) as info:
@@ -299,7 +299,7 @@ def test_step_failure_names_path_step_and_time(starts, workers, monkeypatch):
     assert where["step"] == k
     assert where["t"] == pytest.approx(k * dt)
     if starts is None:
-        assert "start" not in where
+        assert where["lane"] == 0  # an ensemble runs one lane
     else:
         assert where["lane"] == start == 1
 

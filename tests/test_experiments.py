@@ -128,6 +128,28 @@ def test_rejects_unknown_experiment_kind():
         execute_config({"experiment": "nonsense"})
 
 
+def test_rejects_an_experiment_that_is_not_a_name():
+    # a list is not a key of the kind table: named, not a TypeError
+    with pytest.raises(ConfigurationError, match=r"field 'experiment': got \['convergence'\]"):
+        execute_config({"experiment": ["convergence"]})
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        {"experiment": "probe-assumptions", "problem": "paper-5.4", "n_pairs": 200},
+        {"experiment": "sampler-validation", "problem": "paper-5.4", "n": 500},
+    ],
+    ids=["probe-assumptions", "sampler-validation"],
+)
+def test_paths_override_is_refused_by_kinds_that_draw_no_paths(cfg):
+    kind = cfg["experiment"]
+    with pytest.raises(
+        ConfigurationError, match=f"^field 'n_paths' is not read by a {kind} experiment; allowed: "
+    ):
+        execute_config(cfg, n_paths=7)
+
+
 def test_rejects_non_dict_root():
     with pytest.raises(ConfigurationError, match="object"):
         execute_config([1, 2, 3])

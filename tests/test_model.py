@@ -1,10 +1,13 @@
 """Constants validation, assumption probes, and moment-envelope algebra."""
 
+import dataclasses
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from levyem.engine import simulate_ensemble
 from levyem.errors import ConfigurationError
 from levyem.model import (
     AssumptionConstants,
@@ -143,3 +146,22 @@ class TestProblemShape:
         cfg["noise"] = {**cfg["noise"], "brownian_dim": 1}  # and still no diffusion
         with pytest.raises(ConfigurationError, match="no diffusion"):
             problem_from_config(cfg)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("horizon", math.nan),
+            ("horizon", math.inf),
+            ("horizon", 0.0),
+            ("horizon", -1.0),
+            ("x0", math.nan),
+            ("x0", math.inf),
+            ("x0", -math.inf),
+        ],
+    )
+    def test_problem_built_in_code_rejects_a_bad_horizon_or_start(self, field, value):
+        # the config grammar names these fields; a problem built with
+        # dataclasses.replace skips it and must still fail before any step
+        problem = builtin_problem("paper-5.4")
+        with pytest.raises(ConfigurationError, match=f"^{field} must be"):
+            simulate_ensemble(dataclasses.replace(problem, **{field: value}), 0.1, 4, 1)
