@@ -40,7 +40,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .tilted_stable import AcceptanceStats, row_blocks, tilted_stable_blocks
+from .tilted_stable import (
+    BLOCK_ROWS,
+    AcceptanceStats,
+    row_blocks,
+    tilted_stable_pieces,
+    tilted_stable_rows,
+)
 
 __all__ = [
     "BROWNIAN_STREAM",
@@ -62,10 +68,10 @@ LEVY_STREAM = "levy"
 AUX_STREAM = "aux"
 _STREAM_CODES = {BROWNIAN_STREAM: 0, LEVY_STREAM: 1, AUX_STREAM: 2}
 _MAX_PATH_INDEX = 2**32 - 1  # one 32-bit spawn-key word per path
-# The most rows of one PathStreams that hold a generator at once.  A tempered
-# tape block of 128 steps or more has at most 64 rows, so its rejection rounds
-# revisit rows without saving a state.
-_LIVE_ROWS = 64
+# The most rows of one PathStreams that hold a generator at once: a sampler
+# block's rows (at most BLOCK_ROWS) all do, so a block holds its rows'
+# generators through its rejection rounds without saving a state.
+_LIVE_ROWS = BLOCK_ROWS
 
 
 # numpy's SeedSequence hash constants (NEP 19; numpy/random/bit_generator.pyx)
@@ -342,13 +348,21 @@ def sample_tempered_stable(
     stats = AcceptanceStats()
     rho = alpha / 2.0
     tilt = tempering * tempering / 2.0
+    pieces = tilted_stable_pieces(rho, tilt, dt)
     out = np.empty((len(streams), n))
-    for lo, hi, subordinator in tilted_stable_blocks(rho, tilt, dt, n, streams, stats=stats):
-        z = np.empty_like(subordinator)
-        for i in range(hi - lo):
-            streams[lo + i].standard_normal(out=z[i])
-            streams.release(lo + i)
-        out[lo:hi] = scale * np.sqrt(subordinator) * z
+    for lo, hi in row_blocks(len(streams), n * pieces):
+        # a block has at most _LIVE_ROWS rows, so its generators stay valid throughout
+        rngs = [streams[row] for row in range(lo, hi)]
+        block = out[lo:hi]
+        tilted_stable_rows(rho, tilt, dt, pieces, rngs, block, stats)
+        z = np.empty_like(block)
+        for rng, z_row in zip(rngs, z):
+            rng.standard_normal(out=z_row)
+        for row in range(lo, hi):
+            streams.release(row)
+        np.sqrt(block, out=block)
+        block *= scale
+        block *= z
     return (out, stats) if with_stats else out
 
 

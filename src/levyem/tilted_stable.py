@@ -36,6 +36,8 @@ from .errors import ConfigurationError
 __all__ = [
     "AcceptanceStats",
     "tilted_stable_blocks",
+    "tilted_stable_pieces",
+    "tilted_stable_rows",
 ]
 
 # The most divide-and-conquer pieces one draw may take.  Tempering 1 at the
@@ -45,11 +47,14 @@ _MAX_PARTITION = 64
 # Cells drawn at once by the row samplers.  A block holds a few arrays of this
 # many float64 values, so it bounds their working memory (at least one row).
 BLOCK_CELLS = 2**13
+# The most rows in one block.  ``PathStreams`` keeps this many rows' generators
+# live, so a block can fetch its rows' generators once and hold them.
+BLOCK_ROWS = 64
 
 
 def row_blocks(n_rows: int, cells_per_row: int) -> list[tuple[int, int]]:
-    """Contiguous ``(lo, hi)`` row ranges of at most BLOCK_CELLS cells (>= one row)."""
-    step = max(1, BLOCK_CELLS // max(1, cells_per_row))
+    """Contiguous ``(lo, hi)`` row ranges of at most BLOCK_CELLS cells (>= one row) and BLOCK_ROWS rows."""
+    step = max(1, min(BLOCK_ROWS, BLOCK_CELLS // max(1, cells_per_row)))
     return [(lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step)]
 
 
@@ -87,24 +92,8 @@ def _kanter(u: np.ndarray, e: np.ndarray, rho: float) -> np.ndarray:
     return (_kanter_factor(u, rho) / e) ** ((1.0 - rho) / rho)
 
 
-def tilted_stable_blocks(
-    rho: float,
-    tilt: float,
-    horizon: float,
-    size: int,
-    streams,
-    stats: AcceptanceStats | None = None,
-) -> Iterator[tuple[int, int, np.ndarray]]:
-    """``size`` tilted-subordinator increments from each stream, block by block.
-
-    ``streams`` is a :class:`levyem.noise.PathStreams`; each row's draws
-    come from its own stream in the order a one-row call would make them.
-    Returns an iterator of ``(lo, hi, values)``, ``values`` being the
-    ``(hi - lo, size)`` draws of rows lo..hi-1; a block holds at most
-    BLOCK_CELLS rejection cells (or one row) and is drawn when the iterator
-    reaches it, so consuming one block at a time bounds the memory.  The arguments are checked, and the pieces
-    counted against _MAX_PARTITION, before the iterator is returned.
-    """
+def tilted_stable_pieces(rho: float, tilt: float, horizon: float) -> int:
+    """The divide-and-conquer pieces of one draw; checks the arguments and the cap."""
     if not 0.0 < rho < 1.0:
         raise ValueError(f"stability index rho must lie in (0, 1), got {rho}")
     if tilt <= 0.0:
@@ -118,49 +107,86 @@ def tilted_stable_blocks(
             f"above the cap of {_MAX_PARTITION}; for tempered noise the tilt is tempering**2 / 2 "
             "and the window is dt, so lower the tempering or dt"
         )
+    return pieces
+
+
+def tilted_stable_blocks(
+    rho: float,
+    tilt: float,
+    horizon: float,
+    size: int,
+    streams,
+    stats: AcceptanceStats | None = None,
+) -> Iterator[tuple[int, int, np.ndarray]]:
+    """``size`` tilted-subordinator increments from each stream, block by block.
+
+    ``streams`` is a :class:`levyem.noise.PathStreams`; each row's draws
+    come from its own stream in the order a one-row call would make them.
+    Returns an iterator of ``(lo, hi, values)``, ``values`` being the
+    ``(hi - lo, size)`` draws of rows lo..hi-1 (a block of ``row_blocks``),
+    drawn when the iterator reaches it, so consuming one block at a time
+    bounds the memory.  The arguments are checked, and the pieces counted
+    against _MAX_PARTITION, before the iterator is returned.
+    """
+    pieces = tilted_stable_pieces(rho, tilt, horizon)
     if stats is None:
         stats = AcceptanceStats()
-    return _divide_and_conquer(rho, tilt, horizon, pieces, size, streams, stats)
+
+    def blocks():
+        for lo, hi in row_blocks(len(streams), size * pieces):
+            values = np.empty((hi - lo, size))
+            rngs = [streams[row] for row in range(lo, hi)]
+            tilted_stable_rows(rho, tilt, horizon, pieces, rngs, values, stats)
+            yield lo, hi, values
+
+    return blocks()
 
 
-def _divide_and_conquer(rho, tilt, horizon, pieces, size, streams, stats):
-    """Piecewise rejection over row blocks: accept c*S with probability exp(-tilt*c*S).
+def tilted_stable_rows(rho, tilt, horizon, pieces, rngs, out, stats):
+    """Piecewise rejection into ``out[i]`` from ``rngs[i]``: accept c*S with probability exp(-tilt*c*S).
 
-    Each round draws, for every row with pending cells, the Kanter uniforms
-    and exponentials and the acceptance uniforms from that row's stream, then
-    transforms and tests all of the round's cells at once.
+    ``out`` is ``(len(rngs), size)``, and each increment is the sum of
+    ``pieces`` kept draws (``tilted_stable_pieces``).  Each round draws, for
+    every row with pending cells, the Kanter uniforms and exponentials and
+    the acceptance uniforms from that row's generator, then transforms and
+    tests all of the round's cells at once; the first round's cells are
+    every row's, in row order.
     """
+    rows, size = out.shape
     piece_scale = (horizon / pieces) ** (1.0 / rho)
     cells = size * pieces
-    for lo, hi in row_blocks(len(streams), cells):
-        rows = hi - lo
-        values = np.empty(rows * cells)
-        pending = np.arange(rows * cells)  # flat cell indices, ordered by row
-        counts = [cells] * rows
-        # Per-cell acceptance probability is exp(-(h/P) * tilt**rho) >= exp(-1),
-        # so the pending set shrinks geometrically; 500 rounds is unreachable.
-        for _ in range(500):
-            u = np.empty(pending.size)
-            e = np.empty(pending.size)
-            v = np.empty(pending.size)
-            at = 0
-            for i, k in enumerate(counts):
-                if k:
-                    rng = streams[lo + i]
-                    rng.random(out=u[at:at + k])
-                    rng.standard_exponential(out=e[at:at + k])
-                    rng.random(out=v[at:at + k])
-                    at += k
-            u *= np.pi  # the floats of rng.uniform(0, pi): 0 + pi * d
-            draw = piece_scale * _kanter(u, e, rho)
-            stats.proposed += pending.size
-            keep = v < np.exp(-tilt * draw)
+    values = np.empty(rows * cells)
+    pending = None  # the flat cells still to draw, ordered by row; None: all of them
+    counts = [cells] * rows
+    # Per-cell acceptance probability is exp(-(h/P) * tilt**rho) >= exp(-1),
+    # so the pending set shrinks geometrically; 500 rounds is unreachable.
+    for _ in range(500):
+        n = rows * cells if pending is None else pending.size
+        u = np.empty(n)
+        e = np.empty(n)
+        v = np.empty(n)
+        at = 0
+        for rng, k in zip(rngs, counts):
+            if k:
+                rng.random(out=u[at:at + k])
+                rng.standard_exponential(out=e[at:at + k])
+                rng.random(out=v[at:at + k])
+                at += k
+        u *= np.pi  # the floats of rng.uniform(0, pi): 0 + pi * d
+        draw = _kanter(u, e, rho)
+        draw *= piece_scale
+        stats.proposed += n
+        keep = v < np.exp(-tilt * draw)
+        if pending is None:
+            np.copyto(values, draw, where=keep)
+            pending = np.flatnonzero(~keep)
+        else:
             values[pending[keep]] = draw[keep]
-            stats.accepted += int(keep.sum())
             pending = pending[~keep]
-            if pending.size == 0:
-                break
-            counts = np.bincount(pending // cells, minlength=rows).tolist()
-        else:  # pragma: no cover - probabilistically unreachable
-            raise RuntimeError("divide-and-conquer rejection failed to terminate")
-        yield lo, hi, values.reshape(rows, size, pieces).sum(axis=2)
+        stats.accepted += n - pending.size
+        if pending.size == 0:
+            break
+        counts = np.bincount(pending // cells, minlength=rows).tolist()
+    else:  # pragma: no cover - probabilistically unreachable
+        raise RuntimeError("divide-and-conquer rejection failed to terminate")
+    values.reshape(rows, size, pieces).sum(axis=2, out=out)
