@@ -16,6 +16,22 @@ probability ``exp(-(h / P) * tilt**rho) >= exp(-1)``.  The work grows like
 ``P``, so a draw may take at most ``_MAX_PARTITION`` pieces; a tilt and window
 that need more raise :class:`~levyem.errors.ConfigurationError`.
 
+Kanter's draw from U ~ Uniform(0, pi) and E ~ Exp(1) is
+``(A(U) / E)**((1 - rho) / rho)`` with
+``A(u) = (sin(rho u)**rho sin((1 - rho) u)**(1 - rho) / sin u)**(1 / (1 - rho))``.
+It is computed with one power, as ``(s1 / s0) * (s2 / (E s0))**((1 - rho) / rho)``
+where ``s0 = sin U``, ``s1 = sin(rho U)`` and ``s2 = sin((1 - rho) U)``.  Each
+sine of an angle x in (0, pi) is taken from the tangent of its half angle,
+``sin x = 2t / (1 + t**2)`` with ``t = tan(x / 2)``: that form has no
+cancellation (t is at most about 2e9 at the clip ``U <= pi - 1e-9``), and
+numpy vectorises ``tan`` on float64 where its ``sin`` may run a scalar loop,
+several times slower per element.  The draw is within a few ulp of the
+sine form's.
+
+Rows are drawn in blocks of at most BLOCK_CELLS rejection cells and
+BLOCK_ROWS rows; a block holds its rows' generators from the first round to
+the last.
+
 References
 ----------
 M. Kanter (1975), "Stable densities under change of scale and total variation
@@ -76,20 +92,35 @@ class AcceptanceStats:
         self.accepted += other.accepted
 
 
-def _kanter_factor(u: np.ndarray, rho: float) -> np.ndarray:
-    """Zolotarev/Kanter function A(u) for u in (0, pi)."""
-    return (
-        np.sin(rho * u) ** rho
-        * np.sin((1.0 - rho) * u) ** (1.0 - rho)
-        / np.sin(u)
-    ) ** (1.0 / (1.0 - rho))
+def _half_sine(u: np.ndarray, c: float, out: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """sin(c * u) / 2 into ``out`` for c*u in (0, pi), from t = tan(c*u / 2): t / (1 + t**2)."""
+    np.multiply(u, 0.5 * c, out=out)
+    np.tan(out, out=out)
+    np.multiply(out, out, out=work)
+    work += 1.0
+    return np.divide(out, work, out=out)
 
 
 def _kanter(u: np.ndarray, e: np.ndarray, rho: float) -> np.ndarray:
-    """(A(U) / E)**((1 - rho) / rho) from U ~ Uniform(0, pi) and E ~ Exp(1); clips u."""
+    """(A(U) / E)**((1 - rho) / rho) from U ~ Uniform(0, pi) and E ~ Exp(1), into ``e``.
+
+    With s0 = sin U, s1 = sin(rho U) and s2 = sin((1 - rho) U) this is
+    (s1 / s0) * (s2 / (E s0))**((1 - rho) / rho): one power.  Each sine is
+    taken from the tangent of its half angle (``_half_sine``; the halves
+    cancel in both ratios).  Clips ``u`` and overwrites it.
+    """
     # Guard against the measure-zero endpoints where A(u) is 0/0.
     np.clip(u, 1e-9, np.pi - 1e-9, out=u)
-    return (_kanter_factor(u, rho) / e) ** ((1.0 - rho) / rho)
+    work = np.empty_like(u)
+    s0 = _half_sine(u, 1.0, np.empty_like(u), work)
+    s1 = _half_sine(u, rho, np.empty_like(u), work)
+    s2 = _half_sine(u, 1.0 - rho, u, work)
+    e *= s0
+    np.divide(s2, e, out=e)
+    np.power(e, (1.0 - rho) / rho, out=e)
+    np.divide(s1, s0, out=s1)
+    e *= s1
+    return e
 
 
 def tilted_stable_pieces(rho: float, tilt: float, horizon: float) -> int:
@@ -176,7 +207,8 @@ def tilted_stable_rows(rho, tilt, horizon, pieces, rngs, out, stats):
         draw = _kanter(u, e, rho)
         draw *= piece_scale
         stats.proposed += n
-        keep = v < np.exp(-tilt * draw)
+        np.multiply(draw, -tilt, out=u)
+        keep = v < np.exp(u, out=u)
         if pending is None:
             np.copyto(values, draw, where=keep)
             pending = np.flatnonzero(~keep)

@@ -206,10 +206,11 @@ def _reference_tempered(alpha, tempering, scale, dt, n, rng):
     while pending.size:
         u = np.clip(rng.uniform(0.0, np.pi, pending.size), 1e-9, np.pi - 1e-9)
         e = rng.standard_exponential(pending.size)
-        a = (np.sin(rho * u) ** rho * np.sin((1.0 - rho) * u) ** (1.0 - rho) / np.sin(u)) ** (
-            1.0 / (1.0 - rho)
-        )
-        draw = piece_scale * (a / e) ** ((1.0 - rho) / rho)
+        # Kanter's (A(u) / e)**((1 - rho) / rho) as (s1 / s0) * (s2 / (e s0))**((1 - rho) / rho),
+        # each sine (halved) from its half-angle tangent t: sin(x) / 2 = t / (1 + t**2)
+        t0, t1, t2 = (np.tan((0.5 * c) * u) for c in (1.0, rho, 1.0 - rho))
+        s0, s1, s2 = t0 / (1.0 + t0 * t0), t1 / (1.0 + t1 * t1), t2 / (1.0 + t2 * t2)
+        draw = piece_scale * (s1 / s0 * np.power(s2 / (e * s0), (1.0 - rho) / rho))
         keep = rng.random(pending.size) < np.exp(-tilt * draw)
         values[pending[keep]] = draw[keep]
         pending = pending[~keep]
