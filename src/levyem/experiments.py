@@ -426,22 +426,39 @@ def run_convergence(
     )
 
 
-def _build_reference(spec: dict | None, snapshots) -> tuple[StationaryReference, dict]:
-    spec = dict(spec or {"kind": "final-snapshot"})
+# The keys each kind of ``reference`` block takes, all of them required.
+_REFERENCE_KEYS = {"analytic-stable": {"kind", "alpha", "scale"}, "final-snapshot": {"kind"}}
+
+
+def _reference_law(spec) -> StationaryReference | None:
+    """The checked ``reference`` block's analytic law, or None for the final snapshot."""
+    if spec is None:
+        return None
+    if not isinstance(spec, dict):
+        raise ConfigurationError(f"field 'reference': expected an object, got {spec!r}")
     kind = spec.get("kind")
-    if kind == "analytic-stable":
-        for key in ("alpha", "scale"):
-            if key not in spec:
-                raise ConfigurationError(f"reference field {key!r} is required")
-        ref = StationaryReference(
-            kind="analytic_stable", alpha=float(spec["alpha"]), scale=float(spec["scale"])
+    if not isinstance(kind, str) or kind not in _REFERENCE_KEYS:
+        raise ConfigurationError(
+            f"field 'reference.kind': got {kind!r}, expected one of {', '.join(_REFERENCE_KEYS)}"
         )
-        return ref, spec
+    keys = _REFERENCE_KEYS[kind]
+    unknown, missing = sorted(set(spec) - keys), sorted(keys - set(spec))
+    if unknown:
+        raise ConfigurationError(
+            f"field 'reference.{unknown[0]}' is not read by a reference of kind {kind}; "
+            f"allowed: {', '.join(sorted(keys))}"
+        )
+    if missing:
+        raise ConfigurationError(
+            f"field 'reference.{missing[0]}' is required by a reference of kind {kind}"
+        )
     if kind == "final-snapshot":
-        final = max(snapshots, key=lambda m: m.t)
-        ref = StationaryReference(kind="empirical_snapshot", snapshot=final)
-        return ref, {"kind": "final-snapshot", "t": final.t}
-    raise ConfigurationError(f"unknown reference kind {kind!r}")
+        return None
+    return StationaryReference(
+        kind="analytic_stable",
+        alpha=_real(spec["alpha"], "reference.alpha"),
+        scale=_real(spec["scale"], "reference.scale"),
+    )
 
 
 def _at_time(times, t: float) -> int:
@@ -465,8 +482,7 @@ def run_invariant_measure(
     band=None,
 ) -> MeasureResult:
     """Snapshot the ensemble over time and compare against a reference law."""
-    if not isinstance(reference, (dict, type(None))):
-        raise ConfigurationError(f"field 'reference': expected an object, got {reference!r}")
+    ref = _reference_law(reference)
     if ratio_times is not None:
         if len(ratio_times) != 2:
             raise ConfigurationError(f"ratio_times must hold two times, got {list(ratio_times)!r}")
@@ -477,7 +493,12 @@ def run_invariant_measure(
     snapshots = evolve_empirical_law(
         problem, dt, n_paths, checkpoints, master_seed, workers=workers
     )
-    ref, ref_desc = _build_reference(reference, snapshots)
+    if ref is None:
+        final = max(snapshots, key=lambda m: m.t)
+        ref = StationaryReference(kind="empirical_snapshot", snapshot=final)
+        ref_desc = {"kind": "final-snapshot", "t": final.t}
+    else:
+        ref_desc = {"kind": "analytic-stable", "alpha": ref.alpha, "scale": ref.scale}
     report = invariant_convergence_report(snapshots, ref, k)
     ratio = None
     in_band = None

@@ -28,9 +28,10 @@ numpy vectorises ``tan`` on float64 where its ``sin`` may run a scalar loop,
 several times slower per element.  The draw is within a few ulp of the
 sine form's.
 
-Rows are drawn in blocks of at most BLOCK_CELLS rejection cells and
-BLOCK_ROWS rows; a block holds its rows' generators from the first round to
-the last.
+``tilted_stable_rows`` draws a block of rows, one generator per row, each
+row's variates in the order a one-row call would draw them.  A caller takes
+its blocks from ``row_blocks``: at most BLOCK_CELLS rejection cells and
+BLOCK_ROWS rows, so it can hold every row's generator for the whole block.
 
 References
 ----------
@@ -42,7 +43,6 @@ M. Hofert (2011), "Sampling exponentially tilted stable distributions".
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,7 +51,7 @@ from .errors import ConfigurationError
 
 __all__ = [
     "AcceptanceStats",
-    "tilted_stable_blocks",
+    "row_blocks",
     "tilted_stable_pieces",
     "tilted_stable_rows",
 ]
@@ -69,7 +69,10 @@ BLOCK_ROWS = 64
 
 
 def row_blocks(n_rows: int, cells_per_row: int) -> list[tuple[int, int]]:
-    """Contiguous ``(lo, hi)`` row ranges of at most BLOCK_CELLS cells (>= one row) and BLOCK_ROWS rows."""
+    """Contiguous ``(lo, hi)`` row ranges of at most BLOCK_ROWS rows and BLOCK_CELLS cells.
+
+    A block holds at least one row, however many cells it has.
+    """
     step = max(1, min(BLOCK_ROWS, BLOCK_CELLS // max(1, cells_per_row)))
     return [(lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step)]
 
@@ -141,40 +144,16 @@ def tilted_stable_pieces(rho: float, tilt: float, horizon: float) -> int:
     return pieces
 
 
-def tilted_stable_blocks(
+def tilted_stable_rows(
     rho: float,
     tilt: float,
     horizon: float,
-    size: int,
-    streams,
-    stats: AcceptanceStats | None = None,
-) -> Iterator[tuple[int, int, np.ndarray]]:
-    """``size`` tilted-subordinator increments from each stream, block by block.
-
-    ``streams`` is a :class:`levyem.noise.PathStreams`; each row's draws
-    come from its own stream in the order a one-row call would make them.
-    Returns an iterator of ``(lo, hi, values)``, ``values`` being the
-    ``(hi - lo, size)`` draws of rows lo..hi-1 (a block of ``row_blocks``),
-    drawn when the iterator reaches it, so consuming one block at a time
-    bounds the memory.  The arguments are checked, and the pieces counted
-    against _MAX_PARTITION, before the iterator is returned.
-    """
-    pieces = tilted_stable_pieces(rho, tilt, horizon)
-    if stats is None:
-        stats = AcceptanceStats()
-
-    def blocks():
-        for lo, hi in row_blocks(len(streams), size * pieces):
-            values = np.empty((hi - lo, size))
-            rngs = [streams[row] for row in range(lo, hi)]
-            tilted_stable_rows(rho, tilt, horizon, pieces, rngs, values, stats)
-            yield lo, hi, values
-
-    return blocks()
-
-
-def tilted_stable_rows(rho, tilt, horizon, pieces, rngs, out, stats):
-    """Piecewise rejection into ``out[i]`` from ``rngs[i]``: accept c*S with probability exp(-tilt*c*S).
+    pieces: int,
+    rngs,
+    out: np.ndarray,
+    stats: AcceptanceStats,
+) -> None:
+    """Piecewise rejection into ``out[i]`` from ``rngs[i]``: keep c*S with chance exp(-tilt*c*S).
 
     ``out`` is ``(len(rngs), size)``, and each increment is the sum of
     ``pieces`` kept draws (``tilted_stable_pieces``).  Each round draws, for

@@ -305,6 +305,21 @@ def test_uncoercible_run_numbers_exit_3(tmp_path, capsys, key, value):
 
 
 @pytest.mark.parametrize(
+    "reference, field",
+    [
+        ({"kind": "analytic-stable", "alpha": "1.5", "scale": 0.96}, "reference.alpha"),
+        ({"kind": "final-snapshot", "alpah": 1.5}, "reference.alpah"),
+    ],
+    ids=["analytic-stable", "final-snapshot"],
+)
+def test_bad_reference_block_exits_3(tmp_path, capsys, reference, field):
+    cfg_path = _write_cfg(tmp_path / "ref.json", _small_measure_cfg(reference=reference))
+    assert main(["run", cfg_path, "--out", str(tmp_path / "o")]) == 3
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
     "block, key, value",
     [
         ("noise", "kind", "compound_poisson"),

@@ -418,6 +418,46 @@ def test_reference_must_be_an_object():
         execute_config(cfg)
 
 
+_ANALYTIC = {"kind": "analytic-stable", "alpha": 1.5, "scale": 0.96}
+
+
+@pytest.mark.parametrize(
+    "reference, message",
+    [
+        (dict(_ANALYTIC, alpha="1.5"), "reference.alpha must be a number, got '1.5'"),
+        (dict(_ANALYTIC, scale=True), "reference.scale must be a number, got True"),
+        (dict(_ANALYTIC, scale=math.inf), "reference.scale must be finite"),
+        (dict(_ANALYTIC, alpah=1.5), "'reference.alpah' is not read by .* kind analytic-stable"),
+        ({"kind": "analytic-stable", "scale": 0.96}, "'reference.alpha' is required"),
+        (dict(_ANALYTIC, alpha=3.0), "alpha must lie in"),
+        ({"kind": "final-snapshot", "alpah": 1.5}, "'reference.alpah' is not read by .*final-snapshot"),
+        ({"kind": "final-snapshot", "t": 5.0}, "'reference.t' is not read"),
+        ({"alpha": 1.5, "scale": 0.96}, "'reference.kind': got None"),
+        ({}, "'reference.kind': got None"),
+        ({"kind": ["final-snapshot"]}, "'reference.kind': got \\['final-snapshot'\\]"),
+    ],
+    ids=[
+        "string-alpha", "bool-scale", "inf-scale", "analytic-unknown-key", "analytic-missing-alpha",
+        "alpha-out-of-range", "snapshot-unknown-key", "snapshot-t", "no-kind", "empty", "list-kind",
+    ],
+)
+def test_reference_block_is_checked_before_simulating(monkeypatch, reference, message):
+    # nothing is coerced or dropped: "1.5" and true used to run as 1.5 and 1.0, "alpah" was ignored
+    monkeypatch.setattr(experiments, "evolve_empirical_law", _must_not_run)
+    cfg = dict(_small_measure_cfg(), problem="paper-5.3", reference=reference)
+    cfg.pop("ratio_times")
+    with pytest.raises(ConfigurationError, match=message):
+        execute_config(cfg)
+
+
+def test_analytic_reference_is_reported_as_parsed():
+    cfg = dict(_small_measure_cfg(), problem="paper-5.3", reference=dict(_ANALYTIC, alpha=2))
+    cfg.pop("ratio_times")
+    result = execute_config(cfg, n_paths=32)
+    assert result.reference == {"kind": "analytic-stable", "alpha": 2.0, "scale": 0.96}
+    assert isinstance(result.reference["alpha"], float)
+
+
 def test_probe_run_populates_decay_and_passes():
     result = run_probe_assumptions(builtin_problem("paper-5.4"), n_pairs=2000, seed=4)
     assert isinstance(result, ProbeResult)

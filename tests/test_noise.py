@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from levyem.engine import make_tape
+from levyem.engine import make_tape, simulate_ensemble
 from levyem.errors import ConfigurationError
 from levyem.problems import builtin_problem
 from levyem.noise import (
@@ -22,6 +22,7 @@ from levyem.noise import (
     sample_tempered_stable,
     validate_moment_conditions,
 )
+from levyem.tilted_stable import row_blocks
 
 BM_SPEC = NoiseSpec(kind="none", brownian_dim=1)
 STREAM_CODES = {"brownian": 0, "levy": 1, "aux": 2}
@@ -249,6 +250,29 @@ def test_tempered_rows_follow_the_per_stream_draw_order(name, dt):
         rng = _reference_rng(5, path, "levy")
         expected = _reference_tempered(spec.alpha, spec.tempering, spec.scale, dt, 200, rng)
         np.testing.assert_array_equal(tape.levy[row], expected)
+
+
+def test_sampler_blocks_hold_at_most_the_live_generators():
+    # 300 rows of 4 one-piece steps: an 8,192-cell block would hold them all, more
+    # rows than PathStreams keeps generators for, and a block holds its rows' generators
+    assert max(hi - lo for lo, hi in row_blocks(300, 4)) == _LIVE_ROWS
+    problem = builtin_problem("paper-5.4")
+    tape = make_tape(problem, 0.01, 4, np.arange(300), master_seed=20240817)
+    for path in range(300):
+        levy = _reference_levy(problem.noise, 0.01, 4, _reference_rng(20240817, path, "levy"))
+        np.testing.assert_array_equal(tape.levy[path], levy)
+
+
+def test_short_tempered_rows_do_not_depend_on_the_workers():
+    # 100 steps: 81 rows would share a block without the row cap
+    problem = dataclasses.replace(builtin_problem("paper-5.4"), horizon=1.0)
+    runs = [
+        simulate_ensemble(problem, 0.01, 4200, 20240817, checkpoints=[0.1, 1.0], workers=w)
+        for w in (1, 2)
+    ]
+    np.testing.assert_array_equal(runs[0].terminal, runs[1].terminal)
+    for t in (0.1, 1.0):
+        np.testing.assert_array_equal(runs[0].checkpoints[t], runs[1].checkpoints[t])
 
 
 def test_tape_working_memory_is_bounded():

@@ -5,19 +5,55 @@ so every statistical check here compares a seeded Monte Carlo mean against
 an analytic value with an explicit stderr budget.
 """
 
+import math
+
 import numpy as np
 import pytest
 
 from levyem.errors import ConfigurationError
 from levyem.noise import PathStreams, sample_tempered_stable
-from levyem.tilted_stable import AcceptanceStats, tilted_stable_blocks
+from levyem.tilted_stable import (
+    AcceptanceStats,
+    _kanter,
+    tilted_stable_pieces,
+    tilted_stable_rows,
+)
 
 
 def _draw(rho, tilt, horizon, size, seed, stats=None):
     """``size`` increments from the one-path stream ``(seed, 0, "levy")``."""
-    blocks = tilted_stable_blocks(rho, tilt, horizon, size, PathStreams(seed, [0], "levy"), stats)
-    ((_, _, values),) = blocks
+    pieces = tilted_stable_pieces(rho, tilt, horizon)
+    values = np.empty((1, size))
+    rng = PathStreams(seed, [0], "levy")[0]
+    tilted_stable_rows(rho, tilt, horizon, pieces, [rng], values, stats or AcceptanceStats())
     return values[0]
+
+
+def _kanter_sine_form(u, e, rho):
+    """Kanter's (A(u) / e)**((1 - rho) / rho) in scalar float64, with libm sines and four powers."""
+    a = (math.sin(rho * u) ** rho * math.sin((1.0 - rho) * u) ** (1.0 - rho) / math.sin(u)) ** (
+        1.0 / (1.0 - rho)
+    )
+    return (a / e) ** ((1.0 - rho) / rho)
+
+
+@pytest.mark.parametrize("rho", [0.05, 0.3, 0.5, 0.65, 0.95])
+def test_tangent_transform_matches_the_sine_form(rho):
+    # Each side carries a few roundings from its sines and ratios, and the last
+    # power, of exponent p = (1 - rho) / rho, multiplies its base's relative
+    # error by p; so the two agree within (16 + 12 p) eps.
+    bound = (16.0 + 12.0 * (1.0 - rho) / rho) * np.finfo(float).eps
+    lo, hi = 1e-9, np.pi - 1e-9  # the clip edges
+    near_edges = np.logspace(-8.9, -1.0, 60)
+    u = np.concatenate(
+        [[0.0, lo, 2e-9], near_edges, np.linspace(lo, hi, 1001), np.pi - near_edges, [hi, np.pi]]
+    )
+    for e in (0.01, 0.7, 1.0, 3.0, 25.0):
+        got = _kanter(u.copy(), np.full(u.size, e), rho)
+        expected = np.array([_kanter_sine_form(min(max(x, lo), hi), e, rho) for x in u])
+        assert np.all(np.isfinite(got)) and np.all(expected > 0.0)
+        worst = float(np.max(np.abs(got - expected) / expected))
+        assert worst <= bound, f"rho={rho}, e={e}: relative error {worst:.3g} > {bound:.3g}"
 
 
 def _laplace_gap_z(draw, s, target):
