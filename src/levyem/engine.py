@@ -64,10 +64,8 @@ from __future__ import annotations
 
 import functools
 import math
-import multiprocessing
 import numbers
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -100,7 +98,7 @@ __all__ = [
 _DEFAULT_CHUNK_BUDGET = 2**27  # bytes of increment storage per chunk
 _TAPE_BLOCK_STEPS = 1024  # fine steps per tape block, fixed for memory
 _GRID_RTOL = 1e-9
-_CAN_FORK = "fork" in multiprocessing.get_all_start_methods()
+_CAN_FORK = hasattr(os, "fork")
 
 
 def default_workers() -> int:
@@ -311,7 +309,8 @@ def _evolve(problem: SdeProblem, dt: float, y0, tapes, diag, on_step=None, lane_
                     part = c[m * rows:(m + 1) * rows]
                     if block.brownian is not None:
                         g = problem.diffusion((k - 1) * lane_dts[j], lanes[j])
-                        np.add(lanes[j], g * block.brownian[:, col], out=part)
+                        np.multiply(g, block.brownian[:, col], out=part)
+                        part += lanes[j]  # g dB + y is y + g dB, bit for bit
                     else:
                         part[...] = lanes[j]
                     if block.levy is not None:
@@ -434,6 +433,9 @@ def _run_chunks(
     if workers == 1 or len(ranges) == 1:
         done = [_run_chunk(*job, lo, hi) for lo, hi in ranges]
     else:
+        import multiprocessing  # here, so that inline runs never import the pool's modules
+        from concurrent.futures import ProcessPoolExecutor
+
         # a fork pool starts all of its processes at the first submit
         with ProcessPoolExecutor(
             min(workers, len(ranges)),

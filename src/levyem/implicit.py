@@ -15,15 +15,16 @@ root exists, is unique, and satisfies the a-priori bound
 batch, so levels of a coupled run that step at the same time share one
 solve.  What depends only on the step sizes is prepared once, as a
 :class:`PreparedStep`: ``dt`` spread over the batch and checked, its
-negation, the padded Horner layout of the residual and the work arrays of
-the Newton passes.  The engine prepares each batch layout once per chunk
-and passes the prepared step as ``dt``; a scalar or a plain array is
-prepared on entry, so every call runs the same body, and each element's
-arithmetic is the same whatever the other elements' dt.  The residual and
-its derivative come from one factory, ``residual_function(problem, t,
-dt)``: ``y - dt * f(t, y)`` is a polynomial in y whose coefficients (one set
-per element) are computed once per solve from ``problem.drift_polynomial``,
-and r and r' are evaluated together by Horner's rule.
+negation, the padded Horner layout of the residual, the residual's
+coefficients that do not vary in time, and the work arrays of the Newton
+passes.  The engine prepares each batch layout once per chunk and passes
+the prepared step as ``dt``; a scalar or a plain array is prepared on
+entry, so every call runs the same body, and each element's arithmetic is
+the same whatever the other elements' dt.  ``y - dt * f(t, y)`` is a
+polynomial in y, with one set of coefficients per element; those that vary
+in time are written once per solve from ``problem.drift_polynomial``, and
+r and r' are evaluated together by Horner's rule.  ``residual_function(
+problem, t, dt)`` gives the same residual on its own.
 
 Damped Newton runs from ``Y = c`` over the whole batch with a mask of live
 (not yet accepted) elements: each pass takes the full Newton step at full
@@ -36,15 +37,22 @@ element, so merged diagnostics do not depend on how paths are batched.  A
 failure's diagnostics name the element's batch index, its ``t`` and its own
 ``dt`` as a float.
 
-Each pass writes into the prepared step's work arrays: the residual and
-Jacobian at the iterate and at the candidate, the step, the ``|.|`` arrays
-and the masks (Horner updates its outputs in place, with the same
-roundings), and reduces them with the ufuncs' own ``reduce``.  The residual
-test bounds every element's floor by one scalar from the batch maxima of
-|y|, |c| and |r'|; when that is within the absolute tolerance, as it is for
+Each pass works in the prepared step's arrays.  An iterate and its
+residual are the rows of one block (:class:`_Iterate`), one for the iterate
+and one for the candidate, and Horner's rule runs over the batch in blocks
+of rows, two calls a step (:func:`_block_horner`).  A pass zeroes the step
+of the elements that are done (accepted, or stalled in damping), and only
+when some are, so that their candidate and its r and r' equal the
+iterate's bit for bit.  When every live element improves, the candidate
+becomes the iterate by a swap of the two blocks, with nothing copied; a
+pass with damping writes the improved elements into the iterate through
+masks.  The roots are copied out of the work arrays once, at the end, so
+the caller may keep them.  The residual test bounds every element's floor
+by one scalar from |c| and the batch extremes of y and r', taken in one
+reduction; when that is within the absolute tolerance, as it is for
 ordinary states, the test is ``|r| <= 1e-12`` alone, and only otherwise is
-the floor computed per element.  The ``|r'|`` of the test guards the next
-Newton step's division.  Every root and every counter is what the
+the floor computed per element.  The smallest r' of the test guards the
+next Newton step's division.  Every root and every counter is what the
 per-element arithmetic gives.
 """
 
@@ -82,7 +90,7 @@ _FLOAT_MAX = np.finfo(float).max
 # a power of two, so scaling by it is exact; a Python float, so that the batch
 # bound's inf * 0 is a NaN without a numpy warning
 _FLOOR_SCALE = float(_RES_SAFETY * np.finfo(float).eps)
-_max, _min = np.maximum.reduce, np.minimum.reduce
+_max = np.maximum.reduce
 
 
 def _residual_floor(y, abs_c, jac):
@@ -100,25 +108,51 @@ def _residual_floor(y, abs_c, jac):
     return _FLOOR_SCALE * (1.0 + abs_y + abs_c) + (_FLOOR_SCALE * np.abs(jac)) * abs_y
 
 
-def _accepted(y, r, jac, abs_c, c_max, abs_y=None, abs_jac=None, abs_r=None, out=None):
+def _accepted(y, abs_r, jac, abs_c, bound=np.inf, out=None):
     """Residual test; a NaN residual or an overflowed (inf) floor never passes.
 
-    ``c_max`` is ``abs_c.max()``.  The floor is first bounded over the batch
-    from the largest |y|, |c| and |r'|: rounding is monotone, so the bound is
-    at least every element's floor, and when it is within ``_ABS_TOL`` (a NaN
-    or inf maximum never is) every tolerance is ``_ABS_TOL`` and the test is
-    ``|r| <= _ABS_TOL`` exactly.  Otherwise each element's floor is computed.
-    ``|y|``, ``|r'|``, ``|r|`` and the result are written into the arrays
-    given for them (new arrays when None), so the caller can reuse them.
+    ``abs_r`` is ``|r|``.  ``bound`` is at least every element's floor (see
+    :meth:`_Iterate.test`): when it is within ``_ABS_TOL`` (a NaN or inf
+    bound never is), every tolerance is ``_ABS_TOL`` and the test is ``|r| <=
+    _ABS_TOL`` exactly.  Otherwise each element's floor is computed.
     """
-    abs_y = np.abs(y, out=abs_y)
-    abs_jac = np.abs(jac, out=abs_jac)
-    abs_r = np.abs(r, out=abs_r)
-    y_max, jac_max = float(_max(abs_y)), float(_max(abs_jac))
-    if _FLOOR_SCALE * (1.0 + y_max + c_max) + (_FLOOR_SCALE * jac_max) * y_max <= _ABS_TOL:
+    if bound <= _ABS_TOL:
         return np.less_equal(abs_r, _ABS_TOL, out=out)
-    tol = np.maximum(_ABS_TOL, _residual_floor(abs_y, abs_c, abs_jac))
+    tol = np.maximum(_ABS_TOL, _residual_floor(y, abs_c, jac))
     return np.logical_and(abs_r <= tol, tol < np.inf, out=out)
+
+
+class _Iterate:
+    """A Newton iterate y over the batch and its residual, as the rows of one block.
+
+    The rows are -y, -r', y, y, r' and r.  Horner reads y from rows 2-3 and
+    writes r' and r into rows 4-5 (see :func:`_block_horner`).  The residual
+    test negates rows 3-4 into rows 0-1 and takes the extremes of y and r'
+    from one reduction over rows 0-4.
+    """
+
+    __slots__ = ("block", "negated", "pair", "signed", "y2", "y_copy", "y", "out", "jac", "r")
+
+    def __init__(self, size):
+        b = self.block = np.empty((6, size))
+        self.negated, self.pair, self.signed = b[0:2], b[3:5], b[0:5]
+        self.y2, self.y_copy, self.y = b[2:4], b[2], b[3]
+        self.out, self.jac, self.r = b[4:6], b[4], b[5]
+
+    def test(self, abs_r, abs_c, c_max, out):
+        """The residual test of y into ``out``; returns the smallest r' (NaN if r' holds one).
+
+        ``abs_r`` is ``|r|``, and ``c_max`` is ``abs_c.max()``.  The test's
+        bound on the floor is the floor's formula at the largest |y|, |c|
+        and |r'| of the batch: rounding is monotone, so it is at least every
+        element's floor.  A NaN in y or r' makes it NaN.
+        """
+        np.negative(self.pair, out=self.negated)
+        neg_y, neg_jac, _, y_top, jac_top = _max(self.signed, axis=1).tolist()
+        y_max, jac_max = max(y_top, neg_y), max(jac_top, neg_jac)
+        bound = _FLOOR_SCALE * (1.0 + y_max + c_max) + (_FLOOR_SCALE * jac_max) * y_max
+        _accepted(self.y, abs_r, self.jac, abs_c, bound, out)
+        return -neg_jac
 
 
 @dataclass
@@ -152,11 +186,13 @@ def residual_function(problem: SdeProblem, t: float, dt):
     computed once here, and each call evaluates r and r' together in one
     Horner pass.  ``dt`` is a float, or a 1-d array of per-element step
     sizes; ``at`` picks the elements of an array ``dt`` that ``y`` and ``c``
-    hold (all of them when None).  ``out``, a pair of arrays shaped like
-    ``y``, receives r and r' (see :func:`~levyem.problems.horner`).
+    hold (all of them when None).
     """
     poly = problem.drift_polynomial
-    return _residual(poly, _horner_layout(poly), t, -np.asarray(dt, dtype=float))
+    neg_dt = -np.asarray(dt, dtype=float)
+    present = _horner_layout(poly)
+    rows = _residual_rows(poly, neg_dt, [np.empty(neg_dt.shape) for _ in present])
+    return _residual(_at_time(poly, rows, t, neg_dt), present)
 
 
 def _horner_layout(poly) -> tuple:
@@ -166,18 +202,88 @@ def _horner_layout(poly) -> tuple:
     return tuple(present)
 
 
-def _residual(poly, present, t, neg_dt):
-    g = np.multiply.outer(poly.coefficients(t), neg_dt)  # -dt * a_k(t)
-    if poly.degree < 2:  # pad to the layout, so that r' comes out as an array like r
-        g = np.concatenate([g, np.zeros((2 - poly.degree,) + g.shape[1:])])
-    g[1] += 1.0
+def _residual_rows(poly, neg_dt, rows):
+    """Write the residual's coefficients that do not vary in time into ``rows``.
 
-    def residual(y, c, at=None, out=None):
-        v, dv = horner(g if at is None else g[:, at], present, y, out)
+    ``rows[k]`` receives ``-dt * a_k`` for the powers without a time factor
+    (a_k is then ``constant[k]``), row 1 also r's 1, and the padding to
+    degree 2 zeros; :func:`_at_time` writes the others.
+    """
+    for k, row in enumerate(rows):
+        if k <= poly.degree:
+            np.multiply(poly.constant[k], neg_dt, out=row)
+        else:
+            row[...] = 0.0
+    rows[1] += 1.0
+    return rows
+
+
+def _at_time(poly, rows, t, neg_dt):
+    """``rows`` with the coefficients of the powers that vary in time written for ``t``."""
+    if poly.timed:
+        coeffs = poly.coefficients(t)
+        for k in poly.timed:
+            np.multiply(coeffs[k], neg_dt, out=rows[k])
+            if k == 1:
+                rows[1] += 1.0
+    return rows
+
+
+def _residual(rows, present):
+    def residual(y, c, at=None):
+        v, dv = horner(rows if at is None else [row[at] for row in rows], present, y)
         v -= c
         return v, dv
 
     return residual
+
+
+def _block_horner(present, size):
+    """The residual's coefficient rows, and Horner's rule over the batch in blocks.
+
+    Returns ``(rows, evaluate)``: ``rows[k]`` holds each element's
+    coefficient of y**k, and ``evaluate(it)`` writes p'(y) and p(y) into
+    ``it.jac`` and ``it.r`` for an :class:`_Iterate` ``it``.  A step of the
+    rule, ``dp = dp * y + p; p = p * y + g_k``, is ``[dp, p] * [y, y] + [p,
+    g_k]``: one multiply and one add on a block whose rows are dp, p and g_k
+    (the add takes the dp row alone when g_k is absent), so each element
+    gets the operations of :func:`~levyem.problems.horner`, with its
+    roundings, from two calls a step instead of four.  y is copied into a
+    second row first, since a multiply that broadcasts y over two rows is
+    slower.
+    """
+    n = len(present) - 1  # at least 2, with present[1]
+    doubled = not present[n - 1]  # the first dp, g_n * y + p, is then p + p
+    top = n - 3 if doubled else n - 2  # the highest power stepped in blocks
+    blocks = [np.empty((3, size)) for _ in range(top + 1)]  # before power k: dp, p, g_k
+    head_dp, head_p = blocks[top][0], blocks[top][1]
+    rows = [b[2] for b in blocks] + [np.empty(size) for _ in range(top + 1, n)]
+    rows.append(np.empty(size) if doubled else head_dp)  # without doubling, dp starts as g_n
+    steps = [  # (dp and p, the next dp and p, addend, target): next = in * [y, y]; target += addend
+        (z[:2], o, z[1:] if present[k] else z[1], o if present[k] else o[0])
+        for k, z, o in ((k, blocks[k], blocks[k - 1][:2]) for k in range(top, 0, -1))
+    ]
+    last, last_addend = blocks[0][:2], blocks[0][1:] if present[0] else blocks[0][1]
+
+    def evaluate(it):
+        y, y2 = it.y, it.y2
+        it.y_copy[...] = y
+        np.multiply(rows[n], y, out=head_p)
+        if doubled:
+            np.add(head_p, head_p, out=head_dp)
+            np.multiply(head_p, y, out=head_p)
+            if present[n - 2]:
+                np.add(head_p, rows[n - 2], out=head_p)
+        else:
+            np.add(head_p, rows[n - 1], out=head_p)
+        for z, o, addend, target in steps:
+            np.multiply(z, y2, out=o)
+            np.add(target, addend, out=target)
+        np.multiply(last, y2, out=it.out)
+        target = it.out if present[0] else it.jac
+        np.add(target, last_addend, out=target)
+
+    return rows, evaluate
 
 
 def solvability_limit(problem: SdeProblem) -> float:
@@ -217,11 +323,13 @@ class PreparedStep(np.ndarray):
     size per element of batches shaped like ``c``; only the shape of ``c``
     is read) over the batch and checks it, and keeps what every solve at
     these step sizes reuses: the per-element step sizes and their
-    negations, the padded Horner layout of the residual, and the work
-    arrays of the Newton passes.  The array itself is a read-only copy of
-    ``dt``, so ``np.asarray`` of a prepared step gives its step sizes.
-    Pass it to :func:`solve_implicit_steps` as ``dt``; each solve overwrites
-    its work arrays, so it serves one call at a time.
+    negations, the padded Horner layout of the residual, its coefficient
+    rows (those that do not vary in time written here, see
+    :func:`_block_horner`), and the work arrays of the Newton passes.  The
+    array itself is a read-only copy of ``dt``, so ``np.asarray`` of a
+    prepared step gives its step sizes.  Pass it to
+    :func:`solve_implicit_steps` as ``dt``; each solve overwrites its work
+    arrays, so it serves one call at a time.
     """
 
     problem = None  # arrays computed from a prepared step are not prepared
@@ -239,10 +347,13 @@ class PreparedStep(np.ndarray):
         self.moves = bool(per_element.any())  # False also for an empty batch
         self.present = _horner_layout(problem.drift_polynomial)
         n = per_element.size
-        # one array each: one block for all of them passes the C allocator's
-        # mmap threshold on wide batches, and freeing it raises the threshold
-        # for trimming the heap, so the process keeps more memory
-        self.work = tuple(np.empty(n) for _ in range(11))
+        rows, self.horner = _block_horner(self.present, n)
+        self.rows = _residual_rows(problem.drift_polynomial, self.neg_dt, rows)
+        # several arrays, not one for all: one block that large passes the C
+        # allocator's mmap threshold on wide batches, and freeing it raises the
+        # threshold for trimming the heap, so the process keeps more memory
+        self.work = tuple(np.empty(n) for _ in range(4))
+        self.iterates = _Iterate(n), _Iterate(n)  # the iterate and the candidate
         self.masks = tuple(np.empty(n, dtype=bool) for _ in range(3))
         return self
 
@@ -289,8 +400,7 @@ def _bracketed_solve(residual, problem, t, c, dt, index):
     nearer_lo = np.nan_to_num(np.abs(r_lo), nan=np.inf) <= np.nan_to_num(np.abs(r_hi), nan=np.inf)
     y = np.where(nearer_lo, lo, hi)
     r, jac = residual(y, c, index)
-    abs_c = np.abs(c)
-    _fail_where(~_accepted(y, r, jac, abs_c, float(abs_c.max())),
+    _fail_where(~_accepted(y, np.abs(r), jac, np.abs(c)),
                 "implicit step residual above tolerance after bisection",
                 t, c, dt, index, y=y, residual=r)
     return y, r
@@ -356,8 +466,9 @@ def solve_implicit_steps(
     if not (isinstance(dt, PreparedStep) and dt.problem is problem
             and dt.per_element.shape == c.shape):
         dt = PreparedStep(problem, dt, c)
-    abs_c, r, jac, step, cand, rc, jc, abs_y, abs_jac, abs_r, abs_rc = dt.work
-    accepted, live, ok = dt.masks
+    abs_c, step, abs_r, abs_rc = dt.work
+    it, trial = dt.iterates
+    accepted, done, ok = dt.masks
     c_max = float(_max(np.abs(c, out=abs_c), initial=0.0))
     if not c_max < np.inf:  # NaN fails too
         bad = int(np.flatnonzero(~np.isfinite(c))[0])
@@ -366,43 +477,52 @@ def solve_implicit_steps(
             diagnostics={"t": t, "index": bad, "c": float(c[bad]),
                          "dt": float(dt.per_element[bad])},
         )
-    y = c.copy()
     if not dt.moves:  # also an empty batch
         if diagnostics is not None:
             diagnostics.solves += c.size
-        return y
-    residual = _residual(problem.drift_polynomial, dt.present, t, dt.neg_dt)
-    test = (abs_c, c_max, abs_y, abs_jac, abs_r, accepted)
-    residual(y, c, out=(r, jac))
-    _accepted(y, r, jac, *test)
-    np.logical_not(accepted, out=live)
+        return c.copy()
+    residual = _residual(_at_time(problem.drift_polynomial, dt.rows, t, dt.neg_dt), dt.present)
+    y, jac, r = it.y, it.jac, it.r
+    y[...] = c
+    dt.horner(it)
+    r -= c
+    jac_min = it.test(np.abs(r, out=abs_r), abs_c, c_max, accepted)
+    np.copyto(done, accepted)
     newton = halvings = 0
     for _ in range(_MAX_NEWTON_ITERS):
-        n_live = int(_count_nonzero(live))
+        n_live = c.size - int(_count_nonzero(done))
         if n_live == 0:
             break
         newton += n_live
-        if _min(abs_jac) >= _JAC_FLOOR:  # NaN fails this
+        if jac_min >= _JAC_FLOOR:  # NaN fails this
             np.divide(r, jac, out=step)  # the Newton step is -step
         else:
-            np.divide(r, np.where(abs_jac >= _JAC_FLOOR, jac, 1.0), out=step)
-        np.subtract(y, step, out=cand)
-        residual(cand, c, out=(rc, jc))
-        np.less(np.abs(rc, out=abs_rc), abs_r, out=ok)  # a NaN or infinite residual never improves
-        ok &= live
-        np.putmask(y, ok, cand)
-        np.putmask(r, ok, rc)
-        np.putmask(jac, ok, jc)
-        if _count_nonzero(ok) < n_live:
-            pending = np.logical_xor(live, ok, out=ok).nonzero()[0]
+            np.divide(r, np.where(np.abs(jac) >= _JAC_FLOOR, jac, 1.0), out=step)
+        if n_live < c.size:  # a done element's candidate, r and r' are its own, bit for bit
+            np.putmask(step, done, 0.0)
+        np.subtract(y, step, out=trial.y)
+        dt.horner(trial)
+        trial.r -= c
+        # a NaN or infinite residual never improves, nor does a done element
+        np.less(np.abs(trial.r, out=abs_rc), abs_r, out=ok)
+        if _count_nonzero(ok) == n_live:  # the candidate is the next iterate
+            it, trial, abs_r, abs_rc = trial, it, abs_rc, abs_r
+            y, jac, r = it.y, it.jac, it.r
+        else:
+            np.putmask(y, ok, trial.y)
+            np.putmask(r, ok, trial.r)
+            np.putmask(jac, ok, trial.jac)
+            pending = np.equal(done, ok, out=ok).nonzero()[0]  # neither done nor improved
             stalled, more = _damp(residual, y, r, jac, step, c, pending)
             halvings += more
-            live[stalled] = False
-        _accepted(y, r, jac, *test)
-        np.greater(live, accepted, out=live)  # live and not accepted
+            done[stalled] = True
+            np.abs(r, out=abs_r)
+        jac_min = it.test(abs_r, abs_c, c_max, accepted)
+        np.logical_or(done, accepted, out=done)
+    roots = y.copy()  # never a work array: the caller keeps the roots
     stragglers = np.logical_not(accepted, out=ok).nonzero()[0]
     if stragglers.size:
-        y[stragglers], r[stragglers] = _bracketed_solve(
+        roots[stragglers], r[stragglers] = _bracketed_solve(
             residual, problem, t, c[stragglers], dt.per_element[stragglers], stragglers
         )
         np.abs(r, out=abs_r)
@@ -413,4 +533,4 @@ def solve_implicit_steps(
         diagnostics.bracketed_elements += stragglers.size
         # |r| of the last residual test, or of the bisection
         diagnostics.worst_residual = max(diagnostics.worst_residual, float(_max(abs_r)))
-    return y
+    return roots

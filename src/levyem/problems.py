@@ -138,9 +138,13 @@ class CompiledPolynomial:
     ``coefficients(t)`` gives the coefficient vector ``a_0(t) .. a_n(t)``;
     each distinct window factor is evaluated once per call, whatever the
     number of terms that share it.  ``t`` may be a scalar or an array, the
-    result has shape ``(n + 1,) + shape(t)``.  ``value`` and ``derivative``
-    (the problem's coefficient callables) evaluate the polynomial in x by
-    Horner's rule and broadcast over ``t`` and ``x``.
+    result has shape ``(n + 1,) + shape(t)``.  A float ``t`` is computed in
+    Python floats, which skips numpy's cost per call on 0-d arrays and gives
+    the same bytes; an array keeps numpy's array power, which may differ
+    from the scalar one by an ulp.  ``timed`` lists the powers whose
+    coefficient varies in t.  ``value`` and ``derivative`` (the problem's
+    coefficient callables) evaluate the polynomial in x by Horner's rule and
+    broadcast over ``t`` and ``x``.
     """
 
     def __init__(self, parsed):
@@ -155,8 +159,12 @@ class CompiledPolynomial:
             else:
                 self.windows.setdefault(tf, []).append((x_power, coeff))
         self.present = tuple(present)  # powers without a term have a_k(t) = 0
+        # a_k(t) is constant[k] for the powers not listed here
+        self.timed = tuple(sorted({k for terms in self.windows.values() for k, _ in terms}))
 
     def coefficients(self, t):
+        if isinstance(t, float):  # np.float64 too
+            return self._coefficients_at(float(t))
         t = np.asarray(t, dtype=float)
         out = np.empty((self.degree + 1,) + t.shape)
         out[...] = self.constant.reshape((-1,) + (1,) * t.ndim)
@@ -165,6 +173,22 @@ class CompiledPolynomial:
             for x_power, coeff in terms:
                 out[x_power] += coeff * w
         return out
+
+    def _coefficients_at(self, t: float) -> np.ndarray:
+        """``coefficients(t)`` for one float ``t``, computed in Python floats.
+
+        Each operation is the one the array form does on a 0-d array, in the
+        same order and with the same rounding (the power is libm's ``pow``,
+        as numpy's scalar power is), so the bytes are those of
+        ``coefficients(np.asarray(t))``.
+        """
+        out = self.constant.tolist()
+        for (a, b, p), terms in self.windows.items():
+            u = (t - a) * (b - t)
+            w = float((u > 0.0) - (u < 0.0)) * abs(u) ** p  # signed_power(u, p)
+            for x_power, coeff in terms:
+                out[x_power] += coeff * w
+        return np.array(out)
 
     def value(self, t, x):
         x = np.asarray(x, dtype=float)
@@ -198,15 +222,24 @@ def horner(coeffs, present, x, out=None):
         out[0][...], out[1][...] = coeffs[0], 0.0
         return out
     p_out, dp_out = (None, None) if out is None else out
-    if dp_out is None:
-        dp = coeffs[n]
-    else:
-        dp = dp_out
-        dp[...] = coeffs[n]
     p = np.multiply(coeffs[n], x, out=p_out)
-    if present[n - 1]:
-        p += coeffs[n - 1]
-    for k in range(n - 2, -1, -1):
+    top = n - 2  # the power of the loop's first step
+    if n >= 2 and not present[n - 1]:
+        # p is coeffs[n] * x, so the first step's dp, coeffs[n] * x + p, is p + p
+        dp = np.add(p, p, out=dp_out)
+        p *= x
+        if present[top]:
+            p += coeffs[top]
+        top -= 1
+    else:
+        if present[n - 1]:
+            p += coeffs[n - 1]
+        if dp_out is None:
+            dp = coeffs[n]
+        else:
+            dp = dp_out
+            dp[...] = coeffs[n]
+    for k in range(top, -1, -1):
         dp = np.multiply(dp, x, out=dp_out)
         dp += p
         p *= x

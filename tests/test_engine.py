@@ -1,5 +1,6 @@
 """Ensemble evolution: exact oracles, tape aggregation, determinism."""
 
+import concurrent.futures
 import dataclasses
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -551,7 +552,7 @@ def test_pool_has_no_more_processes_than_chunks(monkeypatch):
             sizes.append(max_workers)
             super().__init__(max_workers, **kw)
 
-    monkeypatch.setattr(engine, "ProcessPoolExecutor", Recording)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
     problem = builtin_problem("paper-5.4")
     # a run gets a chunk per worker, but 3 paths make only 3 chunks of one path
     run = simulate_ensemble(problem, 0.05, 3, 3, workers=8)

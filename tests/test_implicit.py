@@ -1,5 +1,6 @@
 """Implicit-step root solves against an independent bisection/Brent oracle."""
 
+import itertools
 import warnings
 
 import numpy as np
@@ -16,8 +17,10 @@ from levyem.implicit import (
     _MAX_NEWTON_ITERS,
     PreparedStep,
     StepDiagnostics,
+    _block_horner,
     _check_dt,
     _fail_where,
+    _Iterate,
     _residual_floor,
     bracket_halfwidth,
     residual_function,
@@ -331,6 +334,53 @@ def test_a_reused_prepared_step_equals_fresh_solves(per_element):
         assert reused.damping_halvings > 0 or k > 0, k
         assert reused.bracketed_elements == (3 if k == 1 else 0), k
     np.testing.assert_array_equal(np.asarray(prepared), dt)
+
+
+def test_roots_never_alias_the_work_arrays():
+    # The passes swap the iterate's and the candidate's blocks, and the
+    # engine keeps each call's roots as lane states while the same prepared
+    # step serves the next node: a root array must be the caller's own.
+    problem = builtin_problem("paper-5.1c")
+    rng = np.random.default_rng(21)
+    n = 300
+    dt = min(1.0, 0.9 * solvability_limit(problem))
+    prepared = PreparedStep(problem, dt, np.empty(n))
+    held = list(prepared.work) + [it.block for it in prepared.iterates] + list(prepared.rows)
+    full, damped = StepDiagnostics(), StepDiagnostics()
+    first = solve_implicit_steps(problem, 0.5, rng.normal(0.0, 0.5, n), prepared, full)
+    kept = first.copy()
+    c = rng.normal(0.0, 1.0, n)
+    c[:24] = np.linspace(-0.7, -0.3, 24)  # full steps fail here at t = 0
+    second = solve_implicit_steps(problem, 0.0, c, prepared, damped)
+    assert full.damping_halvings == 0 < full.newton_iterations
+    assert damped.damping_halvings > 0
+    assert first.tobytes() == kept.tobytes()
+    for root in (first, second):
+        assert not any(np.shares_memory(root, array) for array in held)
+
+
+def test_block_horner_equals_the_plain_rule():
+    # every layout of a residual (degree >= 2, with y's own term; a drift of
+    # degree 0 or 1 is padded with an absent y**2), for coefficients that
+    # vary per element, with zeros of both signs in x
+    rng = np.random.default_rng(22)
+    x = np.concatenate([rng.normal(0.0, 2.0, 61), [0.0, -0.0, 3e-200]])
+    layouts = [(False, True, False), (True, True, False)] + [
+        (rest[0], True) + rest[1:] + (True,)
+        for degree in range(2, 7) for rest in itertools.product([False, True], repeat=degree - 1)
+    ]
+    for present in layouts:
+        rows, evaluate = _block_horner(present, x.size)
+        coeffs = rng.normal(0.0, 3.0, (len(present), x.size))
+        coeffs[:, -2:] = 0.0
+        for row, values in zip(rows, coeffs):
+            row[...] = values
+        it = _Iterate(x.size)
+        it.y[...] = x
+        evaluate(it)
+        p, dp = _reference_horner(coeffs, present, x)
+        assert it.r.tobytes() == p.tobytes(), present
+        assert it.jac.tobytes() == dp.tobytes(), present
 
 
 # ---------------------------------------------------------------------------

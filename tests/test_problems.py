@@ -125,6 +125,62 @@ def test_horner_into_arrays_equals_the_allocating_form(degree, per_element):
         assert np.broadcast_to(dp, x.shape).tobytes() == out[1].tobytes(), present
 
 
+def _plain_horner(coeffs, present, x):
+    """Horner's rule one power at a time, each operation spelled out."""
+    n = len(coeffs) - 1
+    p, dp = coeffs[n], 0.0
+    for k in range(n - 1, -1, -1):
+        dp = p if k == n - 1 else dp * x + p
+        p = p * x + coeffs[k] if present[k] else p * x
+    return p, dp
+
+
+@pytest.mark.parametrize("degree", range(1, 7))
+def test_horner_equals_the_plain_rule(degree):
+    # without a term of degree n - 1, the first dp is taken as p + p, which
+    # must be the plain rule's coeffs[n] * x + p to the bit, zeros' signs too
+    rng = np.random.default_rng(40 + degree)
+    x = np.concatenate([rng.normal(0.0, 2.0, 60), [0.0, -0.0, 1e200, -1e-200]])
+    coeffs = rng.normal(0.0, 3.0, (degree + 1, x.size))
+    coeffs[:, -3:] = 0.0
+    for rest in itertools.product([False, True], repeat=degree):
+        present = rest + (True,)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, want = horner(coeffs, present, x), _plain_horner(coeffs, present, x)
+        for a, b in zip(got, want):
+            a, b = np.broadcast_to(a, x.shape), np.broadcast_to(b, x.shape)
+            assert a.tobytes() == b.tobytes(), present
+
+
+def _window_edges(config):
+    """Every window's a and b, in both coefficients of a problem's config."""
+    terms = config["drift"] + (config.get("diffusion") or [])
+    return sorted({e for term in terms if "time_factor" in term
+                   for e in (term["time_factor"]["a"], term["time_factor"]["b"])})
+
+
+@pytest.mark.parametrize("name", builtin_problem_names())
+def test_float_time_coefficients_equal_the_array_form(name):
+    # a float t is computed in Python floats; it must give the bytes of a
+    # 0-d array t (and of an np.float64 t) inside and outside every window,
+    # where the window polynomial is negative, at its ends, at 0 and at T
+    problem = builtin_problem(name)
+    config = BUILTIN_PROBLEMS[name]
+    horizon = problem.horizon
+    edges = _window_edges(config)
+    grid = np.concatenate([
+        np.linspace(-1.0, horizon + 1.0, 397), [0.0, horizon], edges,
+        np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+        np.random.default_rng(9).uniform(0.0, horizon, 200),
+    ])
+    polys = [problem.drift_polynomial, problem.diffusion_polynomial]
+    for poly in [p for p in polys if p is not None]:
+        for t in grid.tolist():
+            want = poly.coefficients(np.asarray(t)).tobytes()
+            assert poly.coefficients(t).tobytes() == want, t
+            assert poly.coefficients(np.float64(t)).tobytes() == want, t
+
+
 def test_config_round_trip():
     for name in builtin_problem_names():
         problem = builtin_problem(name)
