@@ -80,6 +80,7 @@ from .noise import (  # make_rng is unused here: bench/tracing.py times it under
     make_rng,  # noqa: F401
     sample_levy_increments,
 )
+from .tilted_stable import BLOCK_ROWS
 
 __all__ = [
     "IncrementTape",
@@ -225,9 +226,10 @@ def make_tape(
     brownian = levy = None
     if brownian_streams is not None:
         brownian = np.empty((path_indices.size, n_steps))
-        for row in range(path_indices.size):
-            brownian_streams[row].standard_normal(out=brownian[row])
-            brownian_streams.release(row)
+        for lo in range(0, path_indices.size, BLOCK_ROWS):
+            hi = min(lo + BLOCK_ROWS, path_indices.size)
+            for rng, row in zip(brownian_streams.rows(lo, hi), brownian[lo:hi]):
+                rng.standard_normal(out=row)
         brownian *= np.sqrt(fine_dt)
     if levy_streams is not None:
         levy = sample_levy_increments(problem.noise, fine_dt, n_steps, levy_streams)

@@ -37,7 +37,7 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from .errors import ConfigurationError
-from .noise import AUX_STREAM, NoiseSpec, PathStreams
+from .noise import AUX_STREAM, NoiseSpec, make_rng
 
 if TYPE_CHECKING:
     from .problems import CompiledPolynomial
@@ -198,7 +198,7 @@ def run_declared_probes(
     if not 0.0 < radius < math.inf:
         raise ConfigurationError(f"field 'radius': need a finite radius > 0, got {radius}")
     c = problem.constants
-    rng = PathStreams(seed, [0], AUX_STREAM)[0]
+    rng = make_rng(seed, 0, AUX_STREAM)
     t = rng.uniform(0.0, problem.horizon, n_pairs)
     x = rng.uniform(-radius, radius, n_pairs)
     y = rng.uniform(-radius, radius, n_pairs)

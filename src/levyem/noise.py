@@ -6,16 +6,17 @@ address: :class:`PathStreams` ``(master_seed, paths, stream)`` holds the
 counter-based Philox streams of the given paths, one per path, keyed by
 ``(master_seed, path_index, stream)``, so every path owns a reproducible,
 independent substream regardless of chunking or worker scheduling.  It
-derives the keys of all its paths in one array pass.  A row being drawn
-holds a generator from a small pool, which keeps the row's position, so the
-samplers' rejection rounds return to a row without saving or loading a
-state; only rows beyond the pool are suspended to a saved Philox state.
-The samplers take a ``PathStreams`` and return one row per path, working
+derives the keys of all its paths in one array pass and hands out their
+generators a row block at a time: ``rows(lo, hi)`` gives each row of the
+block a generator at the row's position, which the samplers' rejection
+rounds return to without saving or loading a state.  A row's position is
+saved only between blocks of a tape, while ``keep_open`` is set.  The
+samplers take a ``PathStreams`` and return one row per path, working
 through the rows in blocks and drawing each row's variates from its own
 stream, so a row does not depend on the other paths of the call:
-:func:`levyem.engine.make_tape` draws a chunk's tape this way, block by
-block with the streams kept open, and a one-path draw is
-``PathStreams(seed, [p], stream)`` and row 0.
+:func:`levyem.engine.make_tape` draws a chunk's tape this way, tape block by
+tape block with the streams kept open.  A caller that draws from one
+stream alone takes :func:`make_rng`.
 
 Conventions
 -----------
@@ -34,14 +35,12 @@ Conventions
 from __future__ import annotations
 
 import operator
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError
 from .tilted_stable import (
-    BLOCK_ROWS,
     AcceptanceStats,
     row_blocks,
     tilted_stable_pieces,
@@ -68,10 +67,6 @@ LEVY_STREAM = "levy"
 AUX_STREAM = "aux"
 _STREAM_CODES = {BROWNIAN_STREAM: 0, LEVY_STREAM: 1, AUX_STREAM: 2}
 _MAX_PATH_INDEX = 2**32 - 1  # one 32-bit spawn-key word per path
-# The most rows of one PathStreams that hold a generator at once: a sampler
-# block's rows (at most BLOCK_ROWS) all do, so a block holds its rows'
-# generators through its rejection rounds without saving a state.
-_LIVE_ROWS = BLOCK_ROWS
 
 
 # numpy's SeedSequence hash constants (NEP 19; numpy/random/bit_generator.pyx)
@@ -141,23 +136,17 @@ def _philox_keys(master_seed: int, paths, stream: str):
 
 
 class PathStreams:
-    """The streams ``(master_seed, p, stream)`` of the paths p in ``paths``, on pooled generators.
+    """The streams ``(master_seed, p, stream)`` of the paths p in ``paths``, handed out by row block.
 
     ``stream`` is one of BROWNIAN_STREAM, LEVY_STREAM and AUX_STREAM.
-    ``streams[r]`` returns row r's generator, which yields exactly what path
-    ``paths[r]``'s own stream yields.  A row being drawn is live: it holds a
-    generator of a pool of at most ``_LIVE_ROWS``, which carries its
-    position, so returning to a live row reads and writes no state.  On
-    first use a row takes a pooled generator and loads its key (a fresh
-    stream) or its saved position.  Only when every pooled generator is in
-    use is the least recently used live row suspended: its position is
-    saved and its generator passes to the new row.  A row's generator is
-    therefore valid while the row is live, that is until it is released or
-    ``_LIVE_ROWS`` other rows have been used after it.  A row that is drawn
-    from no more is ``release``d and its generator returns to the pool.
-    While ``keep_open`` is set, a release keeps the row's position instead,
-    so a later call continues every row where this one left it: a tape is
-    drawn in blocks this way.
+    ``rows(lo, hi)`` returns the generators of rows lo..hi-1, and row r's
+    generator yields exactly what path ``paths[r]``'s own stream yields.
+    The generators are valid until the next ``rows`` call, which reuses
+    them, so a block and its rejection rounds draw each row without saving
+    or loading a state.  A row handed out while ``keep_open`` is set has its
+    position saved by that next call, and a later block continues the row
+    there: a tape is drawn in blocks this way.  Any other row starts its
+    stream afresh.
     """
 
     def __init__(self, master_seed: int, paths, stream: str):
@@ -174,55 +163,38 @@ class PathStreams:
         # as lists, which the state setter reads faster than arrays
         self._fresh["state"]["counter"] = self._fresh["state"]["counter"].tolist()
         self._fresh["buffer"] = self._fresh["buffer"].tolist()
-        self._idle = [generator]
-        self._live = OrderedDict()  # row -> generator, least recently used first
+        self._pool = [generator]  # grows to the largest block asked for
+        self._held = range(0)  # rows whose generators (the pool's first) the next call saves
         self._saved = {}
         self.keep_open = False
 
     def __len__(self) -> int:
         return len(self._keys)
 
-    def __getitem__(self, row: int) -> np.random.Generator:
-        generator = self._live.get(row)
-        if generator is None:
-            return self._open(row)
-        self._live.move_to_end(row)
-        return generator
-
-    def _open(self, row: int) -> np.random.Generator:
-        """Give row a pooled generator at the row's position."""
-        if self._idle:
-            generator = self._idle.pop()
-        elif len(self._live) < _LIVE_ROWS:
-            generator = np.random.Generator(np.random.Philox(key=0))
-        else:
-            suspended, generator = self._live.popitem(last=False)
-            self._saved[suspended] = generator.bit_generator.state
-        state = self._saved.pop(row, None)
-        if state is None:
-            state = self._fresh
-            state["state"]["key"] = self._keys[row]
-        generator.bit_generator.state = state
-        self._live[row] = generator
-        return generator
-
-    def release(self, row: int) -> None:
-        """Forget row's position: it is drawn from no more (kept while ``keep_open``)."""
-        if self.keep_open:
-            return
-        generator = self._live.pop(row, None)
-        if generator is None:
-            self._saved.pop(row, None)
-        else:
-            self._idle.append(generator)
+    def rows(self, lo: int, hi: int) -> list[np.random.Generator]:
+        """The generators of rows lo..hi-1, each at its row's position; valid until the next call."""
+        for row, generator in zip(self._held, self._pool):
+            self._saved[row] = generator.bit_generator.state
+        while len(self._pool) < hi - lo:
+            self._pool.append(np.random.Generator(np.random.Philox(key=0)))
+        generators = self._pool[: hi - lo]
+        for row, generator in zip(range(lo, hi), generators):
+            state = self._saved.pop(row, None)
+            if state is None:
+                state = self._fresh
+                state["state"]["key"] = self._keys[row]
+            generator.bit_generator.state = state
+        self._held = range(lo, hi) if self.keep_open else range(0)
+        return generators
 
 
 def make_rng(master_seed: int, path_index: int, stream: str) -> np.random.Generator:
-    """The generator of one path's stream: row 0 of a one-path :class:`PathStreams`.
+    """The generator of one path's stream: the one row of a one-path :class:`PathStreams`.
 
-    Nothing in the package calls it; ``bench/tracing.py`` times it under this name.
+    A caller that draws from a single stream (the assumption probes) takes
+    it here; ``bench/tracing.py`` times it under this name.
     """
-    return PathStreams(master_seed, [path_index], stream)[0]
+    return PathStreams(master_seed, [path_index], stream).rows(0, 1)[0]
 
 
 _KINDS = ("none", "alpha_stable", "tempered_stable")
@@ -316,11 +288,9 @@ def sample_alpha_stable(
     for lo, hi in row_blocks(len(streams), n):
         u = np.empty((hi - lo, n))
         w = np.empty((hi - lo, n))
-        for i in range(hi - lo):
-            rng = streams[lo + i]
+        for i, rng in enumerate(streams.rows(lo, hi)):
             u[i] = rng.uniform(-np.pi / 2.0, np.pi / 2.0, n)
             rng.standard_exponential(out=w[i])
-            streams.release(lo + i)
         out[lo:hi] = scale * dt ** (1.0 / alpha) * _standard_symmetric_stable(alpha, u, w)
     return out
 
@@ -351,15 +321,12 @@ def sample_tempered_stable(
     pieces = tilted_stable_pieces(rho, tilt, dt)
     out = np.empty((len(streams), n))
     for lo, hi in row_blocks(len(streams), n * pieces):
-        # a block has at most _LIVE_ROWS rows, so its generators stay valid throughout
-        rngs = [streams[row] for row in range(lo, hi)]
+        rngs = streams.rows(lo, hi)
         block = out[lo:hi]
         tilted_stable_rows(rho, tilt, dt, pieces, rngs, block, stats)
         z = np.empty_like(block)
         for rng, z_row in zip(rngs, z):
             rng.standard_normal(out=z_row)
-        for row in range(lo, hi):
-            streams.release(row)
         np.sqrt(block, out=block)
         block *= scale
         block *= z

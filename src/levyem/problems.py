@@ -206,27 +206,20 @@ def _broadcast(v, t, x):
     return v + np.zeros(np.broadcast_shapes(np.shape(t), x.shape))
 
 
-def horner(coeffs, present, x, out=None):
+def horner(coeffs, present, x):
     """p(x) and p'(x) for p = sum_k coeffs[k] * x**k, in one Horner pass.
 
     ``present[k]`` False marks a coefficient known to be zero, whose addition
-    is skipped.  The coefficients broadcast against ``x``.  ``out`` is None,
-    or a pair of arrays of the broadcast shape that receive p and p' and are
-    returned: each pass then updates them in place, with the same roundings
-    as the allocating form.
+    is skipped.  The coefficients broadcast against ``x``.
     """
     n = len(coeffs) - 1
     if n == 0:
-        if out is None:
-            return coeffs[0], 0.0
-        out[0][...], out[1][...] = coeffs[0], 0.0
-        return out
-    p_out, dp_out = (None, None) if out is None else out
-    p = np.multiply(coeffs[n], x, out=p_out)
+        return coeffs[0], 0.0
+    p = np.multiply(coeffs[n], x)
     top = n - 2  # the power of the loop's first step
     if n >= 2 and not present[n - 1]:
         # p is coeffs[n] * x, so the first step's dp, coeffs[n] * x + p, is p + p
-        dp = np.add(p, p, out=dp_out)
+        dp = np.add(p, p)
         p *= x
         if present[top]:
             p += coeffs[top]
@@ -234,13 +227,9 @@ def horner(coeffs, present, x, out=None):
     else:
         if present[n - 1]:
             p += coeffs[n - 1]
-        if dp_out is None:
-            dp = coeffs[n]
-        else:
-            dp = dp_out
-            dp[...] = coeffs[n]
+        dp = coeffs[n]
     for k in range(top, -1, -1):
-        dp = np.multiply(dp, x, out=dp_out)
+        dp = np.multiply(dp, x)
         dp += p
         p *= x
         if present[k]:

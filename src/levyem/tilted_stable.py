@@ -30,8 +30,8 @@ sine form's.
 
 ``tilted_stable_rows`` draws a block of rows, one generator per row, each
 row's variates in the order a one-row call would draw them.  A caller takes
-its blocks from ``row_blocks``: at most BLOCK_CELLS rejection cells and
-BLOCK_ROWS rows, so it can hold every row's generator for the whole block.
+its blocks from ``row_blocks``, at most BLOCK_CELLS rejection cells and
+BLOCK_ROWS rows, and holds every row's generator for the whole block.
 
 References
 ----------
@@ -63,8 +63,9 @@ _MAX_PARTITION = 64
 # Cells drawn at once by the row samplers.  A block holds a few arrays of this
 # many float64 values, so it bounds their working memory (at least one row).
 BLOCK_CELLS = 2**13
-# The most rows in one block.  ``PathStreams`` keeps this many rows' generators
-# live, so a block can fetch its rows' generators once and hold them.
+# The most rows in one block.  A block fetches its rows' generators once
+# (``PathStreams.rows``) and holds them through its rejection rounds, and a
+# ``PathStreams`` builds as many generators as its largest block has rows.
 BLOCK_ROWS = 64
 
 

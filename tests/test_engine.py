@@ -21,6 +21,7 @@ from levyem.errors import ConfigurationError, StepFailureError
 from levyem.implicit import StepDiagnostics, solvability_limit
 from levyem.noise import PathStreams, sample_levy_increments
 from levyem.problems import builtin_problem, problem_from_config
+from levyem.tilted_stable import BLOCK_ROWS
 
 _CONSTANTS = {"H": 4.0, "sigma": 1.0, "q": 4.0, "M": 1.0, "K1": 1.0, "K2": 1.0,
               "gamma1": 0.5, "gamma2": 0.5, "K4": 0.5}
@@ -393,27 +394,33 @@ def test_run_within_one_block_uses_the_whole_horizon_tape(n_steps):
     np.testing.assert_array_equal(run.terminal, expect)
 
 
+# more paths than one row block holds, and not a multiple of it
+_MANY_PATHS = np.arange(2 * BLOCK_ROWS + 7) * 2 + 1
+
+
 @pytest.mark.parametrize("n_steps", [1, 1023, 1025, 3000])
 def test_brownian_rows_drawn_by_block_equal_one_draw(n_steps):
     # the rows' streams stay open between blocks, so a Brownian row is one
-    # continuous draw at any length
+    # continuous draw at any length, also over several row blocks
     problem = _ou_brownian()
-    paths = [0, 5, 9]
-    blocks = list(engine._tape_blocks(problem, 0.001, n_steps, 1024, paths, 8))
-    assert [b.n_steps for b in blocks][:-1] == [1024] * (len(blocks) - 1)
-    whole = make_tape(problem, 0.001, n_steps, paths, 8)
-    drawn = np.concatenate([b.brownian for b in blocks], axis=1)
-    np.testing.assert_array_equal(drawn, whole.brownian)
+    for paths in [0, 5, 9], _MANY_PATHS:
+        blocks = list(engine._tape_blocks(problem, 0.001, n_steps, 1024, paths, 8))
+        assert [b.n_steps for b in blocks][:-1] == [1024] * (len(blocks) - 1)
+        whole = make_tape(problem, 0.001, n_steps, paths, 8)
+        drawn = np.concatenate([b.brownian for b in blocks], axis=1)
+        np.testing.assert_array_equal(drawn, whole.brownian)
 
 
 def test_jump_rows_continue_their_streams_from_block_to_block():
     problem = builtin_problem("paper-5.4")  # tempered jumps
-    paths, seed, dt = [2, 7], 4, 0.01
-    blocks = list(engine._tape_blocks(problem, dt, 1500, 1024, paths, seed))
-    streams = PathStreams(seed, paths, "levy")
-    streams.keep_open = True
-    for block, n in zip(blocks, (1024, 476)):
-        np.testing.assert_array_equal(block.levy, sample_levy_increments(problem.noise, dt, n, streams))
+    seed, dt = 4, 0.01
+    for paths in [2, 7], _MANY_PATHS:
+        blocks = list(engine._tape_blocks(problem, dt, 1500, 1024, paths, seed))
+        streams = PathStreams(seed, paths, "levy")
+        streams.keep_open = True
+        for block, n in zip(blocks, (1024, 476)):
+            expected = sample_levy_increments(problem.noise, dt, n, streams)
+            np.testing.assert_array_equal(block.levy, expected)
 
 
 def test_strong_run_over_blocks_does_not_depend_on_chunks_or_workers(monkeypatch):

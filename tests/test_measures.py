@@ -500,6 +500,9 @@ def test_simulation_path_does_not_import_scipy(tmp_path):
 
         problem = builtin_problem("paper-5.4")
         strong_error_run(problem, [2.0 ** -3, 2.0 ** -4], 2.0 ** -5, 8, 3)
+        # an inline run never loads the process pool's modules
+        pool_modules = {{"concurrent.futures", "multiprocessing"}} & set(sys.modules)
+        assert not pool_modules, pool_modules
         # 200 steps x 2 streams x 8 B a path: chunks of 4 paths
         run = simulate_ensemble(problem, 0.05, 8, 3, workers=2, chunk_budget_bytes=4 * 3200)
         assert run.terminal.shape == (8,)

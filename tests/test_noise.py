@@ -11,7 +11,6 @@ from levyem.engine import make_tape, simulate_ensemble
 from levyem.errors import ConfigurationError
 from levyem.problems import builtin_problem
 from levyem.noise import (
-    _LIVE_ROWS,
     NoiseSpec,
     PathStreams,
     _philox_keys,
@@ -22,7 +21,7 @@ from levyem.noise import (
     sample_tempered_stable,
     validate_moment_conditions,
 )
-from levyem.tilted_stable import row_blocks
+from levyem.tilted_stable import BLOCK_ROWS, row_blocks
 
 BM_SPEC = NoiseSpec(kind="none", brownian_dim=1)
 STREAM_CODES = {"brownian": 0, "levy": 1, "aux": 2}
@@ -64,9 +63,9 @@ def test_brownian_determinism():
 
 
 def test_streams_are_distinct():
-    a = PathStreams(7, [3], "brownian")[0].standard_normal(100)
-    b = PathStreams(7, [3], "levy")[0].standard_normal(100)
-    c = PathStreams(7, [4], "brownian")[0].standard_normal(100)
+    a = make_rng(7, 3, "brownian").standard_normal(100)
+    b = make_rng(7, 3, "levy").standard_normal(100)
+    c = make_rng(7, 4, "brownian").standard_normal(100)
     assert not np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
@@ -101,66 +100,57 @@ def test_philox_keys_match_seed_sequence(seed):
 
 
 def test_path_streams_resume_each_row():
+    # within a block every row keeps its position, however its draws interleave
     streams = PathStreams(3, [5, 9], "levy")
+    rngs = streams.rows(0, 2)
     a, b = _reference_rng(3, 5, "levy"), _reference_rng(3, 9, "levy")
     for row, rng in (0, a), (1, b), (0, a), (0, a), (1, b):
-        np.testing.assert_array_equal(streams[row].random(7), rng.random(7))
-    streams.release(0)
-    np.testing.assert_array_equal(streams[1].random(3), b.random(3))
+        np.testing.assert_array_equal(rngs[row].random(7), rng.random(7))
     with pytest.raises(ConfigurationError, match="path"):
         PathStreams(3, [-1], "levy")
 
 
-def test_path_streams_kept_open_continue_released_rows():
-    streams = PathStreams(3, [5, 9], "levy")
-    streams.keep_open = True
-    a, b = _reference_rng(3, 5, "levy"), _reference_rng(3, 9, "levy")
-    for _ in range(2):  # the second pass continues each released row
-        for row, rng in (0, a), (1, b):
-            np.testing.assert_array_equal(streams[row].random(7), rng.random(7))
-            streams.release(row)
+def test_path_streams_kept_open_continue_each_row():
+    # a row handed out under keep_open is continued by a later block, also by
+    # the last one, which is handed out with keep_open cleared
+    streams = PathStreams(3, [5, 9, 11], "levy")
+    refs = [_reference_rng(3, p, "levy") for p in (5, 9, 11)]
+    for keep_open, blocks in (True, [(0, 2), (2, 3)]), (True, [(1, 3), (0, 1)]), (False, [(0, 3)]):
+        streams.keep_open = keep_open
+        for lo, hi in blocks:
+            for row, rng in enumerate(streams.rows(lo, hi), lo):
+                np.testing.assert_array_equal(rng.random(7), refs[row].random(7))
 
 
-def test_path_streams_suspend_rows_beyond_the_pool():
-    # interleaved draws over more rows than hold a generator at once
-    paths = np.arange(2 * _LIVE_ROWS + 7) * 3 + 1
-    streams = PathStreams(11, paths, "levy")
-    refs = [_reference_rng(11, int(p), "levy") for p in paths]
-    rng = np.random.default_rng(0)
-    for row in rng.integers(0, paths.size, 2000):
-        n = int(rng.integers(1, 5))
-        np.testing.assert_array_equal(streams[row].random(n), refs[row].random(n))
-        if rng.random() < 0.05:
-            streams.release(row)
-            refs[row] = _reference_rng(11, int(paths[row]), "levy")  # a released row restarts
-    for row in range(paths.size):  # in order: with more rows than the pool, most resume
-        np.testing.assert_array_equal(
-            streams[row].standard_normal(3), refs[row].standard_normal(3)
-        )
-
-
-def test_path_streams_kept_open_beyond_the_pool():
-    paths = np.arange(_LIVE_ROWS + 20)
+def test_path_streams_kept_open_over_many_blocks():
+    paths = np.arange(2 * BLOCK_ROWS + 7) * 3 + 1
     streams = PathStreams(3, paths, "brownian")
-    streams.keep_open = True
     refs = [_reference_rng(3, int(p), "brownian") for p in paths]
-    for _ in range(2):  # the second pass continues each row, most of them suspended
-        for row in range(paths.size):
-            np.testing.assert_array_equal(
-                streams[row].standard_normal(5), refs[row].standard_normal(5)
-            )
-            streams.release(row)
+    for last in (False, False, True):  # two kept-open passes, then the last
+        streams.keep_open = not last
+        for lo, hi in row_blocks(paths.size, 0):
+            for row, rng in enumerate(streams.rows(lo, hi), lo):
+                np.testing.assert_array_equal(
+                    rng.standard_normal(5), refs[row].standard_normal(5)
+                )
+
+
+def test_path_streams_restart_rows_not_kept_open():
+    streams = PathStreams(3, [5, 9], "levy")
+    first = streams.rows(0, 2)[1].random(6)
+    streams.rows(1, 2)[0].random(3)
+    np.testing.assert_array_equal(streams.rows(1, 2)[0].random(6), first)
+    np.testing.assert_array_equal(first, _reference_rng(3, 9, "levy").random(6))
 
 
 def test_path_streams_hold_two_rows_at_once():
     streams = PathStreams(3, [5, 9], "levy")
     a, b = _reference_rng(3, 5, "levy"), _reference_rng(3, 9, "levy")
-    first, second = streams[0], streams[1]
+    first, second = streams.rows(0, 2)
     assert first is not second
     for _ in range(3):
         np.testing.assert_array_equal(first.random(4), a.random(4))
         np.testing.assert_array_equal(second.standard_exponential(4), b.standard_exponential(4))
-    assert streams[0] is first and streams[1] is second
 
 
 _TAPE_SPECS = {
@@ -253,9 +243,9 @@ def test_tempered_rows_follow_the_per_stream_draw_order(name, dt):
 
 
 def test_sampler_blocks_hold_at_most_the_live_generators():
-    # 300 rows of 4 one-piece steps: an 8,192-cell block would hold them all, more
-    # rows than PathStreams keeps generators for, and a block holds its rows' generators
-    assert max(hi - lo for lo, hi in row_blocks(300, 4)) == _LIVE_ROWS
+    # 300 rows of 4 one-piece steps: an 8,192-cell block would hold them all,
+    # and a block holds a generator per row, so blocks stop at BLOCK_ROWS
+    assert max(hi - lo for lo, hi in row_blocks(300, 4)) == BLOCK_ROWS
     problem = builtin_problem("paper-5.4")
     tape = make_tape(problem, 0.01, 4, np.arange(300), master_seed=20240817)
     for path in range(300):

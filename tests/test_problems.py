@@ -107,24 +107,6 @@ def test_compiled_polynomial_matches_term_sum(name):
             )
 
 
-@pytest.mark.parametrize("degree", range(6))
-@pytest.mark.parametrize("per_element", [False, True], ids=["scalar-rows", "per-element-rows"])
-def test_horner_into_arrays_equals_the_allocating_form(degree, per_element):
-    # every present pattern the grammar can produce: the leading power always
-    # has a term, except in a polynomial without any (degree 0, all absent)
-    rng = np.random.default_rng(degree)
-    x = rng.normal(0.0, 2.0, 64)
-    coeffs = rng.normal(0.0, 3.0, (degree + 1, 64) if per_element else degree + 1)
-    patterns = [rest + (True,) for rest in itertools.product([False, True], repeat=degree)]
-    for present in patterns + ([(False,)] if degree == 0 else []):
-        p, dp = horner(coeffs, present, x)
-        out = (np.full(x.shape, np.nan), np.full(x.shape, np.nan))
-        got = horner(coeffs, present, x, out)
-        assert got[0] is out[0] and got[1] is out[1]
-        assert np.broadcast_to(p, x.shape).tobytes() == out[0].tobytes(), present
-        assert np.broadcast_to(dp, x.shape).tobytes() == out[1].tobytes(), present
-
-
 def _plain_horner(coeffs, present, x):
     """Horner's rule one power at a time, each operation spelled out."""
     n = len(coeffs) - 1

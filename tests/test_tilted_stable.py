@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from levyem.errors import ConfigurationError
-from levyem.noise import PathStreams, sample_tempered_stable
+from levyem.noise import PathStreams, make_rng, sample_tempered_stable
 from levyem.tilted_stable import (
     AcceptanceStats,
     _kanter,
@@ -24,7 +24,7 @@ def _draw(rho, tilt, horizon, size, seed, stats=None):
     """``size`` increments from the one-path stream ``(seed, 0, "levy")``."""
     pieces = tilted_stable_pieces(rho, tilt, horizon)
     values = np.empty((1, size))
-    rng = PathStreams(seed, [0], "levy")[0]
+    rng = make_rng(seed, 0, "levy")
     tilted_stable_rows(rho, tilt, horizon, pieces, [rng], values, stats or AcceptanceStats())
     return values[0]
 

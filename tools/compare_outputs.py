@@ -50,9 +50,8 @@ the same arithmetic print the same hashes:
   over 8 steps of 1, where each jump increment takes 64 sampler pieces, the
   most a draw may take;
 * ``tape-54-one-block``: the same for paper-5.4 over 4 steps of 0.01, where
-  the sampler draws all 300 jump rows in one block: more rows than
-  ``PathStreams`` holds generators, so rows are suspended and resumed
-  within a block;
+  an 8,192-cell sampler block would hold all 300 jump rows, but a block
+  stops at 64 rows, one generator each;
 * ``ensemble-54-two-blocks``: paper-5.4 at dt = 0.005, 300 paths in one
   chunk, whose 2,000 steps are drawn in two tape blocks with every row's
   streams kept open in between; terminal values and the t = 5 checkpoint;
