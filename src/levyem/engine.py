@@ -8,18 +8,18 @@ i.e. implicit in the drift only; diffusion and jump increments enter
 explicitly.  A horizon T is covered by N = floor(T / dt) steps.
 
 Every run draws its increments on a tape (:class:`IncrementTape`) at its
-finest step from the per-path streams, and derives coarser resolutions by
-exact block sums, so runs at different step sizes share one realisation of
-the driving noise, which makes pathwise error against a fine-grid reference
-meaningful.  A chunk of paths draws its tape in blocks of
-``_TAPE_BLOCK_STEPS`` = 1,024 fine steps, from streams that stay open from
-one block to the next (row r is what path r's own streams give, whatever
-the chunk), so memory scales with the block, not the horizon.  Brownian
-rows equal one draw of the whole horizon; the jump samplers' draws depend
-on the block length, and a run of at most one block draws exactly
-``make_tape``'s tape.  A strong run's block is the smallest multiple of
-every level's ratio that holds at least 1,024 steps, so no coarse step
-straddles two blocks.
+finest step from the per-path streams; a coarser step's increment is the
+exact sum of the fine ones it spans, so runs at different step sizes share
+one realisation of the driving noise, which makes pathwise error against a
+fine-grid reference meaningful.  A chunk of paths draws its tape in blocks
+of ``_TAPE_BLOCK_STEPS`` = 1,024 fine steps, from streams that stay open
+from one block to the next (row r is what path r's own streams give,
+whatever the chunk), and frees each block before drawing the next, so it
+holds one block of noise.  Brownian rows equal one draw of the whole
+horizon; the jump samplers' draws depend on the block length, and a run of
+at most one block draws exactly ``make_tape``'s tape.  A strong run's block
+is the smallest multiple of every level's ratio that holds at least 1,024
+steps, so no coarse step straddles two blocks.
 
 One loop, ``_evolve``, advances every run over the fine nodes in lockstep,
 as lanes: a lane is a step size (an integer multiple of the tape's step)
@@ -80,7 +80,7 @@ from .noise import (  # make_rng is unused here: bench/tracing.py times it under
     make_rng,  # noqa: F401
     sample_levy_increments,
 )
-from .tilted_stable import BLOCK_ROWS
+from .tilted_stable import row_blocks
 
 __all__ = [
     "IncrementTape",
@@ -178,7 +178,7 @@ class IncrementTape:
     levy: np.ndarray | None  # (n_paths, n_steps) jump increments, or None
 
     def coarsen(self, dt: float) -> "IncrementTape":
-        """Aggregate to step size dt (an integer multiple of fine_dt) by block sums."""
+        """Aggregate to step dt (a multiple of fine_dt) by block sums; the lanes' test reference."""
         ratio = _grid_ratio(dt, self.fine_dt, self.n_steps)
         if ratio == 1:
             return self
@@ -226,8 +226,7 @@ def make_tape(
     brownian = levy = None
     if brownian_streams is not None:
         brownian = np.empty((path_indices.size, n_steps))
-        for lo in range(0, path_indices.size, BLOCK_ROWS):
-            hi = min(lo + BLOCK_ROWS, path_indices.size)
+        for lo, hi in row_blocks(path_indices.size, n_steps):
             for rng, row in zip(brownian_streams.rows(lo, hi), brownian[lo:hi]):
                 rng.standard_normal(out=row)
         brownian *= np.sqrt(fine_dt)
@@ -263,13 +262,14 @@ def _evolve(problem: SdeProblem, dt: float, y0, tapes, diag, on_step=None, lane_
     and a start per row, and every lane is driven by the same tape rows.
     Lane j steps by ``lane_dts[j]`` (``dt`` for every lane when None), an
     integer multiple of ``dt``, at the fine nodes i that its ratio divides,
-    on the block sums of the increments; each block's length must be a
-    multiple of every ratio.  The lanes that step at a node and whose steps
-    end at the same float time share one solve call, with one dt per
-    element (a float when they have one dt): each group of lanes has one
-    prepared step and one array of explicit parts, written in place, so
-    each element does the arithmetic of its lane run alone.  Which lanes
-    step repeats with the lcm of the ratios, so that is laid out once.
+    on the sums of the block's fine columns its steps span; each block's
+    length must be a multiple of every ratio, and is freed before the next
+    block is drawn.  The lanes that step at a node and whose steps end at
+    the same float time share one solve call, with one dt per element (a
+    float when they have one dt): each group of lanes has one prepared step
+    and one array of explicit parts, written in place, so each element does
+    the arithmetic of its lane run alone.  Which lanes step repeats with the
+    lcm of the ratios, so that is laid out once.
 
     ``on_step(i, y)`` is called at node 0 and after each fine node i, with
     every lane's latest state shaped like ``y0``; a lane's state is the
@@ -288,11 +288,15 @@ def _evolve(problem: SdeProblem, dt: float, y0, tapes, diag, on_step=None, lane_
         [j for j, ratio in enumerate(ratios) if i % ratio == 0] for i in range(1, period + 1)
     ]
     calls = {}  # the lanes of a call -> its prepared step and its explicit parts
+    summed = np.empty(rows)  # a coarse step's increment: its fine columns, summed as coarsen does
+
+    def increment(x, r, end):  # the increment over the r block columns before column end
+        return x[:, end - 1] if r == 1 else x[:, end - r:end].sum(axis=1, out=summed)
+
     if on_step is not None:
         on_step(0, y0)
     start = 0
     for tape in tapes:
-        blocks = [tape.coarsen(d) for d in lane_dts]
         for i in range(start + 1, start + tape.n_steps + 1):
             groups = {}  # step-end time -> the lanes that step to it
             for j in stepping[(i - 1) % period]:
@@ -306,17 +310,16 @@ def _evolve(problem: SdeProblem, dt: float, y0, tapes, diag, on_step=None, lane_
                     calls[group] = PreparedStep(problem, dts, c), c
                 step, c = calls[group]
                 for m, j in enumerate(group):
-                    block, k = blocks[j], i // ratios[j]  # the lane's step k ends here
-                    col = (i - start) // ratios[j] - 1  # step k's column in the block
+                    r, k = ratios[j], i // ratios[j]  # the lane's step k ends here
                     part = c[m * rows:(m + 1) * rows]
-                    if block.brownian is not None:
+                    if tape.brownian is not None:
                         g = problem.diffusion((k - 1) * lane_dts[j], lanes[j])
-                        np.multiply(g, block.brownian[:, col], out=part)
+                        np.multiply(g, increment(tape.brownian, r, i - start), out=part)
                         part += lanes[j]  # g dB + y is y + g dB, bit for bit
                     else:
                         part[...] = lanes[j]
-                    if block.levy is not None:
-                        part += block.levy[:, col]
+                    if tape.levy is not None:
+                        part += increment(tape.levy, r, i - start)
                 try:
                     out = solve_implicit_steps(problem, t, c, step, diagnostics=diag)
                 except StepFailureError as exc:
@@ -331,6 +334,7 @@ def _evolve(problem: SdeProblem, dt: float, y0, tapes, diag, on_step=None, lane_
             if on_step is not None:
                 on_step(i, lanes[0] if y0.ndim == 1 else np.array(lanes))
         start += tape.n_steps
+        del tape  # so that the next block is drawn with this one freed
     return lanes[0] if y0.ndim == 1 else np.array(lanes)
 
 
@@ -338,9 +342,10 @@ def _chunk_ranges(n_paths: int, block_steps: int, streams: int, budget_bytes: in
     """Split paths into contiguous chunks; a pure function of the sizes only.
 
     The chunk count is the smallest multiple of ``workers`` at which a
-    chunk's tape block (``block_steps`` steps per stream and path) fits the
-    budget, and at most one chunk per path; the paths are split evenly, so
-    chunk sizes differ by at most one and every worker gets the same work.
+    chunk's tape block (``block_steps`` steps per stream and path), all the
+    noise it holds, fits the budget, and at most one chunk per path; paths
+    are split evenly, so chunk sizes differ by at most one and every worker
+    gets the same work.
     """
     per_path = block_steps * 8 * max(1, streams)
     needed = -(-n_paths // max(1, budget_bytes // per_path))

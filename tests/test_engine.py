@@ -3,6 +3,7 @@
 import concurrent.futures
 import dataclasses
 import math
+import weakref
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -450,8 +451,10 @@ def test_strong_run_over_blocks_does_not_depend_on_chunks_or_workers(monkeypatch
     [
         (2.0 ** -12, [2.0 ** -9, 2.0 ** -8], [1024] * 4),
         (1.0 / 3072, [1.0 / 1024, 1.0 / 768], [1032, 1032, 1008]),  # multiples of lcm(3, 4)
+        # numpy's pairwise sum changes strategy at 8 and at 128 summands
+        (2.0 ** -12, [2.0 ** -5, 2.0 ** -4], [1024] * 4),
     ],
-    ids=["ratios-8-16", "ratios-3-4"],
+    ids=["ratios-8-16", "ratios-3-4", "ratios-128-256"],
 )
 def test_lockstep_levels_equal_levels_run_alone(reference_dt, dts, block_steps, monkeypatch):
     # Over several tape blocks, each level of the lockstep kernel must do
@@ -476,6 +479,35 @@ def test_lockstep_levels_equal_levels_run_alone(reference_dt, dts, block_steps, 
         alone = engine._evolve(problem, d, y0, [b.coarsen(d) for b in blocks], diag)
         np.testing.assert_array_equal(run.errors[d], np.abs(alone - reference))
     assert run.diagnostics == diag
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda p: strong_error_run(p, [2.0 ** -10, 2.0 ** -9, 2.0 ** -8], 2.0 ** -12, 6, 17),
+        lambda p: simulate_ensemble(p, 2.0 ** -12, 6, 17),
+    ],
+    ids=["strong_error_run", "simulate_ensemble"],
+)
+def test_a_run_holds_one_tape_block_and_never_coarsens_it(run, monkeypatch):
+    # A coarse lane sums its steps' fine columns in the block itself, and
+    # block b and its arrays are freed before block b + 1 is drawn.
+    def refuse(self, dt):
+        raise AssertionError("a lane coarsened its tape block")
+
+    drawn, alive = [], []
+    make = engine.make_tape
+
+    def recording(*args):
+        alive.append(sum(ref() is not None for refs in drawn for ref in refs))
+        tape = make(*args)
+        drawn.append([weakref.ref(obj) for obj in (tape, tape.brownian, tape.levy)])
+        return tape
+
+    monkeypatch.setattr(engine.IncrementTape, "coarsen", refuse)
+    monkeypatch.setattr(engine, "make_tape", recording)
+    run(builtin_problem("paper-5.1a"))  # Brownian and tempered jumps, 4 blocks
+    assert alive == [0, 0, 0, 0]
 
 
 def test_two_lanes_equal_two_one_lane_runs():
