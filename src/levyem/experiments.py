@@ -23,6 +23,7 @@ import numpy as np
 from .convergence import ErrorTable, OrderFit, fit_order, predicted_order, strong_error_table
 from .engine import check_workers
 from .errors import ConfigurationError
+from .implicit import solvability_limit
 from .measures import (
     InvariantReport,
     StationaryReference,
@@ -338,12 +339,16 @@ class ProbeResult:
     zero_bounds: tuple
     decay: dict
     all_pass: bool
+    one_sided_bound: float  # sup of df/dx, derived from the drift
+    solvability_limit: float  # inf when every dt is solvable, null in JSON
 
     def artifacts(self):
         return {
             "experiment": "probe-assumptions",
             "problem": self.problem,
             "all_pass": self.all_pass,
+            "one_sided_bound": self.one_sided_bound,
+            "solvability_limit": None if self.solvability_limit == math.inf else self.solvability_limit,
             "zero_state_bounds": list(self.zero_bounds),
             "decay_factors": self.decay,
             "moment_conditions": _moment_json(self.moment_report),
@@ -354,6 +359,7 @@ class ProbeResult:
 
     def lines(self):
         yield f"problem: {self.problem}"
+        yield f"one-sided bound: {self.one_sided_bound:+.6f}  (solvable for dt < {self.solvability_limit:g})"
         for probe in self.probes:
             status = "ok" if probe.violations == 0 else f"{probe.violations} violations"
             yield f"  probe {probe.probe:<12s} max_ratio = {probe.max_ratio:+.4f}  {status}"
@@ -552,6 +558,8 @@ def run_probe_assumptions(
         zero_bounds=(m1, m2),
         decay=decay,
         all_pass=all_pass,
+        one_sided_bound=problem.monotone_bound,
+        solvability_limit=solvability_limit(problem),
     )
 
 

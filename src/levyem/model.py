@@ -18,9 +18,10 @@ the grammar of :mod:`levyem.problems`, which builds every problem.
 The long-time (invariant measure) analysis needs the strict dissipativity gate
 K3 < -1/2 and K4 + 2*K3 < -1; finite-horizon strong convergence does not.  The
 constants therefore carry the dissipativity pair (K3, K4) as an optional block
-that is gate-checked whenever it is supplied, while every problem also carries
-a plain finite ``monotone_bound`` (any upper bound for the one-sided ratio,
-possibly positive) which is all the implicit step solver needs.
+that is gate-checked whenever it is supplied.  The one-sided bound the implicit
+step solver needs, ``monotone_bound`` = sup of df/dx (possibly positive), is
+not declared: each problem derives it from its compiled drift, rejects a drift
+whose bound is +inf, and rejects a declared K3 below it.
 
 The probes draw random (t, x, y) triples once and report, per declared
 constant, the worst empirical ratio against it, so a wrong declaration is
@@ -122,7 +123,8 @@ class SdeProblem:
 
     ``noise`` drives the jumps with symmetric alpha-stable or tempered stable
     increments, or with none.  :func:`run_declared_probes` checks
-    ``constants`` against ``drift`` and ``diffusion``.
+    ``constants`` against ``drift`` and ``diffusion``.  ``monotone_bound`` is
+    derived, so ``dataclasses.replace`` derives it again.
     """
 
     name: str
@@ -131,9 +133,9 @@ class SdeProblem:
     horizon: float
     noise: NoiseSpec
     constants: AssumptionConstants
-    monotone_bound: float
     diffusion_polynomial: CompiledPolynomial | None
     source: dict  # the config the problem was built from
+    monotone_bound: float = field(init=False)  # sup of df/dx, derived from the drift
     drift: Callable = field(init=False, repr=False)
     drift_jacobian: Callable = field(init=False, repr=False)
     diffusion: Callable | None = field(init=False, repr=False)
@@ -144,8 +146,12 @@ class SdeProblem:
         for name in ("x0", "horizon"):  # the grammar names these too; API-built problems skip it
             if not math.isfinite(getattr(self, name)):
                 raise ConfigurationError(f"{name} must be finite, got {getattr(self, name)}")
-        if not math.isfinite(self.monotone_bound):
-            raise ConfigurationError("monotone_bound must be finite")
+        self.monotone_bound = bound = self.drift_polynomial.one_sided_bound(self.horizon)
+        if bound == math.inf:
+            raise ConfigurationError("drift: df/dx is unbounded above, so no dt has a guaranteed implicit step")
+        k3 = self.constants.K3
+        if k3 is not None and k3 < bound - 1e-12 * abs(bound):
+            raise ConfigurationError(f"K3 = {k3} is below the drift's one-sided bound {bound!r}")
         if self.diffusion_polynomial is not None and self.noise.brownian_dim == 0:
             raise ConfigurationError("diffusion given but brownian_dim == 0")
         if self.diffusion_polynomial is None and self.noise.brownian_dim > 0:
@@ -184,7 +190,7 @@ def run_declared_probes(
     this order:
 
     * ``one_sided``: <x-y, f(t,x)-f(t,y)> / |x-y|^2 against K3 (or the
-      monotone bound when K3 is not declared);
+      derived ``monotone_bound`` when K3 is not declared);
     * ``polynomial``: |f(t,x)-f(t,y)|^2 / ((1+|x|^sigma+|y|^sigma) |x-y|^2)
       against H;
     * ``diffusion``: |g(t,x)-g(t,y)|^2 / |x-y|^2 against K4 (or 1);

@@ -13,8 +13,9 @@ Hoelder-in-time prefactors, which is exactly the shape of every built-in model.
 
 :func:`compile_terms` turns a term list into a :class:`CompiledPolynomial`,
 ``sum_k a_k(t) x**k``: ``coefficients(t)`` evaluates each distinct window
-factor once and sums the terms of each power of x, and ``value`` and
-``derivative`` evaluate the polynomial by Horner's rule.
+factor once and sums the terms of each power of x, ``value`` and
+``derivative`` evaluate the polynomial by Horner's rule, and
+``one_sided_bound`` derives the problem's ``monotone_bound``.
 :func:`problem_from_config` is the one constructor of an
 :class:`~levyem.model.SdeProblem`: it hands the problem its compiled drift and
 diffusion.  The problem's ``drift``, ``drift_jacobian`` and ``diffusion`` are
@@ -39,6 +40,7 @@ paper-5.4      cubic dissipative drift, affine Brownian noise, additive
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 
@@ -65,9 +67,7 @@ def signed_power(u, p: float):
     return np.sign(u) * np.abs(u) ** p
 
 
-_PROBLEM_KEYS = {
-    "name", "dim", "drift", "diffusion", "x0", "horizon", "noise", "constants", "monotone_bound"
-}
+_PROBLEM_KEYS = {"name", "drift", "diffusion", "x0", "horizon", "noise", "constants"}
 _TERM_KEYS = {"coeff", "x_power", "time_factor"}
 _TIME_FACTOR_KEYS = {"a", "b", "power"}
 _NOISE_KEYS = {"kind", "alpha", "tempering", "scale", "brownian_dim", "gamma0", "gamma_inf"}
@@ -190,6 +190,35 @@ class CompiledPolynomial:
                 out[x_power] += coeff * w
         return np.array(out)
 
+    def one_sided_bound(self, horizon: float) -> float:
+        """sup of the x-derivative over t in [0, horizon] and all real x.
+
+        A window's concave u = (t - a)(b - t) ranges from its smaller end value
+        to its value at (a + b) / 2 clipped into the horizon, and w over their
+        images.  The derivative is linear in each w, so its sup is at a corner
+        of the ranges: exact with one window, an upper bound with several.  At
+        a corner it is a polynomial d(x), whose sup is +inf for an odd degree
+        or a positive leading coefficient, else its largest value at 0 and at
+        the real roots of d'.  All in Python floats (see :func:`_critical_points`).
+        """
+        ranges = []
+        for a, b, p in self.windows:
+            u = [(t - a) * (b - t) for t in (0.0, horizon, min(max(0.5 * (a + b), 0.0), horizon))]
+            ranges.append([math.copysign(abs(v) ** p, v) for v in (min(u), max(u))])
+        best = -math.inf
+        for corner in itertools.product(*ranges):
+            coeffs = self.constant.tolist()
+            for w, terms in zip(corner, self.windows.values()):
+                for x_power, coeff in terms:
+                    coeffs[x_power] += coeff * w
+            while len(coeffs) > 1 and coeffs[-1] == 0.0:
+                coeffs.pop()
+            d = [k * a for k, a in enumerate(coeffs)][:0:-1] or [0.0]  # highest power first
+            if len(d) % 2 == 0 or d[0] > 0.0:
+                return math.inf
+            best = max(best, d[-1], *(_horner(d, x) for x in _critical_points(d)))
+        return best
+
     def value(self, t, x):
         x = np.asarray(x, dtype=float)
         v = horner(self.coefficients(t), self.present, x)[0]
@@ -199,6 +228,33 @@ class CompiledPolynomial:
         x = np.asarray(x, dtype=float)
         dv = horner(self.coefficients(t), self.present, x)[1]
         return dv if self.degree >= 2 else _broadcast(dv, t, x)
+
+
+def _horner(c: list, x: float) -> float:
+    """The polynomial c (highest power first) at x."""
+    acc = 0.0
+    for a in c:
+        acc = acc * x + a
+    return acc
+
+
+def _critical_points(c: list):
+    """The real roots of c' (c highest power first, c[0] != 0), each bisected
+    between two roots of c''.  Python floats, not numpy: ``np.roots`` makes
+    LAPACK allocate its buffers, and numpy's first small arrays touch memory."""
+    n = len(c) - 1
+    dc = [a * (n - k) for k, a in enumerate(c[:-1])]  # c', highest power first
+    if len(dc) < 2:
+        return
+    r = 1.0 + max(abs(a / dc[0]) for a in dc[1:])  # Cauchy: every root lies in (-r, r)
+    edges = [-r, *_critical_points(dc), r]  # c' is monotone between two of them
+    for lo, hi in zip(edges, edges[1:]):
+        sign = _horner(dc, lo)
+        if sign * _horner(dc, hi) <= 0.0:
+            for _ in range(64):  # to r * 2**-63
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if _horner(dc, mid) * sign > 0.0 else (lo, mid)
+            yield lo
 
 
 def _broadcast(v, t, x):
@@ -265,10 +321,7 @@ def _parse_constants(spec) -> AssumptionConstants:
 
 def problem_from_config(config: dict) -> SdeProblem:
     """Build an SdeProblem from its grammar dictionary (see module docstring)."""
-    required = _PROBLEM_KEYS - {"name", "dim", "diffusion"}
-    _check_keys(config, _PROBLEM_KEYS, required, "problem")
-    if _integer(config.get("dim", 1), "dim") != 1:
-        raise ConfigurationError(f"dim: the grammar covers scalar problems only (dim 1), got {config['dim']!r}")
+    _check_keys(config, _PROBLEM_KEYS, _PROBLEM_KEYS - {"name", "diffusion"}, "problem")
     name = config.get("name", "custom")
     if not isinstance(name, str):
         raise ConfigurationError(f"name must be a string, got {name!r}")
@@ -281,7 +334,6 @@ def problem_from_config(config: dict) -> SdeProblem:
         horizon=_real(config["horizon"], "horizon"),
         noise=_parse_noise(config["noise"]),
         constants=_parse_constants(config["constants"]),
-        monotone_bound=_real(config["monotone_bound"], "monotone_bound"),
         source=config,
     )
 
@@ -290,17 +342,15 @@ def _window(power: float) -> dict:
     return {"a": 1.0, "b": 2.0, "power": power}
 
 
-def _quintic_problem(name, drift_power, diff_power, jump_alpha, k1, k2, k4, bound) -> dict:
+def _quintic_problem(name, drift_power, diff_power, jump_alpha, k1, k2, k4) -> dict:
     config = {
         "name": name,
-        "dim": 1,
         "drift": [
             {"coeff": 1.0, "x_power": 2, "time_factor": _window(drift_power)},
             {"coeff": -2.0, "x_power": 5},
         ],
         "x0": 1.0,
         "horizon": 1.0,
-        "monotone_bound": bound,
         "constants": {
             "H": 150.0,
             "sigma": 8.0,
@@ -328,17 +378,15 @@ def _quintic_problem(name, drift_power, diff_power, jump_alpha, k1, k2, k4, boun
 
 
 BUILTIN_PROBLEMS: dict[str, dict] = {
-    "paper-5.1a": _quintic_problem("paper-5.1a", 0.2, 0.4, 1.3, k1=2.5, k2=5.0, k4=7.0, bound=0.7),
-    "paper-5.1b": _quintic_problem("paper-5.1b", 0.2, 0.4, 1.5, k1=2.5, k2=5.0, k4=7.0, bound=0.7),
-    "paper-5.1c": _quintic_problem("paper-5.1c", 0.8, 0.6, 1.3, k1=3.0, k2=5.5, k4=9.5, bound=1.2),
-    "paper-5.2": _quintic_problem("paper-5.2", 0.9, None, 1.3, k1=3.0, k2=1.0, k4=None, bound=1.3),
+    "paper-5.1a": _quintic_problem("paper-5.1a", 0.2, 0.4, 1.3, k1=2.5, k2=5.0, k4=7.0),
+    "paper-5.1b": _quintic_problem("paper-5.1b", 0.2, 0.4, 1.5, k1=2.5, k2=5.0, k4=7.0),
+    "paper-5.1c": _quintic_problem("paper-5.1c", 0.8, 0.6, 1.3, k1=3.0, k2=5.5, k4=9.5),
+    "paper-5.2": _quintic_problem("paper-5.2", 0.9, None, 1.3, k1=3.0, k2=1.0, k4=None),
     "paper-5.3": {
         "name": "paper-5.3",
-        "dim": 1,
         "drift": [{"coeff": -2.0, "x_power": 1}],
         "x0": 10.0,
         "horizon": 5.0,
-        "monotone_bound": -2.0,
         "constants": {
             "H": 4.0,
             "sigma": 1.0,
@@ -362,7 +410,6 @@ BUILTIN_PROBLEMS: dict[str, dict] = {
     },
     "paper-5.4": {
         "name": "paper-5.4",
-        "dim": 1,
         "drift": [
             {"coeff": -1.0, "x_power": 3},
             {"coeff": -5.0, "x_power": 1},
@@ -374,7 +421,6 @@ BUILTIN_PROBLEMS: dict[str, dict] = {
         ],
         "x0": 10.0,
         "horizon": 10.0,
-        "monotone_bound": -5.0,
         "constants": {
             "H": 50.0,
             "sigma": 4.0,

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import levyem
@@ -326,6 +327,8 @@ def test_bad_reference_block_exits_3(tmp_path, capsys, reference, field):
         ("noise", "rate", 2.0),
         ("noise", "jump_law", {"kind": "normal", "mu": 0.0, "sigma": 1.0}),
         (None, "declared_probes", ["one_sided"]),
+        (None, "monotone_bound", -5.0),  # derived from the drift now
+        (None, "dim", 1),
     ],
 )
 def test_removed_problem_inputs_exit_3(tmp_path, capsys, block, key, value):
@@ -371,22 +374,24 @@ def test_duplicate_checkpoints_exit_3(tmp_path, capsys):
 
 
 def test_step_failure_exits_4(tmp_path, capsys):
+    # the drift is solvable at every dt, but x^2 noise from x0 = 1e200 makes
+    # the explicit part of the first step infinite
     cfg = _small_convergence_cfg()
     cfg["problem"] = {
         "name": "runaway",
-        "dim": 1,
-        "drift": [{"coeff": 1.0, "x_power": 2}],
-        "x0": 1000.0,
+        "drift": [{"coeff": -1.0, "x_power": 1}],
+        "diffusion": [{"coeff": 1.0, "x_power": 2}],
+        "x0": 1e200,
         "horizon": 1.0,
-        "monotone_bound": 0.0,
         "constants": {
             "H": 1.0, "sigma": 1.0, "q": 10.0, "M": 1.0,
             "K1": 1.0, "K2": 1.0, "gamma1": 0.5, "gamma2": 0.5,
         },
-        "noise": {"kind": "none", "brownian_dim": 0},
+        "noise": {"kind": "none", "brownian_dim": 1},
     }
     cfg_path = _write_cfg(tmp_path / "runaway.json", cfg)
-    assert main(["run", cfg_path, "--out", str(tmp_path / "o")]) == 4
+    with np.errstate(over="ignore"):
+        assert main(["run", cfg_path, "--out", str(tmp_path / "o")]) == 4
     err = capsys.readouterr().err
     assert "simulation failed" in err
     # every path blows up on the first step of the 2^-7 reference run

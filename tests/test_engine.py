@@ -37,7 +37,6 @@ def _deterministic_problem(rate=2.0, x0=10.0, horizon=4.0):
         "horizon": horizon,
         "noise": {"kind": "none", "brownian_dim": 0},
         "constants": {**_CONSTANTS, "K3": -rate},
-        "monotone_bound": -rate,
     })
 
 
@@ -255,7 +254,6 @@ def _ou_brownian():
         "horizon": 1.0,
         "noise": {"kind": "none", "brownian_dim": 1},
         "constants": {**_CONSTANTS, "K3": -1.0},
-        "monotone_bound": -1.0,
     })
 
 
@@ -366,8 +364,8 @@ def _no_tape(*args, **kwargs):
                                     4000, 1, workers=w), r"dts value 1\.0 violates"),
         (lambda w: simulate_ensemble(builtin_problem("paper-5.1c"), 1.0, 8, 1, workers=w),
          r"dt value 1\.0 violates"),
-        (lambda w: second_moment_curve(builtin_problem("paper-5.1a"), 1.5, 4, 8, 1, workers=w),
-         r"dt value 1\.5 violates"),
+        (lambda w: second_moment_curve(builtin_problem("paper-5.1a"), 2.0, 4, 8, 1, workers=w),
+         r"dt value 2\.0 violates"),  # the limit is 1 / 0.6648 = 1.504
         (lambda w: coupling_curve(builtin_problem("paper-5.1c"), (0.0, 1.0), 1.0, 4, 8, 1,
                                   workers=w), r"dt value 1\.0 violates"),
     ],

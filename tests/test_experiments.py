@@ -467,6 +467,21 @@ def test_probe_run_populates_decay_and_passes():
     assert {p.probe for p in result.probes} >= {"one_sided", "polynomial"}
 
 
+@pytest.mark.parametrize("name", ["paper-5.1c", "paper-5.4"])
+def test_probe_run_writes_and_prints_the_derived_bound(name, tmp_path):
+    problem = builtin_problem(name)
+    result = run_probe_assumptions(problem, n_pairs=200, seed=4)
+    summary = json.loads((write_run(result, tmp_path / "p") / "summary.json").read_text())
+    assert summary["one_sided_bound"] == problem.monotone_bound
+    # 1 / 1.1575 for paper-5.1c; null for paper-5.4, where every dt is solvable
+    limit = 1.0 / problem.monotone_bound if problem.monotone_bound > 0 else None
+    assert summary["solvability_limit"] == limit
+    assert f"one-sided bound: {problem.monotone_bound:+.6f}" in "\n".join(result.lines())
+    # with no K3 declared, the one-sided probe's claim is the derived bound
+    claim = problem.constants.K3 if problem.constants.K3 is not None else problem.monotone_bound
+    assert result.probes[0].claimed == {"bound": claim}
+
+
 def test_sampler_validation_small():
     result = run_sampler_validation(
         builtin_problem("paper-5.3").noise, n=20_000, master_seed=11

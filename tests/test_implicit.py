@@ -27,7 +27,12 @@ from levyem.implicit import (
     solvability_limit,
     solve_implicit_steps,
 )
-from levyem.problems import builtin_problem, builtin_problem_names, problem_from_config
+from levyem.problems import (
+    builtin_problem,
+    builtin_problem_names,
+    compile_terms,
+    problem_from_config,
+)
 
 ORACLE_PROBLEMS = ["paper-5.1a", "paper-5.1c", "paper-5.2", "paper-5.4"]
 
@@ -145,7 +150,8 @@ def test_array_dt_equals_scalar_solves(name):
 def test_array_dt_is_checked_per_element():
     problem = builtin_problem("paper-5.1a")
     c = np.array([0.5, 1.0, 2.0])
-    at_limit = np.array([0.01, 1.0 / 0.7, 0.01])  # the second element's dt * 0.7 reaches 1
+    limit = solvability_limit(problem)  # 1 / 0.6648; limit * 0.6648 rounds to 1
+    at_limit = np.array([0.01, limit, 0.01])  # the second element's dt * bound reaches 1
     with pytest.raises(ConfigurationError, match=r"dt\[1\]"):
         solve_implicit_steps(problem, 0.5, c, at_limit)
     with pytest.raises(ConfigurationError, match="dt"):
@@ -195,29 +201,40 @@ def test_extreme_state_accepted_at_machine_floor():
 
 
 def test_solvability_gate():
-    problem = builtin_problem("paper-5.1a")  # monotone_bound 0.7
+    problem = builtin_problem("paper-5.1a")  # sup df/dx = 0.6648 (at t = 0)
     limit = solvability_limit(problem)
-    assert limit == pytest.approx(1.0 / 0.7)
+    assert limit == pytest.approx(1.0 / 0.6647973189869258, rel=1e-12)
     with pytest.raises(ConfigurationError):
         _solve_one(problem, 0.5, 1.0, 1.5 * limit)
 
 
 def test_solvability_unbounded_for_dissipative_drift():
-    problem = builtin_problem("paper-5.4")  # monotone_bound -5
+    problem = builtin_problem("paper-5.4")  # sup df/dx = -5
     assert solvability_limit(problem) == np.inf
 
 
+_NO_ROOT = {
+    "name": "no-root",
+    "drift": [{"coeff": 1.0, "x_power": 2}],
+    "x0": 1000.0,
+    "horizon": 1.0,
+    "noise": {"kind": "none", "brownian_dim": 0},
+    "constants": {"H": 1e9, "sigma": 3.0, "q": 10.0, "M": 1e9, "K1": 1.0, "K2": 1.0,
+                  "gamma1": 0.5, "gamma2": 0.5},
+}
+
+
+def test_rootless_drift_is_rejected_at_build():
+    # sup of d(x^2)/dx = 2x is +inf, so no dt guarantees a root
+    with pytest.raises(ConfigurationError, match="drift"):
+        problem_from_config(_NO_ROOT)
+
+
 def test_rootless_equation_fails_loudly():
-    problem = problem_from_config({
-        "name": "no-root",
-        "drift": [{"coeff": 1.0, "x_power": 2}],
-        "x0": 1000.0,
-        "horizon": 1.0,
-        "noise": {"kind": "none", "brownian_dim": 0},
-        "constants": {"H": 1e9, "sigma": 3.0, "q": 10.0, "M": 1e9, "K1": 1.0, "K2": 1.0,
-                      "gamma1": 0.5, "gamma2": 0.5},
-        "monotone_bound": 0.0,  # wrong on purpose: x^2 is not monotone
-    })
+    # a problem built from a solvable drift, with x^2 put in its place
+    # afterwards: the bound it keeps is wrong, and the solver must still fail
+    problem = problem_from_config({**_NO_ROOT, "drift": [{"coeff": -1.0, "x_power": 1}]})
+    problem.drift_polynomial = compile_terms(_NO_ROOT["drift"])
     with pytest.raises(StepFailureError):
         _solve_one(problem, 0.0, 1000.0, 0.01)
 

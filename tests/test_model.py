@@ -75,9 +75,10 @@ class TestProbes:
         assert reports["polynomial"].violations > 0
 
     def test_probe_catches_false_dissipativity_claim(self):
-        cfg = dict(builtin_problem("paper-5.4").source)
-        cfg = {**cfg, "name": "liar2", "constants": {**cfg["constants"], "K3": -50.0}}
-        problem = problem_from_config(cfg)
+        # the build rejects a K3 below the drift's bound (-5), so the false
+        # claim is put in after it
+        problem = builtin_problem("paper-5.4")
+        problem.constants = dataclasses.replace(problem.constants, K3=-50.0)
         reports = {r.probe: r for r in run_declared_probes(problem, n_pairs=2000, seed=3)}
         assert reports["one_sided"].violations > 0
 

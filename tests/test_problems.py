@@ -1,6 +1,7 @@
 """Expression-grammar parsing and the built-in problem table."""
 
 import copy
+import dataclasses
 import itertools
 
 import numpy as np
@@ -11,6 +12,7 @@ from levyem.problems import (
     BUILTIN_PROBLEMS,
     builtin_problem,
     builtin_problem_names,
+    compile_terms,
     horner,
     problem_from_config,
     signed_power,
@@ -194,7 +196,7 @@ def test_rejects_malformed_configs():
 
     bad_dim = dict(base)
     bad_dim["dim"] = 2
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match="dim"):
         problem_from_config(bad_dim)
 
     bad_terms = dict(base)
@@ -238,6 +240,8 @@ def test_rejects_malformed_configs():
 def _with_drift(drift):
     cfg = dict(builtin_problem("paper-5.3").source)
     cfg["drift"] = drift
+    # K3 and K4 are 5.3's dissipativity pair, which the new drift need not have
+    cfg["constants"] = {k: v for k, v in cfg["constants"].items() if k not in ("K3", "K4")}
     return cfg
 
 
@@ -270,3 +274,111 @@ def test_misspelled_time_factor_key_rejected():
 def test_unknown_builtin_name():
     with pytest.raises(ConfigurationError, match="paper-9.9"):
         builtin_problem("paper-9.9")
+
+
+# ---------------------------------------------------------------------------
+# the one-sided bound derived from the drift
+
+
+def _grid_max_slope(problem, radius=3.0, n_t=201, n_x=601, zooms=3):
+    """max of df/dx on a (t, x) grid over [0, T] x [-radius, radius], zoomed
+    ``zooms`` times onto the cells around its best node (each zoom shrinks a
+    cell about 300-fold)."""
+    t_lo, t_hi, x_lo, x_hi = 0.0, problem.horizon, -radius, radius
+    best = -np.inf
+    for _ in range(zooms + 1):
+        t = np.linspace(t_lo, t_hi, n_t)[:, None]
+        x = np.linspace(x_lo, x_hi, n_x)[None, :]
+        slope = problem.drift_jacobian(t, x)
+        i, j = np.unravel_index(np.argmax(slope), slope.shape)
+        best = max(best, float(slope[i, j]))
+        cell_t, cell_x = (t_hi - t_lo) / (n_t - 1), (x_hi - x_lo) / (n_x - 1)
+        t_lo, t_hi = max(t[i, 0] - cell_t, 0.0), min(t[i, 0] + cell_t, problem.horizon)
+        x_lo, x_hi = x[0, j] - cell_x, x[0, j] + cell_x
+    return best
+
+
+def _at_least(bound, grid_max):
+    """bound >= grid_max, up to the rounding of evaluating the two (2 ulp)."""
+    return bound >= grid_max - 2.0 * np.spacing(abs(grid_max))
+
+
+@pytest.mark.parametrize(
+    "name, bound",
+    [("paper-5.1a", 0.664797), ("paper-5.1b", 0.664797), ("paper-5.1c", 1.157479),
+     ("paper-5.2", 1.269552), ("paper-5.3", -2.0), ("paper-5.4", -5.0)],
+)
+def test_derived_bound_is_the_sup_of_the_drift_slope(name, bound):
+    # one window at most: the derivation is exact, so the bound is the grid's
+    # maximum up to the grid's resolution
+    problem = builtin_problem(name)
+    grid_max = _grid_max_slope(problem)
+    assert _at_least(problem.monotone_bound, grid_max)
+    assert problem.monotone_bound == pytest.approx(grid_max, rel=1e-9, abs=0.0)
+    assert problem.monotone_bound == pytest.approx(bound, abs=5e-7)
+
+
+@pytest.mark.parametrize(
+    "drift, exact",
+    [
+        # df/dx = -7x^6 + 9x^2 + 1 has two peaks, at +-0.81, and a trough at 0
+        ([{"coeff": -1.0, "x_power": 7}, {"coeff": 3.0, "x_power": 3}, {"coeff": 1.0, "x_power": 1}],
+         True),
+        # w1 is most negative at t = 0, where w2 = 0: the corners of the two
+        # ranges are not reached together, so the bound is above the grid's
+        ([{"coeff": -1.0, "x_power": 5},
+          {"coeff": 1.0, "x_power": 2, "time_factor": {"a": 1.0, "b": 2.0, "power": 0.2}},
+          {"coeff": 1.0, "x_power": 1, "time_factor": {"a": 0.0, "b": 1.0, "power": 0.5}}],
+         False),
+    ],
+    ids=["three-critical-points", "two-windows"],
+)
+def test_derived_bound_of_custom_drifts(drift, exact):
+    problem = problem_from_config(_with_drift(drift))
+    grid_max = _grid_max_slope(problem)
+    assert _at_least(problem.monotone_bound, grid_max)
+    if exact:
+        assert problem.monotone_bound == pytest.approx(grid_max, rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "drift",
+    [[{"coeff": 1.0, "x_power": 3}], [{"coeff": 1.0, "x_power": 2}],
+     [{"coeff": -1.0, "x_power": 4}]],
+    ids=["+x^3", "x^2", "-x^4"],
+)
+def test_drift_with_an_unbounded_slope_is_rejected(drift):
+    with pytest.raises(ConfigurationError, match="drift"):
+        problem_from_config(_with_drift(drift))
+
+
+def test_replace_recomputes_the_bound():
+    problem = builtin_problem("paper-5.3")  # -2 x, K3 = -2
+    steeper = dataclasses.replace(problem, drift_polynomial=compile_terms([{"coeff": -3.0, "x_power": 1}]))
+    assert (problem.monotone_bound, steeper.monotone_bound) == (-2.0, -3.0)
+    with pytest.raises(ConfigurationError, match="K3"):  # -x: bound -1, above K3
+        dataclasses.replace(problem, drift_polynomial=compile_terms([{"coeff": -1.0, "x_power": 1}]))
+    # w(t) x - x^3 with w = t (2 - t): the bound is the largest w on the horizon
+    windowed = dataclasses.replace(problem, drift_polynomial=compile_terms([
+        {"coeff": 1.0, "x_power": 1, "time_factor": {"a": 0.0, "b": 2.0, "power": 1.0}},
+        {"coeff": -1.0, "x_power": 3},
+    ]), constants=dataclasses.replace(problem.constants, K3=None, K4=None), horizon=0.5)
+    assert windowed.monotone_bound == 0.75
+    assert dataclasses.replace(windowed, horizon=4.0).monotone_bound == 1.0
+
+
+_DECAY_CONSTANTS = {"H": 4.0, "sigma": 1.0, "q": 4.0, "M": 1.0, "K1": 1.0, "K2": 1.0,
+                    "gamma1": 0.5, "gamma2": 0.5, "K4": 0.5}
+
+
+@pytest.mark.parametrize("k3, ok", [(-2.0, False), (-1.0, True)])
+def test_declared_k3_may_not_undercut_the_derived_bound(k3, ok):
+    # for -x the one-sided constant is -1: a K3 of -2 claims more decay than
+    # the drift has, which the long-time envelopes would trust
+    cfg = _with_drift([{"coeff": -1.0, "x_power": 1}])
+    cfg["constants"] = {**_DECAY_CONSTANTS, "K3": k3}
+    if ok:
+        assert problem_from_config(cfg).constants.K3 == k3
+    else:
+        with pytest.raises(ConfigurationError, match="K3"):
+            problem_from_config(cfg)

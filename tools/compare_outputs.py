@@ -61,7 +61,10 @@ the same arithmetic print the same hashes:
   reports;
 * ``probes-<problem>``: ``run_declared_probes`` per built-in problem at its
   defaults (10,000 pairs, radius 5) and seed 20240817: the worst ratio and
-  the violation count of each of the four probes, and ``zero_state_bounds``.
+  the violation count of each of the four probes, and ``zero_state_bounds``;
+* ``bounds``: each built-in problem's one-sided bound (the sup of df/dx that
+  the problem derives from its drift) and its solvability limit, in the
+  order of ``builtin_problem_names``.
 
 An invariant-law report is saved as its KS distances, p-values and bootstrap
 standard errors, and its W1 distances and their standard errors, one entry
@@ -227,6 +230,14 @@ def _probes(name):
     }
 
 
+def _bounds():
+    problems = [builtin_problem(name) for name in builtin_problem_names()]
+    return {
+        "one_sided": [p.monotone_bound for p in problems],
+        "solvability_limit": [solvability_limit(p) for p in problems],
+    }
+
+
 def run_protocols() -> dict[str, np.ndarray]:
     protocols = {
         "strong-51a": lambda: _strong("paper-5.1a", [2.0 ** -k for k in (5, 6, 7, 8)], 2.0 ** -10,
@@ -256,6 +267,7 @@ def run_protocols() -> dict[str, np.ndarray]:
         protocols[f"sampler-{name}"] = lambda name=name: _sampler(name)
     for name in builtin_problem_names():
         protocols[f"probes-{name}"] = lambda name=name: _probes(name)
+    protocols["bounds"] = _bounds
     arrays = {}
     for label, protocol in protocols.items():
         for key, value in protocol().items():
